@@ -371,6 +371,44 @@ def _same_padding(t, k, stride):
     return total // 2, total - total // 2
 
 
+def _conv_geometry(t_in, k, stride, padding):
+    """Validate stride and padding; return (left pad, padded length)."""
+    if stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
+    if padding == "same":
+        left, right = _same_padding(t_in, k, stride)
+    elif padding == "valid":
+        left = right = 0
+    else:
+        raise ConfigError(f"padding must be 'same' or 'valid', got {padding!r}")
+    t_padded = t_in + left + right
+    if k > t_padded:
+        raise ConfigError(
+            f"kernel length {k} exceeds padded input length {t_padded}"
+        )
+    return left, t_padded
+
+
+def _pad_time(data, left, t_padded):
+    """Zero-pad (batch, T, C) data along time; no copy when nothing pads."""
+    if t_padded == data.shape[1]:
+        return data
+    padded = np.zeros((data.shape[0], t_padded, data.shape[2]), dtype=np.float64)
+    padded[:, left:left + data.shape[1], :] = data
+    return padded
+
+
+def _fold_windows(dwin, t_padded, stride):
+    """Adjoint of windowing: dwin[b, t, j, c] is the gradient of
+    padded[b, t*stride + j, c]; sum it onto a (batch, t_padded, C) array."""
+    batch, t_out, k, c = dwin.shape
+    dpad = np.zeros((batch, t_padded, c), dtype=np.float64)
+    for j in range(k):
+        # for fixed j the target indices t*stride + j are distinct
+        dpad[:, j:j + (t_out - 1) * stride + 1:stride, :] += dwin[:, :, j, :]
+    return dpad
+
+
 def conv_temporal(x, kernel, stride=1, padding="same"):
     """Cross-correlate `x` (batch, T, C_in) along its temporal axis.
 
@@ -398,26 +436,8 @@ def conv_temporal(x, kernel, stride=1, padding="same"):
         raise ShapeError(
             f"kernel expects {kc_in} input channels, input has {c_in}"
         )
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
-
-    if padding == "same":
-        left, right = _same_padding(t_in, k, stride)
-    elif padding == "valid":
-        left = right = 0
-    else:
-        raise ConfigError(f"padding must be 'same' or 'valid', got {padding!r}")
-    t_padded = t_in + left + right
-    if k > t_padded:
-        raise ConfigError(
-            f"kernel length {k} exceeds padded input length {t_padded}"
-        )
-
-    if left or right:
-        padded = np.zeros((batch, t_padded, c_in), dtype=np.float64)
-        padded[:, left:left + t_in, :] = x.data
-    else:
-        padded = x.data
+    left, t_padded = _conv_geometry(t_in, k, stride, padding)
+    padded = _pad_time(x.data, left, t_padded)
     # windows[b, t, c, k] == padded[b, t*stride + k, c]; a strided view, no copy
     windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)[:, ::stride]
     t_out = windows.shape[1]
@@ -436,13 +456,95 @@ def conv_temporal(x, kernel, stride=1, padding="same"):
             _accumulate(kernel, dk)
         if x.requires_grad:
             dwin = np.einsum("bto,bkco->btck", g, kdata, optimize=True)
-            dpad = np.zeros((batch, t_padded, c_in), dtype=np.float64)
-            for j in range(k):
-                # for fixed j the target indices t*stride + j are distinct
-                dpad[:, j:j + (t_out - 1) * stride + 1:stride, :] += dwin[:, :, :, j]
+            dpad = _fold_windows(dwin.transpose(0, 1, 3, 2), t_padded, stride)
             _accumulate(x, dpad[:, left:left + t_in, :])
 
     return _result(value, (x, kernel), backward, "conv_temporal")
+
+
+# Byte budget for the mixed kernels that `condconv_temporal` holds at once.
+# The chunk size follows from it and the layer's shape alone, never from
+# the machine, so results are the same everywhere.
+CONDCONV_CHUNK_BYTES = 64 * 2**20
+
+
+def condconv_chunk(kernel_shape):
+    """Examples per chunk for a mixed kernel of `kernel_shape`."""
+    kernel_bytes = 8 * int(np.prod(kernel_shape))
+    return max(1, CONDCONV_CHUNK_BYTES // kernel_bytes)
+
+
+def condconv_temporal(x, alpha, experts, stride=1, padding="same"):
+    """Conditionally parameterized convolution of `x` (batch, T, C_in).
+
+    Example b is cross-correlated with its own kernel, the mix
+    sum_i alpha[b, i] * experts[i] of the (n, K, C_in, C_out) experts under
+    the (batch, n) routing weights `alpha`. The batch is walked in chunks of
+    `condconv_chunk` examples: each chunk mixes its kernels and convolves
+    them as one batched matmul against an im2col view of the input, so at
+    most one chunk of mixed kernels exists at a time. Backward recomputes
+    them per chunk rather than keeping them from the forward pass.
+    """
+    if x.data.ndim != 3:
+        raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
+    if experts.data.ndim != 4:
+        raise ShapeError(
+            f"experts must be (n, K, C_in, C_out), got {experts.data.shape}"
+        )
+    batch, t_in, c_in = x.data.shape
+    n, k, kc_in, c_out = experts.data.shape
+    if alpha.data.shape != (batch, n):
+        raise ShapeError(
+            f"alpha shape {alpha.data.shape} does not match batch {batch} "
+            f"and {n} experts"
+        )
+    if kc_in != c_in:
+        raise ShapeError(
+            f"kernel expects {kc_in} input channels, input has {c_in}"
+        )
+    left, t_padded = _conv_geometry(t_in, k, stride, padding)
+    t_out = (t_padded - k) // stride + 1
+    flat = experts.data.reshape(n, k * c_in * c_out)
+    step = condconv_chunk((k, c_in, c_out))
+    chunks = [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
+
+    def cols(c):
+        # cols[b, t, j*C_in + i] == padded[b, t*stride + j, i]; a strided view
+        padded = np.ascontiguousarray(_pad_time(x.data[c], left, t_padded))
+        s_b, s_t, s_c = padded.strides
+        return np.lib.stride_tricks.as_strided(
+            padded, (padded.shape[0], t_out, k * c_in), (s_b, s_t * stride, s_c),
+            writeable=False,
+        )
+
+    def mixed(c):
+        return (alpha.data[c] @ flat).reshape(-1, k * c_in, c_out)
+
+    value = np.empty((batch, t_out, c_out))
+    for c in chunks:
+        np.matmul(cols(c), mixed(c), out=value[c])
+
+    def backward(g):
+        d_alpha = np.empty_like(alpha.data) if alpha.requires_grad else None
+        dx = np.empty_like(x.data) if x.requires_grad else None
+        for c in chunks:
+            if experts.requires_grad or alpha.requires_grad:
+                dk = np.matmul(cols(c).transpose(0, 2, 1), g[c]).reshape(-1, flat.shape[1])
+                if experts.requires_grad:
+                    _accumulate(experts, (alpha.data[c].T @ dk).reshape(experts.data.shape))
+                if alpha.requires_grad:
+                    d_alpha[c] = dk @ flat.T
+                del dk  # freed before the input pass mixes this chunk's kernels
+            if dx is not None:
+                dcols = np.matmul(g[c], mixed(c).transpose(0, 2, 1))
+                dpad = _fold_windows(dcols.reshape(-1, t_out, k, c_in), t_padded, stride)
+                dx[c] = dpad[:, left:left + t_in, :]
+        if d_alpha is not None:
+            _accumulate(alpha, d_alpha)
+        if dx is not None:
+            _accumulate(x, dx)
+
+    return _result(value, (x, alpha, experts), backward, "condconv_temporal")
 
 
 def max_pool_temporal(x, size, stride):

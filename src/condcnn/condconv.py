@@ -6,7 +6,8 @@ learned matrix and a sigmoid to n weights in (0, 1); the expert kernels are
 mixed with those weights into one per-example kernel and a single
 convolution is applied. Mixing first means the cost of extra experts is one
 multiply-add per kernel parameter per example, independent of sequence
-length.
+length. `autodiff.condconv_temporal` does the mixing and the convolution one
+batch chunk at a time, so mixed kernels never exist for the whole batch.
 
 `condconv_as_sum` computes the mathematically equivalent (but more
 expensive) form that convolves with every expert separately and mixes the
@@ -102,10 +103,11 @@ def route(x, layer):
 
 
 def combine_kernels(alpha, experts):
-    """Mix expert kernels into one kernel per example.
+    """Mix expert kernels into one kernel per example, for the whole batch.
 
     alpha: (batch, n) weights; experts: (n, K, C_in, C_out).
-    Returns (batch, K, C_in, C_out).
+    Returns (batch, K, C_in, C_out). The training path mixes inside
+    `autodiff.condconv_temporal` instead, one chunk at a time.
     """
     n, k, c_in, c_out = experts.data.shape
     if alpha.data.ndim != 2 or alpha.data.shape[1] != n:
@@ -126,16 +128,17 @@ def _apply_activation(y, activation):
 
 
 def condconv_forward(x, layer, activation="relu"):
-    """Efficient path: route, mix kernels, convolve once per example."""
+    """Efficient path: route, then mix kernels and convolve once per
+    example, one batch chunk at a time."""
     alpha = route(x, layer)
     if layer.pin_routing and layer.n_experts == 1:
         # the mixed kernel is exactly 1.0 * W1; the shared-kernel path keeps
         # forward AND backward bitwise identical to a standard convolution
-        kernels = ad.reshape(layer.experts, layer.experts.data.shape[1:])
+        kernel = ad.reshape(layer.experts, layer.experts.data.shape[1:])
+        y = ad.conv_temporal(x, kernel, layer.stride, layer.padding)
     else:
-        kernels = combine_kernels(alpha, layer.experts)
-    y = ad.conv_temporal(x, kernels, layer.stride, layer.padding) + layer.bias
-    return _apply_activation(y, activation)
+        y = ad.condconv_temporal(x, alpha, layer.experts, layer.stride, layer.padding)
+    return _apply_activation(y + layer.bias, activation)
 
 
 def condconv_as_sum(x, layer, activation="relu"):

@@ -378,13 +378,22 @@ def segment_windows(stream, profile, step=None):
 
     Each window takes the majority label of its samples (ties resolve to
     the smaller class id). `step` overrides profile.step when given.
+    Raises DataError when a label lies outside [0, profile.classes).
     """
     t_w = profile.window_len
     step = profile.step if step is None else step
     if t_w > len(stream):
         log.warning("window length %d exceeds stream length %d", t_w, len(stream))
 
-    n_classes = max(profile.classes, int(stream.labels.max()) + 1 if len(stream) else 1)
+    n_classes = profile.classes
+    outside = (stream.labels < 0) | (stream.labels >= n_classes)
+    if outside.any():
+        label = int(stream.labels[outside][0])
+        name = stream.label_names[label] if 0 <= label < len(stream.label_names) else label
+        raise DataError(
+            f"label {label} ({name!r}) lies outside the {n_classes} classes the "
+            f"profile configures; valid labels are 0..{n_classes - 1}"
+        )
     xs, ys, subjects, sessions = [], [], [], []
     for start, end in stream.session_runs():
         run_len = end - start

@@ -95,6 +95,15 @@ class TestSegment:
         assert sa["test_sha256"] == sb["test_sha256"]
         assert (out_a / "train.ds").read_bytes() == (out_b / "train.ds").read_bytes()
 
+    def test_label_beyond_configured_classes_exits_two(self, workspace, caplog):
+        tmp_path, config_path = workspace
+        config = json.loads(config_path.read_text())
+        config["dataset"]["classes"] = 3  # the CSV carries 4 classes
+        config_path.write_text(json.dumps(config))
+        code = cli.main(["segment", "--config", str(config_path), "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "label 3" in caplog.text
+
 
 class TestTrain:
     def test_smoke_run_produces_artifacts(self, workspace):

@@ -1,12 +1,15 @@
 """CondConv layer: routing, kernel mixing, and the two equivalent forms."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from condcnn import autodiff as ad
 from condcnn import condconv as cc
 from condcnn.autodiff import Tensor
-from condcnn.errors import ConfigError
+from condcnn.errors import ConfigError, ShapeError
 from condcnn.layers import TemporalConv
 
 
@@ -179,3 +182,145 @@ class TestRoutingActivationFlag:
     def test_unknown_activation_rejected(self):
         with pytest.raises(ConfigError):
             make_layer(routing_activation="step")
+
+
+def _mixed_kernel_conv(x, alpha, experts, stride, padding):
+    """Reference: the whole batch of mixed kernels, then the 4-D conv."""
+    return ad.conv_temporal(x, cc.combine_kernels(alpha, experts), stride, padding)
+
+
+def _op_inputs(batch=5, t=11, c_in=2, c_out=3, k=3, n=3, seed=30):
+    rng = np.random.default_rng(seed)
+    return (Tensor(rng.normal(size=(batch, t, c_in)), requires_grad=True),
+            Tensor(rng.random((batch, n)), requires_grad=True),
+            Tensor(rng.normal(size=(n, k, c_in, c_out)), requires_grad=True))
+
+
+def _run_op(op, x, alpha, experts, stride=2, padding="same", seed=31):
+    """Forward plus backward of a fixed random projection of the output;
+    returns the output and the gradients (None where none was asked for)."""
+    for t in (x, alpha, experts):
+        t.grad = None
+    y = op(x, alpha, experts, stride, padding)
+    w = Tensor(np.random.default_rng(seed).normal(size=y.data.shape))
+    (y * w).sum().backward()
+    return y.data, [None if t.grad is None else t.grad.copy() for t in (x, alpha, experts)]
+
+
+def _chunk_budget(monkeypatch, examples, experts):
+    """Shrink the chunk budget so that `examples` examples fill a chunk."""
+    kernel_bytes = 8 * experts.data[0].size
+    monkeypatch.setattr(ad, "CONDCONV_CHUNK_BYTES", examples * kernel_bytes)
+    assert ad.condconv_chunk(experts.data.shape[1:]) == examples
+
+
+class TestCondConvTemporal:
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
+    def test_matches_mixed_kernel_conv(self, stride, padding):
+        x, alpha, experts = _op_inputs()
+        ours, our_grads = _run_op(ad.condconv_temporal, x, alpha, experts, stride, padding)
+        ref, ref_grads = _run_op(_mixed_kernel_conv, x, alpha, experts, stride, padding)
+        np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-12)
+        for got, want in zip(our_grads, ref_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("wrt", ["x", "alpha", "experts"])
+    def test_finite_differences_across_chunks(self, monkeypatch, wrt, padding):
+        x, alpha, experts = _op_inputs(batch=3, t=9)
+        _chunk_budget(monkeypatch, 2, experts)  # chunks of 2 and 1 examples
+        args = {"x": x, "alpha": alpha, "experts": experts}
+        w = np.random.default_rng(32).normal(size=(3, 5 if padding == "same" else 4, 3))
+
+        def f(t):
+            call = dict(args, **{wrt: t})
+            y = ad.condconv_temporal(call["x"], call["alpha"], call["experts"], 2, padding)
+            return (y * Tensor(w)).sum()
+
+        assert ad.grad_check(f, args[wrt], eps=1e-5) < 1e-6
+
+    def test_multi_chunk_equals_single_chunk(self, monkeypatch):
+        x, alpha, experts = _op_inputs(batch=7)
+        whole = _run_op(ad.condconv_temporal, x, alpha, experts)
+        _chunk_budget(monkeypatch, 3, experts)  # chunks of 3, 3 and 1
+        split = _run_op(ad.condconv_temporal, x, alpha, experts)
+        again = _run_op(ad.condconv_temporal, x, alpha, experts)
+        np.testing.assert_allclose(split[0], whole[0], rtol=0, atol=1e-12)
+        for got, want in zip(split[1], whole[1]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(again[0], split[0])
+        for got, want in zip(again[1], split[1]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_pinned_routing_skips_alpha_gradient(self, monkeypatch):
+        x, alpha, experts = _op_inputs()
+        _chunk_budget(monkeypatch, 2, experts)
+        _, full = _run_op(ad.condconv_temporal, x, alpha, experts)
+        pinned = Tensor(alpha.data)  # constant routing, as pin_routing gives
+        _, grads = _run_op(ad.condconv_temporal, x, pinned, experts)
+        assert grads[1] is None
+        np.testing.assert_array_equal(grads[0], full[0])
+        np.testing.assert_array_equal(grads[2], full[2])
+
+    def test_input_without_grad_skips_input_gradient(self, monkeypatch):
+        x, alpha, experts = _op_inputs()
+        _chunk_budget(monkeypatch, 2, experts)
+        _, full = _run_op(ad.condconv_temporal, x, alpha, experts)
+        _, grads = _run_op(ad.condconv_temporal, Tensor(x.data), alpha, experts)
+        assert grads[0] is None
+        np.testing.assert_array_equal(grads[1], full[1])
+        np.testing.assert_array_equal(grads[2], full[2])
+
+    def test_only_input_gradient(self):
+        x, alpha, experts = _op_inputs()
+        _, full = _run_op(ad.condconv_temporal, x, alpha, experts)
+        _, grads = _run_op(ad.condconv_temporal, x, Tensor(alpha.data), Tensor(experts.data))
+        assert grads[1] is None and grads[2] is None
+        np.testing.assert_array_equal(grads[0], full[0])
+
+    def test_shape_mismatches_rejected(self):
+        x, alpha, experts = _op_inputs()
+        with pytest.raises(ShapeError, match="alpha"):
+            ad.condconv_temporal(x, Tensor(alpha.data[:, :2]), experts)
+        with pytest.raises(ShapeError, match="experts"):
+            ad.condconv_temporal(x, alpha, Tensor(experts.data[0]))
+        with pytest.raises(ShapeError, match="input channels"):
+            ad.condconv_temporal(Tensor(x.data[:, :, :1]), alpha, experts)
+
+    def test_condconv_layer_routes_through_the_op(self, monkeypatch):
+        layer = make_layer(n=4, seed=33)
+        x = Tensor(np.random.default_rng(34).normal(size=(3, 12, 3)))
+        calls = []
+        op = ad.condconv_temporal
+        monkeypatch.setattr(ad, "condconv_temporal", lambda *a: calls.append(1) or op(*a))
+        cc.condconv_forward(x, layer)
+        assert calls == [1]
+        pinned = make_layer(n=1, seed=35, pin_routing=True)
+        cc.condconv_forward(x, pinned)
+        assert calls == [1]  # pinned n=1 keeps the shared-kernel convolution
+
+
+class TestCondConvMemory:
+    def test_doubling_the_batch_does_not_add_mixed_kernels(self):
+        """One 384->384, K=5, n=8 layer, forward and backward: the traced
+        peak must not grow by a batch of per-example kernels when the batch
+        doubles. Mixing the whole batch at once adds at least two per added
+        example (its kernel and the kernel's gradient)."""
+        layer = make_layer(c_in=384, c_out=384, k=5, n=8, seed=36)
+        kernel_bytes = 8 * layer.experts.data[0].size
+        chunk = ad.condconv_chunk(layer.experts.data.shape[1:])
+        rng = np.random.default_rng(37)
+
+        def peak(batch):
+            x = Tensor(rng.normal(size=(batch, 8, 384)), requires_grad=True)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                cc.condconv_forward(x, layer).sum().backward()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        batch = chunk  # one full chunk already holds every kernel alive at once
+        growth = peak(2 * batch) - peak(batch)
+        assert growth < 0.25 * batch * kernel_bytes, (growth, batch * kernel_bytes)

@@ -182,6 +182,17 @@ class TestSegmentation:
         assert len(ds) == 4
         assert set(ds.session) == {"a", "b"}
 
+    def test_label_beyond_configured_classes_rejected(self):
+        # raw numeric ids (PAMAP2 goes up to 24) must not widen the class count
+        stream = make_stream(40, label_fn=lambda i: 0 if i < 20 else 3)
+        with pytest.raises(DataError, match=r"label 3 .*outside the 2 classes"):
+            dp.segment_windows(stream, profile())
+
+    def test_labels_inside_configured_classes_accepted(self):
+        stream = make_stream(40, label_fn=lambda i: 0 if i < 20 else 2)
+        ds = dp.segment_windows(stream, profile(classes=3))
+        assert set(ds.y) == {0, 2}
+
     def test_window_count_property_against_enumeration(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
