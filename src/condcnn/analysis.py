@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import layers as ly
 from .autodiff import Tensor
-from .condconv import CondConv, PointwiseCondConvHead
+from .condconv import CondConv, PointwiseCondConvHead, route
 from .errors import ConfigError, DataError
 from .training import evaluate
 
@@ -22,9 +21,11 @@ log = logging.getLogger(__name__)
 
 COUNTING_CONVENTION = (
     "per example (batch=1); dot-product multiply-adds (conv, dense, routing, "
-    "kernel mixing) cost 1 MAC = 2 FLOPs; batch norm, activations, pooling "
-    "and softmax cost 1 FLOP (0.5 MAC) per output element; dropout and "
-    "reshapes are free; bias additions are absorbed into the MAC count"
+    "kernel mixing) cost 1 MAC = 2 FLOPs; batch norm, activations, max "
+    "pooling and softmax cost 1 FLOP (0.5 MAC) per output element; averages "
+    "over time (global pooling, routing pool) cost 1 FLOP per input element; "
+    "dropout and reshapes are free; bias additions are absorbed into the MAC "
+    "count"
 )
 
 
@@ -78,94 +79,22 @@ class FlopsReport:
             )
 
 
-def _mac_cost(name, macs, params, elementwise=0):
-    flops = 2 * macs + elementwise
-    return LayerCost(name, macs + elementwise / 2.0, flops, params)
-
-
 def count_flops(model, input_shape=None):
-    """Per-layer cost of one forward pass on a single example.
-
-    A CondConv layer costs one convolution (like a standard layer) plus
-    kernel mixing (n MACs per kernel parameter), the routing projection
-    (C_in * n MACs), and the routing pool (one FLOP per input element);
-    only the mixing and projection grow with the expert count.
-    """
+    """Per-layer cost of one forward pass on a single example, one row per
+    model layer, each from that layer's own `cost`."""
     if input_shape is None:
         input_shape = model.meta.get("input_shape")
         if input_shape is None:
             raise ConfigError("model has no recorded input shape; pass input_shape")
-    t, c = int(input_shape[0]), int(input_shape[1])
-    vector = False  # after global pooling the temporal axis is gone
+    shape = (int(input_shape[0]), int(input_shape[1]))
     costs = []
-    n_experts = 1
-
     for layer in model.layers:
-        if isinstance(layer, PointwiseCondConvHead):
-            inner = layer.conv
-            n_experts = max(n_experts, inner.n_experts)
-            costs.append(_condconv_cost(layer.name, inner, t))
-            # global average over the remaining temporal axis
-            costs.append(_mac_cost(f"{layer.name}.gap", 0, 0, elementwise=t * inner.c_out))
-            c, vector = inner.c_out, True
-        elif isinstance(layer, CondConv):
-            n_experts = max(n_experts, layer.n_experts)
-            costs.append(_condconv_cost(layer.name, layer, t))
-            t, c = _conv_t_out(layer, t), layer.c_out
-        elif isinstance(layer, ly.TemporalConv):
-            t_out = _conv_t_out(layer, t)
-            macs = t_out * layer.c_out * layer.kernel_len * layer.c_in
-            params = layer.kernel.size + layer.bias.size
-            costs.append(_mac_cost(layer.name, macs, params))
-            t, c = t_out, layer.c_out
-        elif isinstance(layer, ly.BatchNorm):
-            costs.append(_mac_cost(layer.name, 0, 2 * layer.channels, elementwise=t * c))
-        elif isinstance(layer, ly.ReLU):
-            elements = c if vector else t * c
-            costs.append(_mac_cost(layer.name, 0, 0, elementwise=elements))
-        elif isinstance(layer, ly.MaxPool):
-            t = (t - layer.size) // layer.stride + 1
-            costs.append(_mac_cost(layer.name, 0, 0, elementwise=t * c))
-        elif isinstance(layer, ly.GlobalAvgPool):
-            costs.append(_mac_cost(layer.name, 0, 0, elementwise=t * c))
-            vector = True
-        elif isinstance(layer, ly.Dropout):
-            costs.append(_mac_cost(layer.name, 0, 0))
-        elif isinstance(layer, ly.Dense):
-            if not vector:
-                raise ConfigError(
-                    f"{layer.name}: dense layer reached with unresolved temporal axis"
-                )
-            costs.append(_mac_cost(
-                layer.name, layer.d_in * layer.d_out, layer.w.size + layer.b.size
-            ))
-            c = layer.d_out
-        elif isinstance(layer, ly.Softmax):
-            costs.append(_mac_cost(layer.name, 0, 0, elementwise=c))
-        else:
-            raise ConfigError(f"no cost model for layer type {type(layer).__name__}")
+        shape, macs, elementwise = layer.cost(shape)
+        params = sum(p.size for p in layer.params().values())
+        flops = 2 * macs + elementwise
+        costs.append(LayerCost(layer.name, macs + elementwise / 2.0, flops, params))
+    n_experts = max(getattr(getattr(l, "conv", l), "n_experts", 1) for l in model.layers)
     return FlopsReport(costs, n_experts=n_experts)
-
-
-def _conv_t_out(layer, t):
-    k, stride = layer.kernel_len, layer.stride
-    if layer.padding == "same":
-        return -(-t // stride)
-    return (t - k) // stride + 1
-
-
-def _condconv_cost(name, layer, t):
-    k, c_in, c_out, n = layer.kernel_len, layer.c_in, layer.c_out, layer.n_experts
-    t_out = _conv_t_out(layer, t)
-    conv_macs = t_out * c_out * k * c_in
-    mixing_macs = n * k * c_in * c_out
-    routing_macs = c_in * n
-    pooling_elements = c_in * t
-    params = n * k * c_in * c_out + c_in * n + c_out
-    return _mac_cost(
-        name, conv_macs + mixing_macs + routing_macs, params,
-        elementwise=pooling_elements,
-    )
 
 
 def count_params(model):
@@ -289,20 +218,12 @@ class RoutingStats:
                         )
 
 
-def _condconv_layers(model):
-    found = []
-    for layer in model.layers:
-        if isinstance(layer, (CondConv, PointwiseCondConvHead)):
-            found.append(layer)
-    return found
-
-
 def routing_stats(model, ds, layer_selection=None, n_buckets=20, batch_size=256):
     """Collect per-example routing weights over a dataset, per CondConv
     layer, with per-class means/deviations and a pooled histogram."""
     if len(ds) == 0:
         raise DataError("cannot collect routing statistics on an empty dataset")
-    cond_layers = _condconv_layers(model)
+    cond_layers = [l for l in model.layers if isinstance(l, (CondConv, PointwiseCondConvHead))]
     if layer_selection is not None:
         cond_layers = [l for l in cond_layers if l.name in set(layer_selection)]
     if not cond_layers:
@@ -314,9 +235,11 @@ def routing_stats(model, ds, layer_selection=None, n_buckets=20, batch_size=256)
     model.eval()
     try:
         for start in range(0, len(ds), batch_size):
-            model.logits(Tensor(ds.x[start:start + batch_size]))
-            for layer in cond_layers:
-                collected[layer.name].append(layer.last_alpha.copy())
+            x = Tensor(ds.x[start:start + batch_size])
+            for layer in model.layers[:-1]:
+                if layer in cond_layers:
+                    collected[layer.name].append(route(x, getattr(layer, "conv", layer)).data)
+                x = layer.forward(x)
     finally:
         if was_training:
             model.train()

@@ -125,11 +125,13 @@ def render_shorthand(spec):
 
 def _pool_for_block(spec, block_index):
     pool = spec.pool
+    if _is_per_block(pool):
+        pool = pool[block_index]
     if pool is None:
         return None
-    if isinstance(pool, (list, tuple)) and pool and isinstance(pool[0], (list, tuple, type(None))):
-        pool = pool[block_index] if block_index < len(pool) else None
-    return tuple(pool) if pool is not None else None
+    if len(pool) != 2:
+        raise ConfigError(f"pool must be a (size, stride) pair, got {list(pool)}")
+    return tuple(pool)
 
 
 def build_model(spec, input_shape, n_classes, seed=0):
@@ -155,8 +157,17 @@ def build_model(spec, input_shape, n_classes, seed=0):
             f"condconv_mask has {len(mask)} entries, model has "
             f"{spec.n_conv_layers()} convolution layers"
         )
+    if spec.head == "pointwise-condconv" and not mask[-1]:
+        raise ConfigError(
+            'condconv_mask turns off the head, but head "pointwise-condconv" is '
+            'always a CondConv; use head "dense" for a standard classifier'
+        )
 
     conv_blocks = spec.conv_filter_counts()
+    if _is_per_block(spec.pool) and len(spec.pool) != len(conv_blocks):
+        raise ConfigError(
+            f"pool has {len(spec.pool)} entries, model has {len(conv_blocks)} conv blocks"
+        )
     fc_positions = [i for i, b in enumerate(spec.blocks) if isinstance(b, FullyConnected)]
     if fc_positions and fc_positions[0] != len(spec.blocks) - 2:
         raise ArchitectureError("FC must sit immediately before Sm")
@@ -199,8 +210,9 @@ def build_model(spec, input_shape, n_classes, seed=0):
                 raise ArchitectureError(
                     f"block {b}: pool size {size} exceeds temporal length {t}"
                 )
-            t = (t - size) // stride + 1
-            model_layers.append(ly.MaxPool(size, stride, name=f"b{b}.pool"))
+            pool_layer = ly.MaxPool(size, stride, name=f"b{b}.pool")
+            model_layers.append(pool_layer)
+            t = pool_layer.cost((t, channels))[0][0]
         if t < 1:
             raise ArchitectureError(f"block {b}: temporal axis collapsed to {t}")
 

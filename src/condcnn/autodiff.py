@@ -372,7 +372,8 @@ def _same_padding(t, k, stride):
 
 
 def _conv_geometry(t_in, k, stride, padding):
-    """Validate stride and padding; return (left pad, padded length)."""
+    """Validate stride and padding; return (left pad, padded length,
+    output length)."""
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
     if padding == "same":
@@ -386,7 +387,12 @@ def _conv_geometry(t_in, k, stride, padding):
         raise ConfigError(
             f"kernel length {k} exceeds padded input length {t_padded}"
         )
-    return left, t_padded
+    return left, t_padded, (t_padded - k) // stride + 1
+
+
+def conv_length(t_in, k, stride=1, padding="same"):
+    """Output length of a temporal convolution over `t_in` steps."""
+    return _conv_geometry(t_in, k, stride, padding)[2]
 
 
 def _pad_time(data, left, t_padded):
@@ -436,11 +442,10 @@ def conv_temporal(x, kernel, stride=1, padding="same"):
         raise ShapeError(
             f"kernel expects {kc_in} input channels, input has {c_in}"
         )
-    left, t_padded = _conv_geometry(t_in, k, stride, padding)
+    left, t_padded, _ = _conv_geometry(t_in, k, stride, padding)
     padded = _pad_time(x.data, left, t_padded)
     # windows[b, t, c, k] == padded[b, t*stride + k, c]; a strided view, no copy
     windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)[:, ::stride]
-    t_out = windows.shape[1]
 
     kdata = kernel.data if per_example else np.broadcast_to(
         kernel.data, (batch,) + kernel.data.shape
@@ -502,8 +507,7 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same"):
         raise ShapeError(
             f"kernel expects {kc_in} input channels, input has {c_in}"
         )
-    left, t_padded = _conv_geometry(t_in, k, stride, padding)
-    t_out = (t_padded - k) // stride + 1
+    left, t_padded, t_out = _conv_geometry(t_in, k, stride, padding)
     flat = experts.data.reshape(n, k * c_in * c_out)
     step = condconv_chunk((k, c_in, c_out))
     chunks = [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]

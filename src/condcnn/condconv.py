@@ -70,10 +70,19 @@ class CondConv(Layer):
             rng.normal(0.0, ROUTING_INIT_SCALE / np.sqrt(c_in), size=(c_in, n_experts)),
             requires_grad=True,
         )
-        self.last_alpha = None
 
     def forward(self, x, rng=None):
         return condconv_forward(x, self, activation=None)
+
+    def cost(self, shape):
+        """One convolution (like a standard layer) plus kernel mixing (n MACs
+        per kernel parameter), the routing projection (C_in * n MACs) and the
+        routing pool (one FLOP per input element); only the mixing and the
+        projection grow with the expert count."""
+        t_out = ad.conv_length(shape[0], self.kernel_len, self.stride, self.padding)
+        kernel = self.kernel_len * self.c_in * self.c_out
+        macs = t_out * kernel + self.n_experts * kernel + self.c_in * self.n_experts
+        return (t_out, self.c_out), macs, shape[0] * self.c_in
 
     def params(self):
         return {"experts": self.experts, "bias": self.bias, "routing": self.routing}
@@ -93,13 +102,9 @@ def route(x, layer):
             f"input has {x.data.shape[2]}"
         )
     if layer.pin_routing:
-        alpha = Tensor(np.ones((x.data.shape[0], layer.n_experts)))
-    else:
-        pooled = x.mean(axis=1)
-        activation = ROUTING_ACTIVATIONS[layer.routing_activation]
-        alpha = activation(ad.matmul(pooled, layer.routing))
-    layer.last_alpha = alpha.data.copy()
-    return alpha
+        return Tensor(np.ones((x.data.shape[0], layer.n_experts)))
+    activation = ROUTING_ACTIVATIONS[layer.routing_activation]
+    return activation(ad.matmul(x.mean(axis=1), layer.routing))
 
 
 def combine_kernels(alpha, experts):
@@ -192,9 +197,10 @@ class PointwiseCondConvHead(Layer):
     def forward(self, x, rng=None):
         return condconv_pointwise_head(x, self.conv)
 
+    def cost(self, shape):
+        """The 1x1 CondConv plus one FLOP per element it averages over time."""
+        (t, c), macs, pool = self.conv.cost(shape)
+        return (c,), macs, pool + t * c
+
     def params(self):
         return self.conv.params()
-
-    @property
-    def last_alpha(self):
-        return self.conv.last_alpha

@@ -3,7 +3,10 @@
 Layers are stateless apart from parameters, batch-norm running statistics,
 and the training-mode flag. Random state (dropout masks) is injected per
 call so a whole training run is reproducible from one seeded generator.
+Each layer also derives its own per-example output shape and cost.
 """
+
+from math import prod
 
 import numpy as np
 
@@ -26,6 +29,12 @@ class Layer:
 
     def forward(self, x, rng=None):
         raise NotImplementedError
+
+    def cost(self, shape):
+        """(output shape, multiply-adds, elementwise FLOPs) for one example
+        of `shape`, (T, C) or (C,). The default is a shape-preserving op
+        costing one FLOP per element."""
+        return shape, 0, prod(shape)
 
     def params(self):
         return {}
@@ -54,6 +63,10 @@ class TemporalConv(Layer):
     def forward(self, x, rng=None):
         return ad.conv_temporal(x, self.kernel, self.stride, self.padding) + self.bias
 
+    def cost(self, shape):
+        t_out = ad.conv_length(shape[0], self.kernel_len, self.stride, self.padding)
+        return (t_out, self.c_out), t_out * self.c_out * self.kernel_len * self.c_in, 0
+
     def params(self):
         return {"kernel": self.kernel, "bias": self.bias}
 
@@ -74,6 +87,13 @@ class Dense(Layer):
 
     def forward(self, x, rng=None):
         return dense(x, self.w, self.b)
+
+    def cost(self, shape):
+        if len(shape) != 1:
+            raise ConfigError(
+                f"{self.name}: dense layer reached with unresolved temporal axis"
+            )
+        return (self.d_out,), self.d_in * self.d_out, 0
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -142,12 +162,21 @@ class MaxPool(Layer):
     def forward(self, x, rng=None):
         return ad.max_pool_temporal(x, self.size, self.stride)
 
+    def cost(self, shape):
+        """One FLOP per output element."""
+        t_out = (shape[0] - self.size) // self.stride + 1
+        return (t_out, shape[1]), 0, t_out * shape[1]
+
 
 class GlobalAvgPool(Layer):
     """Average over the temporal axis: (batch, T, C) -> (batch, C)."""
 
     def forward(self, x, rng=None):
         return x.mean(axis=1)
+
+    def cost(self, shape):
+        """One FLOP per input element."""
+        return shape[1:], 0, prod(shape)
 
 
 class Dropout(Layer):
@@ -163,6 +192,9 @@ class Dropout(Layer):
         if rng is None:
             raise ConfigError("train-mode dropout needs a random generator")
         return ad.dropout(x, self.rate, rng, train=True)
+
+    def cost(self, shape):
+        return shape, 0, 0
 
 
 class Softmax(Layer):

@@ -83,6 +83,11 @@ class TestCountParams:
         from_ckpt = sum(a.size for name, a in arrays.items() if name.startswith("param."))
         assert analysis.count_params(model) == from_ckpt
 
+    def test_one_row_per_model_layer(self):
+        model = build(n_experts=2, head="pointwise-condconv", pool=(2, 2))
+        report = analysis.count_flops(model)
+        assert [c.name for c in report.per_layer] == [l.name for l in model.layers]
+
     def test_report_params_match_model_params(self):
         model = build(n_experts=2, head="pointwise-condconv")
         report = analysis.count_flops(model)
@@ -152,6 +157,15 @@ class TestRoutingStats:
         stats = analysis.routing_stats(self._model(), ds)
         for layer_stats in stats.per_layer.values():
             assert (layer_stats.alphas > 0).all() and (layer_stats.alphas < 1).all()
+
+    def test_batching_does_not_change_weights(self):
+        ds = make_motif_dataset(n_per_class=2, seed=9)  # 8 examples: 3 + 3 + 2
+        model = self._model()
+        whole = analysis.routing_stats(model, ds)
+        batched = analysis.routing_stats(model, ds, batch_size=3)
+        assert list(batched.per_layer) == list(whole.per_layer)
+        for name, stats in whole.per_layer.items():
+            np.testing.assert_array_equal(batched.per_layer[name].alphas, stats.alphas)
 
     def test_layer_selection_and_no_condconv_error(self):
         ds = make_linear_dataset(n_per_class=5, seed=7)

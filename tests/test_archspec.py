@@ -125,6 +125,25 @@ class TestBuildModel:
         with pytest.raises(ConfigError, match="mask"):
             archspec.build_model(spec, (16, 2), 2, seed=0)
 
+    def test_mask_cannot_turn_off_pointwise_head(self):
+        spec = archspec.parse_shorthand(
+            "C(4)-FC-Sm", head="pointwise-condconv", condconv_mask=(True, True, False),
+        )
+        with pytest.raises(ConfigError, match='head.*use head "dense"'):
+            archspec.build_model(spec, (16, 2), 2, seed=0)
+
+    @pytest.mark.parametrize("pool", [((2, 2),), ((2, 2), None, None)])
+    def test_per_block_pool_length_validated(self, pool):
+        spec = archspec.parse_shorthand("C(4)-C(8)-FC-Sm", pool=pool)
+        with pytest.raises(ConfigError, match="pool has .* 2 conv blocks"):
+            archspec.build_model(spec, (16, 2), 2, seed=0)
+
+    @pytest.mark.parametrize("pool", [(), (2,), ((2,), None)])
+    def test_pool_must_be_size_stride_pairs(self, pool):
+        spec = archspec.parse_shorthand("C(4)-C(8)-FC-Sm", pool=pool)
+        with pytest.raises(ConfigError, match="pair"):
+            archspec.build_model(spec, (16, 2), 2, seed=0)
+
     def test_exactly_one_dropout_before_classifier(self):
         from condcnn.layers import Dropout, Softmax
 

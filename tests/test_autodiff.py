@@ -58,6 +58,15 @@ class TestConvTemporal:
         out = ad.conv_temporal(x, kernel, padding="valid")
         np.testing.assert_array_equal(out.data.ravel(), [3.0, 5.0, 7.0])
 
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_conv_length_matches_output(self, padding):
+        for t in (5, 6, 7, 16):
+            for k in (1, 2, 5):
+                for stride in (1, 2, 3):
+                    out = ad.conv_temporal(Tensor(rand(1, t, 2)), Tensor(rand(k, 2, 3)),
+                                           stride, padding)
+                    assert ad.conv_length(t, k, stride, padding) == out.data.shape[1]
+
     @pytest.mark.parametrize("stride,padding", [(1, "valid"), (2, "valid"), (1, "same"), (3, "same")])
     def test_against_quadruple_loop(self, stride, padding):
         batch, t, c_in, c_out, k = 2, 16, 3, 4, 5

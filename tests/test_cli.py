@@ -239,6 +239,7 @@ class TestBundledConfigs:
         import importlib.resources as resources
 
         from condcnn import archspec
+        from condcnn.autodiff import Tensor
 
         shapes = {
             "wisdm": (200, 3, 6),
@@ -252,5 +253,10 @@ class TestBundledConfigs:
             spec = archspec.spec_from_dict(config["model"])
             model = archspec.build_model(spec, (t, c), classes, seed=0)
             assert model.meta["n_classes"] == classes
-            x = np.random.default_rng(0).normal(size=(2, t, c))
-            assert model.eval().forward(x).data.shape == (2, classes)
+            x = Tensor(np.random.default_rng(0).normal(size=(2, t, c)))
+            shape = (t, c)
+            for layer in model.eval().layers:
+                shape, _, _ = layer.cost(shape)
+                x = layer.forward(x)
+                assert x.data.shape == (2,) + shape, layer.name
+            assert x.data.shape == (2, classes)
