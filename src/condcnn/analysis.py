@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .condconv import CondConv, PointwiseCondConvHead, route
 from .errors import ConfigError, DataError
 from .training import evaluate
@@ -220,7 +220,8 @@ class RoutingStats:
 
 def routing_stats(model, ds, layer_selection=None, n_buckets=20, batch_size=256):
     """Collect per-example routing weights over a dataset, per CondConv
-    layer, with per-class means/deviations and a pooled histogram."""
+    layer, with per-class means/deviations and a pooled histogram. The
+    forward passes record no graph."""
     if len(ds) == 0:
         raise DataError("cannot collect routing statistics on an empty dataset")
     cond_layers = [l for l in model.layers if isinstance(l, (CondConv, PointwiseCondConvHead))]
@@ -234,12 +235,14 @@ def routing_stats(model, ds, layer_selection=None, n_buckets=20, batch_size=256)
     was_training = model.training
     model.eval()
     try:
-        for start in range(0, len(ds), batch_size):
-            x = Tensor(ds.x[start:start + batch_size])
-            for layer in model.layers[:-1]:
-                if layer in cond_layers:
-                    collected[layer.name].append(route(x, getattr(layer, "conv", layer)).data)
-                x = layer.forward(x)
+        with no_grad():
+            for start in range(0, len(ds), batch_size):
+                x = Tensor(ds.x[start:start + batch_size])
+                for layer in model.layers[:-1]:
+                    if layer in cond_layers:
+                        conv = getattr(layer, "conv", layer)
+                        collected[layer.name].append(route(x, conv).data)
+                    x = layer.forward(x)
     finally:
         if was_training:
             model.train()

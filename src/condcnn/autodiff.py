@@ -2,12 +2,16 @@
 
 Everything is float64: it keeps finite-difference checks and oracle
 comparisons sharp. The graph is built eagerly during the forward pass
-(each op records its inputs and a backward closure) and torn down when
-the output goes out of scope; backward() visits every reachable node
-exactly once in reverse topological order.
+(each op records its inputs and a backward closure) unless `no_grad` is
+active. backward() visits every reachable node exactly once in reverse
+topological order and consumes the graph as it goes: once a node's
+closure has run, its links and gradient are dropped, so intermediates
+are freed during the sweep and only leaves keep their gradients.
 
 Convolution uses the cross-correlation convention (no kernel flip).
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -22,6 +26,28 @@ def set_finite_checks(enabled):
     """Globally enable/disable per-op finite-value validation."""
     global _FINITE_CHECKS
     _FINITE_CHECKS = bool(enabled)
+
+
+# False inside `no_grad`: ops then record no inputs and no backward closure.
+_GRAD_ENABLED = True
+
+
+@contextmanager
+def no_grad():
+    """Scope in which ops build no graph: their results do not require a
+    gradient, whatever their inputs, so no intermediate outlives its use.
+    Scopes nest; the previous state returns on exit, also on an error."""
+    global _GRAD_ENABLED
+    previous, _GRAD_ENABLED = _GRAD_ENABLED, False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
+
+
+def _consumed(grad):
+    """Backward closure of a node whose graph a backward() already used."""
+    raise RuntimeError("graph already consumed by backward()")
 
 
 class Tensor:
@@ -56,16 +82,24 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
 
     def backward(self):
-        """Reverse-mode sweep from this (scalar) node through the graph."""
+        """Reverse-mode sweep from this (scalar) node through the graph.
+
+        The sweep consumes the graph: after a node's closure has run, the
+        node drops its closure, its inputs and its gradient, so it is freed
+        as soon as nothing else holds it. Leaves keep their gradients. A
+        second backward through a consumed node raises RuntimeError.
+        """
         if self.data.size != 1:
             raise ShapeError(
                 f"backward requires a scalar, got shape {self.data.shape}"
             )
         topo = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.requires_grad:
                 node._backward(node.grad)
+                node._backward, node._children, node.grad = _consumed, (), None
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -147,7 +181,7 @@ def _result(data, children, backward, op_name):
     if _FINITE_CHECKS and not np.all(np.isfinite(data)):
         raise NumericError(f"{op_name} produced non-finite values")
     out = Tensor(data)
-    out.requires_grad = any(c.requires_grad for c in children)
+    out.requires_grad = _GRAD_ENABLED and any(c.requires_grad for c in children)
     if out.requires_grad:
         out._children = tuple(children)
         out._backward = backward

@@ -122,12 +122,25 @@ class Adam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name, p in self.named_params.items():
-            g = p.grad
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1 ** self.t)
-            v_hat = self.v[name] / (1 - b2 ** self.t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            # In place, with two temporaries per parameter, in the float
+            # operation order of
+            #   m = b1 * m + (1 - b1) * g;  v = b2 * v + ((1 - b2) * g) * g
+            #   p -= (lr * (m / (1 - b1^t))) / (sqrt(v / (1 - b2^t)) + eps)
+            g, m, v = p.grad, self.m[name], self.v[name]
+            tmp = np.multiply(1 - b1, g)
+            m *= b1
+            m += tmp
+            np.multiply(1 - b2, g, out=tmp)
+            tmp *= g
+            v *= b2
+            v += tmp
+            np.divide(v, 1 - b2 ** self.t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.epsilon
+            step = np.divide(m, 1 - b1 ** self.t)
+            step *= lr
+            step /= tmp
+            p.data -= step
 
     def state_arrays(self):
         out = {}
@@ -154,7 +167,7 @@ def evaluate(model, ds, batch_size=256):
     """Accuracy, per-class accuracy, and confusion matrix in eval mode.
 
     Side-effect-free: the model's mode flags are restored afterwards and
-    no statistics are updated.
+    no statistics are updated. The forward passes record no graph.
     """
     if len(ds) == 0:
         raise DataError("cannot evaluate on an empty dataset")
@@ -163,12 +176,13 @@ def evaluate(model, ds, batch_size=256):
     try:
         n_classes = model.meta.get("n_classes") or int(ds.y.max()) + 1
         confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-        for start in range(0, len(ds), batch_size):
-            xb = ds.x[start:start + batch_size]
-            yb = ds.y[start:start + batch_size]
-            logits = model.logits(Tensor(xb))
-            pred = logits.data.argmax(axis=1)
-            np.add.at(confusion, (yb, pred), 1)
+        with ad.no_grad():
+            for start in range(0, len(ds), batch_size):
+                xb = ds.x[start:start + batch_size]
+                yb = ds.y[start:start + batch_size]
+                logits = model.logits(Tensor(xb))
+                pred = logits.data.argmax(axis=1)
+                np.add.at(confusion, (yb, pred), 1)
     finally:
         if was_training:
             model.train()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from condcnn import analysis, archspec, training
+from condcnn.autodiff import Tensor
+from condcnn.condconv import route
 from condcnn.errors import ConfigError
 from helpers import make_linear_dataset, make_motif_dataset
 
@@ -166,6 +168,23 @@ class TestRoutingStats:
         assert list(batched.per_layer) == list(whole.per_layer)
         for name, stats in whole.per_layer.items():
             np.testing.assert_array_equal(batched.per_layer[name].alphas, stats.alphas)
+
+    def test_records_no_graph_and_matches_recorded_forward(self, monkeypatch):
+        ds = make_motif_dataset(n_per_class=2, seed=10)
+        model = self._model()
+        alphas = []
+        monkeypatch.setattr(analysis, "route",
+                            lambda x, layer: alphas.append(route(x, layer)) or alphas[-1])
+        stats = analysis.routing_stats(model, ds)
+        assert alphas and not any(a.requires_grad for a in alphas)
+        model.eval()
+        x = Tensor(ds.x)
+        for layer in model.layers[:-1]:
+            if layer.name in stats.per_layer:
+                alpha = route(x, getattr(layer, "conv", layer))
+                assert alpha._backward is not None  # this pass recorded the graph
+                np.testing.assert_array_equal(stats.per_layer[layer.name].alphas, alpha.data)
+            x = layer.forward(x)
 
     def test_layer_selection_and_no_condconv_error(self):
         ds = make_linear_dataset(n_per_class=5, seed=7)

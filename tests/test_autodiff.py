@@ -1,11 +1,14 @@
 """Tensor engine tests: forward oracles and gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from condcnn import autodiff as ad
 from condcnn.autodiff import Tensor
 from condcnn.errors import ConfigError, DataError, NumericError, ShapeError
+from condcnn.layers import BatchNorm, ReLU, TemporalConv
 
 
 def rand(*shape, seed=0, scale=1.0):
@@ -344,6 +347,94 @@ class TestDropoutOp:
     def test_rate_one_rejected(self):
         with pytest.raises(ConfigError):
             ad.dropout(Tensor([1.0]), 1.0, np.random.default_rng(0))
+
+
+class TestConsumedGraph:
+    def _graph(self):
+        x = Tensor(rand(4, 3, seed=90), requires_grad=True)
+        w = Tensor(rand(3, 2, seed=91), requires_grad=True)
+        logits = ad.matmul(x, w)
+        loss = ad.softmax_cross_entropy(logits, np.array([0, 1, 1, 0]))
+        return x, w, logits, loss
+
+    def test_held_intermediate_is_released_and_leaves_keep_gradients(self):
+        x, w, logits, loss = self._graph()
+        x_ref, w_ref, _, loss_ref = self._graph()
+        loss_ref.backward()
+        del loss_ref
+        loss.backward()
+        assert logits._children == () and logits.grad is None
+        assert loss._children == () and loss.grad is None
+        np.testing.assert_array_equal(x.grad, x_ref.grad)
+        np.testing.assert_array_equal(w.grad, w_ref.grad)
+
+    def test_second_backward_raises(self):
+        _, _, _, loss = self._graph()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+
+    def test_backward_through_held_consumed_node_raises(self):
+        _, _, logits, loss = self._graph()
+        loss.backward()
+        again = ad.softmax_cross_entropy(logits, np.array([1, 0, 0, 1]))
+        with pytest.raises(RuntimeError, match="consumed"):
+            again.backward()
+
+    def test_backward_does_not_double_the_forward_peak(self):
+        # Kept gradients of every intermediate would about double the peak
+        # of the forward pass that built the graph; consumed, they add
+        # little beyond one layer's backward temporaries.
+        rng = np.random.default_rng(92)
+        layers = []
+        for _ in range(6):
+            layers += [TemporalConv(32, 32, 3, rng), BatchNorm(32), ReLU()]
+        h = Tensor(rng.normal(size=(8, 100, 32)))
+        tracemalloc.start()
+        try:
+            for layer in layers:
+                h = layer(h)
+            loss = (h * h).mean()
+            del h
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            loss.backward()
+            total_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total_peak <= 1.25 * forward_peak
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        w = Tensor(rand(3, 2, seed=93), requires_grad=True)
+        with ad.no_grad():
+            out = ad.relu(ad.matmul(Tensor(rand(4, 3, seed=94)), w)).sum()
+        assert not out.requires_grad
+        assert out._children == () and out._backward is None
+
+    def test_same_values_as_recorded_graph(self):
+        x = Tensor(rand(2, 12, 3, seed=95))
+        k = Tensor(rand(3, 3, 4, seed=96), requires_grad=True)
+        recorded = ad.conv_temporal(x, k)
+        with ad.no_grad():
+            bare = ad.conv_temporal(x, k)
+        assert recorded._backward is not None
+        np.testing.assert_array_equal(bare.data, recorded.data)
+
+    def test_nesting_restores_previous_state(self):
+        w = Tensor([1.0], requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not (w * 2.0).requires_grad
+        assert (w * 2.0).requires_grad
+
+    def test_exception_restores_previous_state(self):
+        w = Tensor([1.0], requires_grad=True)
+        with pytest.raises(ShapeError):
+            with ad.no_grad():
+                ad.matmul(w, w)
+        assert (w * 2.0).requires_grad
 
 
 class TestFiniteGuards:

@@ -64,6 +64,38 @@ class TestAdam:
         np.testing.assert_array_equal(p.data, [1.0])
         assert opt.t == 0
 
+    def test_in_place_update_is_bitwise_the_reference_formula(self):
+        rng = np.random.default_rng(7)
+        shapes = {"a": (5, 3), "b": (7,), "c": (2, 2, 2)}
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True)
+                  for k, s in shapes.items()}
+        opt = training.Adam(params)
+        m_ids = {k: id(a) for k, a in opt.m.items()}
+        v_ids = {k: id(a) for k, a in opt.v.items()}
+        ref_p = {k: p.data.copy() for k, p in params.items()}
+        ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+        ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+        b1, b2, eps = opt.beta1, opt.beta2, opt.epsilon
+        for t in range(1, 7):
+            lr = 1e-3 * t
+            for k, p in params.items():
+                # gradients spanning 1e-6 to 1e2 in magnitude, both signs
+                p.grad[...] = rng.choice([-1.0, 1.0], size=shapes[k]) * 10.0 ** (
+                    rng.uniform(-6, 2, size=shapes[k]))
+                g = p.grad
+                ref_m[k] = b1 * ref_m[k] + (1 - b1) * g
+                ref_v[k] = b2 * ref_v[k] + (1 - b2) * g * g
+                m_hat = ref_m[k] / (1 - b1 ** t)
+                v_hat = ref_v[k] / (1 - b2 ** t)
+                ref_p[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            opt.step(lr)
+            for k, p in params.items():
+                assert p.data.tobytes() == ref_p[k].tobytes()
+                assert opt.m[k].tobytes() == ref_m[k].tobytes()
+                assert opt.v[k].tobytes() == ref_v[k].tobytes()
+        assert {k: id(a) for k, a in opt.m.items()} == m_ids
+        assert {k: id(a) for k, a in opt.v.items()} == v_ids
+
 
 class TestLrSchedules:
     def test_step_decay_boundaries(self):
@@ -128,6 +160,21 @@ class TestEvaluate:
         b = training.evaluate(model, ds)
         assert a.accuracy == b.accuracy
         np.testing.assert_array_equal(a.confusion, b.confusion)
+
+    def test_records_no_graph_and_matches_recorded_forward(self, monkeypatch):
+        ds = make_linear_dataset(n_per_class=6, seed=8)
+        model = tiny_model(seed=3, n_experts=4)
+        outputs = []
+        forward = model.logits
+        monkeypatch.setattr(model, "logits", lambda x: outputs.append(forward(x)) or outputs[-1])
+        result = training.evaluate(model, ds)
+        assert outputs and not any(out.requires_grad for out in outputs)
+        model.eval()
+        logits = forward(Tensor(ds.x))
+        assert logits._backward is not None  # this pass recorded the graph
+        expected = np.zeros((2, 2), dtype=np.int64)
+        np.add.at(expected, (ds.y, logits.data.argmax(axis=1)), 1)
+        np.testing.assert_array_equal(result.confusion, expected)
 
     def test_empty_dataset_rejected(self):
         ds = make_linear_dataset(n_per_class=4, seed=5).subset(np.array([], dtype=int))
