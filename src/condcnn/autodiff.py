@@ -188,6 +188,11 @@ def _result(data, children, backward, op_name):
     return out
 
 
+def _inputs(*tensors):
+    """The given op inputs, leaving out optional ones passed as None."""
+    return tuple(t for t in tensors if t is not None)
+
+
 def _accumulate(tensor, grad):
     if not tensor.requires_grad:
         return
@@ -397,6 +402,48 @@ def matmul(a, b):
     return _result(a.data @ b.data, (a, b), backward, "matmul")
 
 
+# -- normalization -------------------------------------------------------------
+
+def batch_norm(x, gamma, beta, epsilon):
+    """Train-mode batch normalization of `x` (batch, T, C) by the mean and
+    (biased) variance of each channel over the (batch, T) axes, then the
+    per-channel affine map gamma * x_hat + beta.
+
+    Returns (out, mean, var); mean and var are plain arrays for the
+    running statistics. The node keeps only per-channel vectors: backward
+    recomputes x_hat from the input, which the graph holds anyway, and
+    applies the closed form
+    dx = gamma / std * (g - mean(g) - x_hat * mean(g * x_hat)).
+    """
+    if x.data.ndim != 3:
+        raise ShapeError(f"batch norm input must be (batch, T, C), got {x.data.shape}")
+    count = x.data.shape[0] * x.data.shape[1]
+    mu = x.data.mean(axis=(0, 1))
+    value = x.data - mu
+    var = (value * value).mean(axis=(0, 1))
+    std = np.sqrt(var + epsilon)
+    scale = gamma.data / std
+    value *= scale
+    value += beta.data
+
+    def backward(g):
+        x_hat = x.data - mu
+        x_hat /= std
+        g_sum = g.sum(axis=(0, 1))
+        gx_sum = (g * x_hat).sum(axis=(0, 1))
+        _accumulate(beta, g_sum)
+        _accumulate(gamma, gx_sum)
+        if x.requires_grad:
+            dx = g - g_sum / count
+            x_hat *= gx_sum / count
+            dx -= x_hat
+            del x_hat  # freed before x's gradient is allocated
+            dx *= scale
+            _accumulate(x, dx)
+
+    return _result(value, (x, gamma, beta), backward, "batch_norm"), mu, var
+
+
 # -- temporal convolution ------------------------------------------------------
 
 def _same_padding(t, k, stride):
@@ -449,13 +496,15 @@ def _fold_windows(dwin, t_padded, stride):
     return dpad
 
 
-def conv_temporal(x, kernel, stride=1, padding="same"):
+def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
     """Cross-correlate `x` (batch, T, C_in) along its temporal axis.
 
     `kernel` is (K, C_in, C_out) for a shared kernel or
     (batch, K, C_in, C_out) for per-example kernels; both run through the
     same contraction so a shared kernel broadcast over the batch produces
-    bitwise-identical output to the per-example path.
+    bitwise-identical output to the per-example path. An optional (C_out,)
+    `bias` is added in place to the output, so no second node holds it.
+    Backward re-pads the input instead of keeping the padded copy.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
@@ -477,28 +526,35 @@ def conv_temporal(x, kernel, stride=1, padding="same"):
             f"kernel expects {kc_in} input channels, input has {c_in}"
         )
     left, t_padded, _ = _conv_geometry(t_in, k, stride, padding)
-    padded = _pad_time(x.data, left, t_padded)
-    # windows[b, t, c, k] == padded[b, t*stride + k, c]; a strided view, no copy
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)[:, ::stride]
+
+    def windows():
+        # windows[b, t, c, k] == padded[b, t*stride + k, c]; a strided view
+        padded = _pad_time(x.data, left, t_padded)
+        return np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)[:, ::stride]
 
     kdata = kernel.data if per_example else np.broadcast_to(
         kernel.data, (batch,) + kernel.data.shape
     )
-    value = np.einsum("btck,bkco->bto", windows, kdata, optimize=True)
+    value = np.einsum("btck,bkco->bto", windows(), kdata, optimize=True)
+    if bias is not None:
+        value += bias.data
 
     def backward(g):
+        if bias is not None:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
         if kernel.requires_grad:
             if per_example:
-                dk = np.einsum("btck,bto->bkco", windows, g, optimize=True)
+                dk = np.einsum("btck,bto->bkco", windows(), g, optimize=True)
             else:
-                dk = np.einsum("btck,bto->kco", windows, g, optimize=True)
+                dk = np.einsum("btck,bto->kco", windows(), g, optimize=True)
             _accumulate(kernel, dk)
         if x.requires_grad:
             dwin = np.einsum("bto,bkco->btck", g, kdata, optimize=True)
             dpad = _fold_windows(dwin.transpose(0, 1, 3, 2), t_padded, stride)
+            del dwin  # K inputs' worth, freed before x's gradient is allocated
             _accumulate(x, dpad[:, left:left + t_in, :])
 
-    return _result(value, (x, kernel), backward, "conv_temporal")
+    return _result(value, _inputs(x, kernel, bias), backward, "conv_temporal")
 
 
 # Byte budget for the mixed kernels that `condconv_temporal` holds at once.
@@ -513,7 +569,7 @@ def condconv_chunk(kernel_shape):
     return max(1, CONDCONV_CHUNK_BYTES // kernel_bytes)
 
 
-def condconv_temporal(x, alpha, experts, stride=1, padding="same"):
+def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     """Conditionally parameterized convolution of `x` (batch, T, C_in).
 
     Example b is cross-correlated with its own kernel, the mix
@@ -522,7 +578,8 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same"):
     `condconv_chunk` examples: each chunk mixes its kernels and convolves
     them as one batched matmul against an im2col view of the input, so at
     most one chunk of mixed kernels exists at a time. Backward recomputes
-    them per chunk rather than keeping them from the forward pass.
+    them per chunk rather than keeping them from the forward pass. An
+    optional (C_out,) `bias` is added in place to the output.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
@@ -561,8 +618,12 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same"):
     value = np.empty((batch, t_out, c_out))
     for c in chunks:
         np.matmul(cols(c), mixed(c), out=value[c])
+    if bias is not None:
+        value += bias.data
 
     def backward(g):
+        if bias is not None:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
         d_alpha = np.empty_like(alpha.data) if alpha.requires_grad else None
         dx = np.empty_like(x.data) if x.requires_grad else None
         for c in chunks:
@@ -582,7 +643,8 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same"):
         if dx is not None:
             _accumulate(x, dx)
 
-    return _result(value, (x, alpha, experts), backward, "condconv_temporal")
+    return _result(value, _inputs(x, alpha, experts, bias), backward,
+                   "condconv_temporal")
 
 
 def max_pool_temporal(x, size, stride):

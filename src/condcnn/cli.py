@@ -15,6 +15,8 @@ import hashlib
 import json
 import logging
 import os
+import shlex
+import socket
 import sys
 
 log = logging.getLogger("condcnn")
@@ -96,7 +98,12 @@ def _write_json(path, payload):
 
 
 class _RunLock:
-    """Guards a run directory against concurrent writers."""
+    """Guards a run directory against concurrent writers.
+
+    The lockfile records the owner's PID and host. A clash with a lock
+    whose process no longer exists on this host is reported as stale, with
+    the command that clears it; the lock is never removed automatically.
+    """
 
     def __init__(self, directory):
         self.path = os.path.join(directory, ".lock")
@@ -108,15 +115,41 @@ class _RunLock:
         try:
             self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise ConfigError(
-                f"run directory is locked by another process ({self.path}); "
-                f"remove the lockfile if that process is gone"
-            ) from None
+            raise ConfigError(self._clash_message()) from None
+        owner = {"host": socket.gethostname(), "pid": os.getpid()}
+        os.write(self.fd, (json.dumps(owner) + "\n").encode("utf-8"))
         return self
 
     def __exit__(self, *exc):
         os.close(self.fd)
         os.unlink(self.path)
+
+    def _clash_message(self):
+        try:
+            with open(self.path, "r", encoding="utf-8") as fh:
+                owner = json.load(fh)
+            pid, host = int(owner["pid"]), owner["host"]
+        except (OSError, ValueError, TypeError, KeyError):
+            pid = host = None
+        if host == socket.gethostname() and pid > 0 and not _process_exists(pid):
+            return (
+                f"stale lock {self.path}: process {pid} on {host} no longer "
+                f"exists; clear it with: rm {shlex.quote(self.path)}"
+            )
+        return (
+            f"run directory is locked by another process ({self.path}); "
+            f"remove the lockfile if that process is gone"
+        )
+
+
+def _process_exists(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):
+        return True  # alive under another user, or not a PID to judge
+    return True
 
 
 def _prepare_datasets(config):

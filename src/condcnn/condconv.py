@@ -140,10 +140,11 @@ def condconv_forward(x, layer, activation="relu"):
         # the mixed kernel is exactly 1.0 * W1; the shared-kernel path keeps
         # forward AND backward bitwise identical to a standard convolution
         kernel = ad.reshape(layer.experts, layer.experts.data.shape[1:])
-        y = ad.conv_temporal(x, kernel, layer.stride, layer.padding)
+        y = ad.conv_temporal(x, kernel, layer.stride, layer.padding, layer.bias)
     else:
-        y = ad.condconv_temporal(x, alpha, layer.experts, layer.stride, layer.padding)
-    return _apply_activation(y + layer.bias, activation)
+        y = ad.condconv_temporal(x, alpha, layer.experts, layer.stride, layer.padding,
+                                 layer.bias)
+    return _apply_activation(y, activation)
 
 
 def condconv_as_sum(x, layer, activation="relu"):

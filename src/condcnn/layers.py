@@ -61,7 +61,7 @@ class TemporalConv(Layer):
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
 
     def forward(self, x, rng=None):
-        return ad.conv_temporal(x, self.kernel, self.stride, self.padding) + self.bias
+        return ad.conv_temporal(x, self.kernel, self.stride, self.padding, self.bias)
 
     def cost(self, shape):
         t_out = ad.conv_length(shape[0], self.kernel_len, self.stride, self.padding)
@@ -129,14 +129,11 @@ class BatchNorm(Layer):
                 raise ConfigError(
                     "batch norm needs at least 2 samples per channel in train mode"
                 )
-            mu = x.mean(axis=(0, 1))
-            centered = x - mu
-            var = (centered * centered).mean(axis=(0, 1))
+            out, mu, var = ad.batch_norm(x, self.gamma, self.beta, self.epsilon)
             m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mu.data
-            self.running_var = (1 - m) * self.running_var + m * var.data
-            scale = self.gamma / ad.tsqrt(var + Tensor(self.epsilon))
-            return centered * scale + self.beta
+            self.running_mean = (1 - m) * self.running_mean + m * mu
+            self.running_var = (1 - m) * self.running_var + m * var
+            return out
         norm = (x - Tensor(self.running_mean)) / Tensor(
             np.sqrt(self.running_var + self.epsilon)
         )

@@ -7,6 +7,7 @@ import pytest
 
 from condcnn import autodiff as ad
 from condcnn.autodiff import Tensor
+from condcnn.condconv import CondConv
 from condcnn.errors import ConfigError, DataError, NumericError, ShapeError
 from condcnn.layers import BatchNorm, ReLU, TemporalConv
 
@@ -157,6 +158,25 @@ class TestConvTemporal:
             lambda t: (ad.conv_temporal(x, t) ** 2).sum(), w, eps=1e-5
         )
         assert err < 1e-6
+
+    @pytest.mark.parametrize("per_example", [False, True])
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
+    def test_bias_in_op_equals_op_then_add(self, stride, padding, per_example):
+        shape = (3, 4, 2, 5) if per_example else (4, 2, 5)
+
+        def run(fused):
+            x = Tensor(rand(3, 11, 2, seed=66), requires_grad=True)
+            w = Tensor(rand(*shape, seed=67), requires_grad=True)
+            bias = Tensor(rand(5, seed=68), requires_grad=True)
+            if fused:
+                y = ad.conv_temporal(x, w, stride, padding, bias)
+            else:
+                y = ad.conv_temporal(x, w, stride, padding) + bias
+            (y * Tensor(rand(*y.shape, seed=69))).sum().backward()
+            return [y.data, x.grad, w.grad, bias.grad]
+
+        for got, want in zip(run(True), run(False)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestMaxPool:
@@ -402,6 +422,33 @@ class TestConsumedGraph:
         finally:
             tracemalloc.stop()
         assert total_peak <= 1.25 * forward_peak
+
+    @pytest.mark.parametrize("conv", ["plain", "condconv"])
+    def test_conv_bn_relu_keeps_three_activations_per_layer(self, conv):
+        # Each conv -> BN -> ReLU layer must keep only what backward needs:
+        # the conv output (BN's input), the BN output (ReLU's input) and the
+        # ReLU output (the next conv's input). Composed from elementary ops
+        # it kept 7 activations: conv, +bias, centered, centered^2,
+        # centered*scale, BN and ReLU outputs.
+        rng = np.random.default_rng(97)
+        n_layers, shape = 6, (8, 100, 32)
+        layers = []
+        for _ in range(n_layers):
+            if conv == "plain":
+                layers.append(TemporalConv(32, 32, 3, rng))
+            else:
+                layers.append(CondConv(32, 32, 3, 2, rng))
+            layers += [BatchNorm(32), ReLU()]
+        h = Tensor(rng.normal(size=shape))
+        activation = 8 * h.size
+        tracemalloc.start()
+        try:
+            for layer in layers:
+                h = layer(h)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= 4 * n_layers * activation, forward_peak / activation
 
 
 class TestNoGrad:

@@ -2,6 +2,10 @@
 
 import json
 import os
+import shlex
+import socket
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -150,6 +154,36 @@ class TestTrain:
         (run / ".lock").write_text("")
         code = cli.main(["train", "--config", str(config_path), "--out", str(run)])
         assert code == 1
+
+    def test_lockfile_names_its_process_and_host(self, tmp_path):
+        with cli._RunLock(str(tmp_path / "held")):
+            owner = json.loads((tmp_path / "held" / ".lock").read_text())
+        assert owner == {"host": socket.gethostname(), "pid": os.getpid()}
+        assert not (tmp_path / "held" / ".lock").exists()
+
+    def _train_against_lock(self, workspace, pid):
+        tmp_path, config_path = workspace
+        run = tmp_path / "locked"
+        os.makedirs(run)
+        lock = run / ".lock"
+        lock.write_text(json.dumps({"host": socket.gethostname(), "pid": pid}))
+        code = cli.main(["train", "--config", str(config_path), "--out", str(run)])
+        assert lock.exists()  # never removed automatically
+        return code, lock
+
+    def test_lock_of_an_exited_process_is_reported_stale(self, workspace, caplog):
+        done = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                              capture_output=True, text=True, check=True)
+        code, lock = self._train_against_lock(workspace, int(done.stdout))
+        assert code == 1
+        assert "stale lock" in caplog.text
+        assert f"rm {shlex.quote(str(lock))}" in caplog.text
+
+    def test_lock_of_a_live_process_is_reported_concurrent(self, workspace, caplog):
+        code, _ = self._train_against_lock(workspace, os.getpid())
+        assert code == 1
+        assert "locked by another process" in caplog.text
+        assert "stale" not in caplog.text
 
 
 class TestAnalyze:

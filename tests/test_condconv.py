@@ -278,6 +278,20 @@ class TestCondConvTemporal:
         assert grads[1] is None and grads[2] is None
         np.testing.assert_array_equal(grads[0], full[0])
 
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
+    def test_bias_in_op_equals_op_then_add(self, monkeypatch, stride, padding):
+        x, alpha, experts = _op_inputs()
+        bias = Tensor(np.random.default_rng(38).normal(size=3), requires_grad=True)
+        _chunk_budget(monkeypatch, 2, experts)
+        results = []
+        for op in (lambda *a: ad.condconv_temporal(*a, bias),
+                   lambda *a: ad.condconv_temporal(*a) + bias):
+            bias.grad = None
+            y, grads = _run_op(op, x, alpha, experts, stride, padding)
+            results.append([y, *grads, bias.grad])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
     def test_shape_mismatches_rejected(self):
         x, alpha, experts = _op_inputs()
         with pytest.raises(ShapeError, match="alpha"):

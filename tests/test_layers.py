@@ -74,6 +74,62 @@ class TestBatchNorm:
         assert ad.grad_check(f, x, eps=1e-5) < 1e-4
 
 
+def composed_batch_norm(x, gamma, beta, epsilon):
+    """Train-mode batch norm built from elementary ops: the oracle for the
+    fused `autodiff.batch_norm`, in the same float operation order."""
+    mu = x.mean(axis=(0, 1))
+    centered = x - mu
+    var = (centered * centered).mean(axis=(0, 1))
+    scale = gamma / ad.tsqrt(var + Tensor(epsilon))
+    return centered * scale + beta, mu.data, var.data
+
+
+class TestFusedBatchNorm:
+    def _inputs(self, seed, shape=(5, 7, 3)):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(2.0, 3.0, size=shape), requires_grad=True)
+        gamma = Tensor(rng.normal(1.0, 0.5, size=shape[2]), requires_grad=True)
+        beta = Tensor(rng.normal(size=shape[2]), requires_grad=True)
+        probe = Tensor(rng.normal(size=shape))  # breaks standardization invariance
+        return x, gamma, beta, probe
+
+    def test_output_and_running_stats_bitwise_equal_composed_ops(self):
+        bn = layers.BatchNorm(3)
+        ref_mean, ref_var = bn.running_mean.copy(), bn.running_var.copy()
+        for seed in range(4):
+            x, gamma, beta, _ = self._inputs(seed)
+            bn.gamma.data, bn.beta.data = gamma.data.copy(), beta.data.copy()
+            out = bn.forward(x)
+            expected, mu, var = composed_batch_norm(x, gamma, beta, bn.epsilon)
+            ref_mean = (1 - bn.momentum) * ref_mean + bn.momentum * mu
+            ref_var = (1 - bn.momentum) * ref_var + bn.momentum * var
+            np.testing.assert_array_equal(out.data, expected.data)
+            np.testing.assert_array_equal(bn.running_mean, ref_mean)
+            np.testing.assert_array_equal(bn.running_var, ref_var)
+
+    @pytest.mark.parametrize("wrt", ["x", "gamma", "beta"])
+    def test_finite_differences(self, wrt):
+        x, gamma, beta, probe = self._inputs(10, shape=(3, 4, 2))
+        args = {"x": x, "gamma": gamma, "beta": beta}
+
+        def f(t):
+            call = dict(args, **{wrt: t})
+            return (ad.batch_norm(call["x"], call["gamma"], call["beta"], 1e-5)[0]
+                    * probe).sum()
+
+        assert ad.grad_check(f, args[wrt], eps=1e-5) < 1e-6
+
+    def test_gradients_match_composed_ops(self):
+        for seed in range(3):
+            fused = self._inputs(20 + seed, shape=(6, 9, 4))
+            composed = self._inputs(20 + seed, shape=(6, 9, 4))
+            (ad.batch_norm(*fused[:3], 1e-5)[0] * fused[3]).sum().backward()
+            (composed_batch_norm(*composed[:3], 1e-5)[0] * composed[3]).sum().backward()
+            for got, want in zip(fused[:3], composed[:3]):
+                np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want.grad).max())
+
+
 class TestDense:
     def test_identity_weights(self):
         rng = np.random.default_rng(0)
