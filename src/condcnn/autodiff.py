@@ -354,7 +354,7 @@ def tsum(a, axis=None, keepdims=False):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        _accumulate(a, g)  # broadcasts over the summed axes
 
     return _result(value, (a,), backward, "sum")
 
@@ -369,7 +369,7 @@ def tmean(a, axis=None, keepdims=False):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g / count, a.data.shape).copy())
+        _accumulate(a, g / count)  # broadcasts over the averaged axes
 
     return _result(value, (a,), backward, "mean")
 
@@ -476,17 +476,23 @@ def conv_length(t_in, k, stride=1, padding="same"):
     return _conv_geometry(t_in, k, stride, padding)[2]
 
 
-def _pad_time(data, left, t_padded):
-    """Zero-pad (batch, T, C) data along time; no copy when nothing pads."""
+def _im2col(data, left, t_padded, t_out, k, stride):
+    """cols[b, t, j*C_in + i] == padded[b, t*stride + j, i]: a strided view of
+    (batch, T, C_in) `data` zero-padded along time; no copy when nothing pads."""
     if t_padded == data.shape[1]:
-        return data
-    padded = np.zeros((data.shape[0], t_padded, data.shape[2]), dtype=np.float64)
-    padded[:, left:left + data.shape[1], :] = data
-    return padded
+        padded = np.ascontiguousarray(data)
+    else:
+        padded = np.zeros((data.shape[0], t_padded, data.shape[2]), dtype=np.float64)
+        padded[:, left:left + data.shape[1], :] = data
+    s_b, s_t, s_c = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded, (padded.shape[0], t_out, k * padded.shape[2]), (s_b, s_t * stride, s_c),
+        writeable=False,
+    )
 
 
 def _fold_windows(dwin, t_padded, stride):
-    """Adjoint of windowing: dwin[b, t, j, c] is the gradient of
+    """Adjoint of `_im2col`: dwin[b, t, j, c] is the gradient of
     padded[b, t*stride + j, c]; sum it onto a (batch, t_padded, C) array."""
     batch, t_out, k, c = dwin.shape
     dpad = np.zeros((batch, t_padded, c), dtype=np.float64)
@@ -496,70 +502,10 @@ def _fold_windows(dwin, t_padded, stride):
     return dpad
 
 
-def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
-    """Cross-correlate `x` (batch, T, C_in) along its temporal axis.
-
-    `kernel` is (K, C_in, C_out) for a shared kernel or
-    (batch, K, C_in, C_out) for per-example kernels; both run through the
-    same contraction so a shared kernel broadcast over the batch produces
-    bitwise-identical output to the per-example path. An optional (C_out,)
-    `bias` is added in place to the output, so no second node holds it.
-    Backward re-pads the input instead of keeping the padded copy.
-    """
-    if x.data.ndim != 3:
-        raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
-    if kernel.data.ndim not in (3, 4):
-        raise ShapeError(
-            f"kernel must be (K, C_in, C_out) or (batch, K, C_in, C_out), "
-            f"got {kernel.data.shape}"
-        )
-    per_example = kernel.data.ndim == 4
-    batch, t_in, c_in = x.data.shape
-    k = kernel.data.shape[1] if per_example else kernel.data.shape[0]
-    kc_in = kernel.data.shape[2] if per_example else kernel.data.shape[1]
-    if per_example and kernel.data.shape[0] != batch:
-        raise ShapeError(
-            f"per-example kernel batch {kernel.data.shape[0]} != input batch {batch}"
-        )
-    if kc_in != c_in:
-        raise ShapeError(
-            f"kernel expects {kc_in} input channels, input has {c_in}"
-        )
-    left, t_padded, _ = _conv_geometry(t_in, k, stride, padding)
-
-    def windows():
-        # windows[b, t, c, k] == padded[b, t*stride + k, c]; a strided view
-        padded = _pad_time(x.data, left, t_padded)
-        return np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)[:, ::stride]
-
-    kdata = kernel.data if per_example else np.broadcast_to(
-        kernel.data, (batch,) + kernel.data.shape
-    )
-    value = np.einsum("btck,bkco->bto", windows(), kdata, optimize=True)
-    if bias is not None:
-        value += bias.data
-
-    def backward(g):
-        if bias is not None:
-            _accumulate(bias, _unbroadcast(g, bias.data.shape))
-        if kernel.requires_grad:
-            if per_example:
-                dk = np.einsum("btck,bto->bkco", windows(), g, optimize=True)
-            else:
-                dk = np.einsum("btck,bto->kco", windows(), g, optimize=True)
-            _accumulate(kernel, dk)
-        if x.requires_grad:
-            dwin = np.einsum("bto,bkco->btck", g, kdata, optimize=True)
-            dpad = _fold_windows(dwin.transpose(0, 1, 3, 2), t_padded, stride)
-            del dwin  # K inputs' worth, freed before x's gradient is allocated
-            _accumulate(x, dpad[:, left:left + t_in, :])
-
-    return _result(value, _inputs(x, kernel, bias), backward, "conv_temporal")
-
-
-# Byte budget for the mixed kernels that `condconv_temporal` holds at once.
-# The chunk size follows from it and the layer's shape alone, never from
-# the machine, so results are the same everywhere.
+# Byte budget for the mixed kernels that `condconv_temporal` holds at once;
+# `conv_temporal`'s backward walks the batch in the same chunks. The chunk
+# size follows from it and the layer's shape alone, never from the machine,
+# so results are the same everywhere.
 CONDCONV_CHUNK_BYTES = 64 * 2**20
 
 
@@ -567,6 +513,56 @@ def condconv_chunk(kernel_shape):
     """Examples per chunk for a mixed kernel of `kernel_shape`."""
     kernel_bytes = 8 * int(np.prod(kernel_shape))
     return max(1, CONDCONV_CHUNK_BYTES // kernel_bytes)
+
+
+def _chunks(batch, kernel_shape):
+    """The batch as consecutive slices of `condconv_chunk` examples."""
+    step = condconv_chunk(kernel_shape)
+    return [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
+
+
+def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
+    """Cross-correlate `x` (batch, T, C_in) with the shared (K, C_in, C_out)
+    `kernel` along its temporal axis: one matmul of the im2col view against
+    the kernel as a (K*C_in, C_out) matrix, the call `condconv_temporal`
+    makes with a chunk's mixed kernels. Backward walks the batch in the same
+    chunks, so no whole-batch window array or window gradient exists. An
+    optional (C_out,) `bias` is added in place to the output.
+    """
+    if x.data.ndim != 3:
+        raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
+    if kernel.data.ndim != 3:
+        raise ShapeError(f"kernel must be (K, C_in, C_out), got {kernel.data.shape}")
+    batch, t_in, c_in = x.data.shape
+    k, kc_in, c_out = kernel.data.shape
+    if kc_in != c_in:
+        raise ShapeError(f"kernel expects {kc_in} input channels, input has {c_in}")
+    left, t_padded, t_out = _conv_geometry(t_in, k, stride, padding)
+    w = kernel.data.reshape(k * c_in, c_out)
+    value = np.matmul(_im2col(x.data, left, t_padded, t_out, k, stride), w)
+    if bias is not None:
+        value += bias.data
+
+    def backward(g):
+        if bias is not None:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        dw = np.zeros_like(w) if kernel.requires_grad else None
+        dx = np.empty_like(x.data) if x.requires_grad else None
+        for c in _chunks(batch, kernel.data.shape):
+            g_c = g[c].reshape(-1, c_out)
+            if dw is not None:
+                cols = _im2col(x.data[c], left, t_padded, t_out, k, stride)
+                dw += cols.reshape(-1, k * c_in).T @ g_c
+                del cols  # frees the padded chunk before the input pass
+            if dx is not None:
+                dcols = (g_c @ w.T).reshape(-1, t_out, k, c_in)
+                dx[c] = _fold_windows(dcols, t_padded, stride)[:, left:left + t_in, :]
+        if dw is not None:
+            _accumulate(kernel, dw.reshape(kernel.data.shape))
+        if dx is not None:
+            _accumulate(x, dx)
+
+    return _result(value, _inputs(x, kernel, bias), backward, "conv_temporal")
 
 
 def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
@@ -595,22 +591,13 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
             f"and {n} experts"
         )
     if kc_in != c_in:
-        raise ShapeError(
-            f"kernel expects {kc_in} input channels, input has {c_in}"
-        )
+        raise ShapeError(f"kernel expects {kc_in} input channels, input has {c_in}")
     left, t_padded, t_out = _conv_geometry(t_in, k, stride, padding)
     flat = experts.data.reshape(n, k * c_in * c_out)
-    step = condconv_chunk((k, c_in, c_out))
-    chunks = [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
+    chunks = _chunks(batch, (k, c_in, c_out))
 
     def cols(c):
-        # cols[b, t, j*C_in + i] == padded[b, t*stride + j, i]; a strided view
-        padded = np.ascontiguousarray(_pad_time(x.data[c], left, t_padded))
-        s_b, s_t, s_c = padded.strides
-        return np.lib.stride_tricks.as_strided(
-            padded, (padded.shape[0], t_out, k * c_in), (s_b, s_t * stride, s_c),
-            writeable=False,
-        )
+        return _im2col(x.data[c], left, t_padded, t_out, k, stride)
 
     def mixed(c):
         return (alpha.data[c] @ flat).reshape(-1, k * c_in, c_out)

@@ -222,6 +222,13 @@ def cmd_train(args):
         args.config, seed=args.seed, epochs=args.epochs, experts=args.experts
     )
     run_dir = args.out or config.get("output_dir") or "run"
+    train_cfg = training.TrainConfig(  # validated before anything is written
+        batch_size=config["train"]["batch_size"],
+        epochs=config["train"]["epochs"],
+        lr_schedule=training.schedule_from_dict(config["train"]["lr_schedule"]),
+        seed=config["seed"],
+        checkpoint_dir=run_dir,
+    )
     with _RunLock(run_dir):
         _write_json(os.path.join(run_dir, "config.json"), config)
         train_ds, test_ds = _prepare_datasets(config)
@@ -230,13 +237,6 @@ def cmd_train(args):
 
         input_shape = (train_ds.window_len, train_ds.x.shape[2])
         model = _build_model_from_config(config, input_shape, config["dataset"]["classes"])
-        train_cfg = training.TrainConfig(
-            batch_size=config["train"]["batch_size"],
-            epochs=config["train"]["epochs"],
-            lr_schedule=training.schedule_from_dict(config["train"]["lr_schedule"]),
-            seed=config["seed"],
-            checkpoint_dir=run_dir,
-        )
         history = training.train(model, train_ds, test_ds, train_cfg)
         history.to_csv(os.path.join(run_dir, "history.csv"))
 

@@ -111,8 +111,9 @@ def combine_kernels(alpha, experts):
     """Mix expert kernels into one kernel per example, for the whole batch.
 
     alpha: (batch, n) weights; experts: (n, K, C_in, C_out).
-    Returns (batch, K, C_in, C_out). The training path mixes inside
-    `autodiff.condconv_temporal` instead, one chunk at a time.
+    Returns (batch, K, C_in, C_out). Nothing in condcnn calls it (the
+    training path mixes inside `autodiff.condconv_temporal`); it stays for
+    its tests and the benchmark tracer until its tracer metrics retire.
     """
     n, k, c_in, c_out = experts.data.shape
     if alpha.data.ndim != 2 or alpha.data.shape[1] != n:

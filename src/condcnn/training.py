@@ -34,6 +34,14 @@ class StepDecay:
     factor: float
     every_n_epochs: int
 
+    def __post_init__(self):
+        for name, value in (("init", self.init), ("factor", self.factor)):
+            if not value > 0:
+                raise ConfigError(f"step schedule {name} must be > 0, got {value!r}")
+        every = self.every_n_epochs
+        if not isinstance(every, int) or isinstance(every, bool) or every < 1:
+            raise ConfigError(f"step schedule every must be an integer >= 1, got {every!r}")
+
 
 @dataclass
 class Milestones:
@@ -46,6 +54,8 @@ class Milestones:
     points: tuple
 
     def __post_init__(self):
+        if not self.points:
+            raise ConfigError("milestones schedule points must hold at least one point")
         fracs = [f for f, _ in self.points]
         lrs = [lr for _, lr in self.points]
         if sorted(fracs) != list(fracs):

@@ -1,5 +1,6 @@
 """Tensor engine tests: forward oracles and gradient checks."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -96,24 +97,6 @@ class TestConvTemporal:
                             expected[b, ti, o] += xp[b, ti * stride + kk, ci] * w[kk, ci, o]
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    def test_per_example_kernels_match_loop(self):
-        batch, t, c_in, c_out, k = 3, 10, 2, 3, 4
-        x = rand(batch, t, c_in, seed=8)
-        w = rand(batch, k, c_in, c_out, seed=9)
-        out = ad.conv_temporal(Tensor(x), Tensor(w), padding="valid")
-        for b in range(batch):
-            single = ad.conv_temporal(
-                Tensor(x[b:b + 1]), Tensor(w[b]), padding="valid"
-            )
-            np.testing.assert_allclose(out.data[b], single.data[0], atol=1e-12)
-
-    def test_shared_kernel_bitwise_equals_broadcast_per_example(self):
-        x = Tensor(rand(4, 12, 3, seed=10))
-        w = rand(5, 3, 6, seed=11)
-        shared = ad.conv_temporal(x, Tensor(w))
-        tiled = ad.conv_temporal(x, Tensor(np.broadcast_to(w, (4, 5, 3, 6)).copy()))
-        np.testing.assert_array_equal(shared.data, tiled.data)
-
     def test_linearity(self):
         x = rand(2, 14, 3, seed=12)
         y = rand(2, 14, 3, seed=13)
@@ -151,22 +134,15 @@ class TestConvTemporal:
         )
         assert err < 1e-6
 
-    def test_per_example_kernel_gradient(self):
-        x = Tensor(rand(2, 7, 2, seed=64))
-        w = Tensor(rand(2, 3, 2, 3, seed=65), requires_grad=True)
-        err = ad.grad_check(
-            lambda t: (ad.conv_temporal(x, t) ** 2).sum(), w, eps=1e-5
-        )
-        assert err < 1e-6
-
-    @pytest.mark.parametrize("per_example", [False, True])
+    @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
-    def test_bias_in_op_equals_op_then_add(self, stride, padding, per_example):
-        shape = (3, 4, 2, 5) if per_example else (4, 2, 5)
+    def test_bias_in_op_equals_op_then_add(self, monkeypatch, stride, padding, chunked):
+        if chunked:
+            _chunk_budget(monkeypatch, 2, (4, 2, 5))  # chunks of 2 and 1 examples
 
         def run(fused):
             x = Tensor(rand(3, 11, 2, seed=66), requires_grad=True)
-            w = Tensor(rand(*shape, seed=67), requires_grad=True)
+            w = Tensor(rand(4, 2, 5, seed=67), requires_grad=True)
             bias = Tensor(rand(5, seed=68), requires_grad=True)
             if fused:
                 y = ad.conv_temporal(x, w, stride, padding, bias)
@@ -177,6 +153,69 @@ class TestConvTemporal:
 
         for got, want in zip(run(True), run(False)):
             np.testing.assert_array_equal(got, want)
+
+    def test_per_example_kernel_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(K, C_in, C_out\)"):
+            ad.conv_temporal(Tensor(rand(3, 10, 2)), Tensor(rand(3, 4, 2, 5)))
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("wrt", ["x", "kernel"])
+    def test_finite_differences_across_chunks(self, monkeypatch, wrt, padding):
+        args = {"x": Tensor(rand(3, 9, 2, seed=70), requires_grad=True),
+                "kernel": Tensor(rand(3, 2, 4, seed=71), requires_grad=True)}
+        _chunk_budget(monkeypatch, 2, (3, 2, 4))  # chunks of 2 and 1 examples
+        w = rand(3, 5 if padding == "same" else 4, 4, seed=72)
+
+        def f(t):
+            call = dict(args, **{wrt: t})
+            return (ad.conv_temporal(call["x"], call["kernel"], 2, padding) * Tensor(w)).sum()
+
+        assert ad.grad_check(f, args[wrt], eps=1e-5) < 1e-6
+
+    def test_multi_chunk_equals_single_chunk(self, monkeypatch):
+        def run():
+            x = Tensor(rand(7, 11, 2, seed=73), requires_grad=True)
+            w = Tensor(rand(3, 2, 4, seed=74), requires_grad=True)
+            y = ad.conv_temporal(x, w, 2)
+            (y * Tensor(rand(*y.shape, seed=75))).sum().backward()
+            return [y.data, x.grad, w.grad]
+
+        whole = run()
+        _chunk_budget(monkeypatch, 3, (3, 2, 4))  # chunks of 3, 3 and 1
+        split, again = run(), run()
+        for got, want in zip(split, whole):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for got, want in zip(again, split):
+            np.testing.assert_array_equal(got, want)
+
+    def test_backward_keeps_no_whole_batch_windows(self):
+        """One 384->384, K=5 TemporalConv at T=8, forward and backward: going
+        from 2 to 4 chunks may add what scales with the batch (the output,
+        its gradient and the input gradient), but not K inputs' worth of
+        windows or window gradients per added example."""
+        layer = TemporalConv(384, 384, 5, np.random.default_rng(76))
+        chunk = ad.condconv_chunk(layer.kernel.data.shape)
+        rng = np.random.default_rng(77)
+
+        def peak(batch):
+            x = Tensor(rng.normal(size=(batch, 8, 384)), requires_grad=True)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                layer(x).sum().backward()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        input_bytes = 8 * 8 * 384  # one example's input
+        added = (peak(4 * chunk) - peak(2 * chunk)) / (2 * chunk) / input_bytes
+        assert added < layer.kernel_len, added
+
+
+def _chunk_budget(monkeypatch, examples, kernel_shape):
+    """Shrink the chunk budget so that `examples` examples fill a chunk."""
+    monkeypatch.setattr(ad, "CONDCONV_CHUNK_BYTES", examples * 8 * int(np.prod(kernel_shape)))
+    assert ad.condconv_chunk(kernel_shape) == examples
 
 
 class TestMaxPool:

@@ -147,6 +147,23 @@ class TestTrain:
         echoed = json.loads((run / "config.json").read_text())
         assert echoed["model"]["n_experts"] == 4
 
+    @pytest.mark.parametrize("schedule,field", [
+        ({"type": "step", "init": 0.001, "factor": 0.1, "every": 0}, "every"),
+        ({"type": "step", "init": 0.001, "factor": 0.0, "every": 50}, "factor"),
+        ({"type": "milestones", "points": []}, "points"),
+    ])
+    def test_bad_lr_schedule_exits_one_before_writing(self, workspace, caplog,
+                                                       schedule, field):
+        tmp_path, config_path = workspace
+        config = json.loads(config_path.read_text())
+        config["train"]["lr_schedule"] = schedule
+        config_path.write_text(json.dumps(config))
+        run = tmp_path / "bad-schedule"
+        code = cli.main(["train", "--config", str(config_path), "--out", str(run)])
+        assert code == 1
+        assert field in caplog.text
+        assert not (run / "train.ds").exists()
+
     def test_lockfile_blocks_concurrent_runs(self, workspace):
         tmp_path, config_path = workspace
         run = tmp_path / "locked"

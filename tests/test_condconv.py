@@ -95,6 +95,26 @@ class TestForwardEquivalence:
         theirs = plain.forward(x)
         np.testing.assert_array_equal(ours.data, theirs.data)
 
+    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
+    def test_pinned_single_expert_trains_bitwise_as_standard_conv(self, stride, padding):
+        """Criterion 3's train-mode half: output and every gradient."""
+        plain = TemporalConv(3, 4, 5, np.random.default_rng(99), stride, padding)
+        layer = make_layer(n=1, seed=13, stride=stride, padding=padding, pin_routing=True)
+        layer.experts.data[0] = plain.kernel.data
+        plain.bias.data[:] = np.random.default_rng(39).normal(size=4)
+        layer.bias.data[:] = plain.bias.data
+        x_data = np.random.default_rng(40).normal(size=(4, 16, 3))
+        results = []
+        for forward in (lambda x: cc.condconv_forward(x, layer, activation=None), plain):
+            x = Tensor(x_data, requires_grad=True)
+            y = forward(x)
+            (y * Tensor(np.random.default_rng(41).normal(size=y.shape))).sum().backward()
+            results.append([y.data, x.grad])
+        results[0] += [layer.experts.grad[0], layer.bias.grad]
+        results[1] += [plain.kernel.grad, plain.bias.grad]
+        for ours, theirs in zip(*results):
+            np.testing.assert_array_equal(ours, theirs)
+
     def test_constant_routing_equals_summed_kernel_conv(self):
         layer = make_layer(n=3, seed=14)
         layer.routing.data[:] = 0.0  # alpha = 0.5 for every expert
@@ -185,8 +205,19 @@ class TestRoutingActivationFlag:
 
 
 def _mixed_kernel_conv(x, alpha, experts, stride, padding):
-    """Reference: the whole batch of mixed kernels, then the 4-D conv."""
-    return ad.conv_temporal(x, cc.combine_kernels(alpha, experts), stride, padding)
+    """Reference: convolve with every expert, then mix the outputs under the
+    given routing weights, built as `condconv_as_sum` builds it."""
+    batch, n = alpha.data.shape
+    flat = ad.reshape(experts, (n, -1))
+    total = None
+    for i in range(n):
+        pick = np.zeros((n, 1))
+        pick[i, 0] = 1.0
+        coeff = ad.reshape(ad.matmul(alpha, Tensor(pick)), (batch, 1, 1))
+        expert_i = ad.reshape(ad.matmul(Tensor(pick.T), flat), experts.data.shape[1:])
+        term = coeff * ad.conv_temporal(x, expert_i, stride, padding)
+        total = term if total is None else total + term
+    return total
 
 
 def _op_inputs(batch=5, t=11, c_in=2, c_out=3, k=3, n=3, seed=30):

@@ -116,6 +116,19 @@ class TestLrSchedules:
         with pytest.raises(ConfigError):
             training.Milestones(((0.1, 0.001), (0.5, 0.01)))
 
+    @pytest.mark.parametrize("init,factor,every,field", [
+        (1e-4, 0.1, 0, "every"), (1e-4, 0.1, -5, "every"), (1e-4, 0.1, 2.5, "every"),
+        (0.0, 0.1, 50, "init"), (-1e-4, 0.1, 50, "init"), (1e-4, 0.0, 50, "factor"),
+        (1e-4, -0.1, 50, "factor"),
+    ])
+    def test_step_decay_rejects_bad_fields(self, init, factor, every, field):
+        with pytest.raises(ConfigError, match=field):
+            training.StepDecay(init, factor, every)
+
+    def test_milestones_need_a_point(self):
+        with pytest.raises(ConfigError, match="points"):
+            training.schedule_from_dict({"type": "milestones", "points": []})
+
     def test_schedule_dict_round_trip(self):
         for sched in (training.StepDecay(1e-4, 0.1, 50),
                       training.Milestones(((0.125, 0.001), (0.625, 1e-5)))):
