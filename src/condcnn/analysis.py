@@ -79,14 +79,10 @@ class FlopsReport:
             )
 
 
-def count_flops(model, input_shape=None):
-    """Per-layer cost of one forward pass on a single example, one row per
-    model layer, each from that layer's own `cost`."""
-    if input_shape is None:
-        input_shape = model.meta.get("input_shape")
-        if input_shape is None:
-            raise ConfigError("model has no recorded input shape; pass input_shape")
-    shape = (int(input_shape[0]), int(input_shape[1]))
+def count_flops(model):
+    """Per-layer cost of one forward pass on a single example of the model's
+    recorded input shape, one row per model layer, from each layer's `cost`."""
+    shape = tuple(model.meta["input_shape"])
     costs = []
     for layer in model.layers:
         shape, macs, elementwise = layer.cost(shape)
@@ -182,21 +178,22 @@ class LayerRoutingStats:
         return out
 
 
+N_BUCKETS = 20  # equal-width buckets of the pooled routing-weight histogram
+
+
 @dataclass
 class RoutingStats:
     per_layer: dict            # name -> LayerRoutingStats, model depth order
-    n_buckets: int = 20
-    histogram: np.ndarray = field(default=None)  # pooled over all layers
+    histogram: np.ndarray = field(init=False)  # pooled over all layers
 
     def __post_init__(self):
-        if self.histogram is None:
-            pooled = np.concatenate(
-                [s.alphas.ravel() for s in self.per_layer.values()]
-            ) if self.per_layer else np.zeros(0)
-            self.histogram, _ = np.histogram(pooled, bins=self.n_buckets, range=(0.0, 1.0))
+        pooled = np.concatenate(
+            [s.alphas.ravel() for s in self.per_layer.values()]
+        ) if self.per_layer else np.zeros(0)
+        self.histogram, _ = np.histogram(pooled, bins=N_BUCKETS, range=(0.0, 1.0))
 
     def bucket_edges(self):
-        return np.linspace(0.0, 1.0, self.n_buckets + 1)
+        return np.linspace(0.0, 1.0, N_BUCKETS + 1)
 
     def histogram_to_csv(self, path):
         edges = self.bucket_edges()
@@ -218,17 +215,15 @@ class RoutingStats:
                         )
 
 
-def routing_stats(model, ds, layer_selection=None, n_buckets=20, batch_size=256):
+def routing_stats(model, ds, batch_size=256):
     """Collect per-example routing weights over a dataset, per CondConv
     layer, with per-class means/deviations and a pooled histogram. The
     forward passes record no graph."""
     if len(ds) == 0:
         raise DataError("cannot collect routing statistics on an empty dataset")
     cond_layers = [l for l in model.layers if isinstance(l, (CondConv, PointwiseCondConvHead))]
-    if layer_selection is not None:
-        cond_layers = [l for l in cond_layers if l.name in set(layer_selection)]
     if not cond_layers:
-        raise ConfigError("model has no (selected) CondConv layers")
+        raise ConfigError("model has no CondConv layers")
 
     n_classes = model.meta.get("n_classes") or int(ds.y.max()) + 1
     collected = {layer.name: [] for layer in cond_layers}
@@ -253,7 +248,7 @@ def routing_stats(model, ds, layer_selection=None, n_buckets=20, batch_size=256)
         per_layer[layer.name] = LayerRoutingStats(
             name=layer.name, alphas=alphas, labels=ds.y.copy(), n_classes=n_classes,
         )
-    return RoutingStats(per_layer=per_layer, n_buckets=n_buckets)
+    return RoutingStats(per_layer=per_layer)
 
 
 def depth_divergence(stats):

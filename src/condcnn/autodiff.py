@@ -17,17 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError
 
-# When enabled (the default), every op validates that its output is finite
-# and raises NumericError otherwise. Non-finite values are never silent.
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled):
-    """Globally enable/disable per-op finite-value validation."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-
-
 # False inside `no_grad`: ops then record no inputs and no backward closure.
 _GRAD_ENABLED = True
 
@@ -144,12 +133,6 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -177,8 +160,9 @@ def _topo_order(root):
 
 
 def _result(data, children, backward, op_name):
+    """Wrap an op's output; a non-finite value raises NumericError."""
     data = np.asarray(data, dtype=np.float64)
-    if _FINITE_CHECKS and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NumericError(f"{op_name} produced non-finite values")
     out = Tensor(data)
     out.requires_grad = _GRAD_ENABLED and any(c.requires_grad for c in children)
@@ -729,12 +713,12 @@ def softmax_cross_entropy(logits, labels):
     return _result(value, (logits,), backward, "softmax_cross_entropy")
 
 
-def dropout(x, rate, rng, train=True):
+def dropout(x, rate, rng):
     """Inverted dropout: zero with probability `rate`, survivors scaled by
-    1/(1-rate). Identity when `train` is false or rate is 0."""
+    1/(1-rate). Identity when rate is 0."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rate == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
 

@@ -164,10 +164,6 @@ def _prepare_datasets(config):
         stream = dp.resample(stream, profile.resample_to_hz)
     windows = dp.segment_windows(stream, profile)
     train_ds, test_ds = dp.split(windows, profile, seed=config["seed"])
-    if profile.test_step and profile.test_step != profile.step:
-        # session splits may re-segment the test sessions at their own stride
-        test_windows = dp.segment_windows(stream, profile, step=profile.test_step)
-        _, test_ds = dp.split(test_windows, profile, seed=config["seed"])
     train_ds, stats = dp.normalize(train_ds, profile.normalization)
     if stats is not None:  # empty train split leaves nothing to standardize by
         test_ds, _ = dp.normalize(test_ds, profile.normalization, stats=stats)
@@ -230,8 +226,9 @@ def cmd_train(args):
         checkpoint_dir=run_dir,
     )
     with _RunLock(run_dir):
-        _write_json(os.path.join(run_dir, "config.json"), config)
+        # first, so a malformed dataset section leaves nothing written
         train_ds, test_ds = _prepare_datasets(config)
+        _write_json(os.path.join(run_dir, "config.json"), config)
         train_ds.save(os.path.join(run_dir, "train.ds"))
         test_ds.save(os.path.join(run_dir, "test.ds"))
 
@@ -240,7 +237,7 @@ def cmd_train(args):
         history = training.train(model, train_ds, test_ds, train_cfg)
         history.to_csv(os.path.join(run_dir, "history.csv"))
 
-        flops = analysis.count_flops(model, input_shape)
+        flops = analysis.count_flops(model)
         report_lines = [
             "condcnn training report",
             f"config: {json.dumps(config, sort_keys=True)}",

@@ -11,18 +11,23 @@ consumes one canonical CSV layout:
 
 UTF-8, LF line endings, '.' decimal separator. Labels may be class names
 (mapped to ids by sorted order) or non-negative integers (used directly).
-Pre-windowed corpora are expressed as one session per window with exactly
-window_len samples and step == window_len.
+A row with a NaN channel value (a sensor dropout) is dropped and the drop
+is counted in a warning; infinite values are kept. Pre-windowed corpora
+are expressed as one session per window with exactly window_len samples
+and step == window_len.
+
+A config's `dataset` section maps onto `DatasetProfile` fields plus the
+`canonical_csv` path; an unknown or missing key is a ConfigError.
 """
 
 import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from . import storage
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_count, is_number
 
 log = logging.getLogger(__name__)
 
@@ -141,20 +146,17 @@ class DatasetProfile:
     split: dict | None = None            # {"kind": "random", "train_fraction": 0.7}
                                          # or {"kind": "sessions", "train": [[subj, sess]...],
                                          #     "test": [[subj, sess]...]}
-    test_step: int | None = None         # session splits may widen the test stride
 
     def __post_init__(self):
-        if self.window_len < 1 or self.step < 1:
-            raise ConfigError("window_len and step must be positive")
+        for name in ("window_len", "step", "classes"):
+            check_count(f"dataset {name}", getattr(self, name), 1)
         if self.normalization not in ("none", "zscore"):
             raise ConfigError(f"unknown normalization {self.normalization!r}")
-        if self.test_step is not None:
-            kind = (self.split or {}).get("kind")
-            if kind != "sessions":
-                raise ConfigError(
-                    "test_step is only valid with a session split; under a "
-                    "random split it would let train and test windows overlap"
-                )
+        if self.split and self.split.get("kind") == "random":
+            frac = self.split.get("train_fraction", 0.7)
+            if not is_number(frac) or not 0.0 < frac < 1.0:
+                raise ConfigError(f"dataset split train_fraction must be a number "
+                                  f"strictly between 0 and 1, got {frac!r}")
 
     @property
     def overlap_percent(self):
@@ -162,11 +164,16 @@ class DatasetProfile:
 
     @classmethod
     def from_dict(cls, d):
-        known = {k: d[k] for k in (
-            "name", "window_len", "step", "classes", "resample_to_hz",
-            "normalization", "split", "test_step",
-        ) if k in d}
-        return cls(**known)
+        """Profile of a config's `dataset` section, whose keys are the
+        fields plus `canonical_csv`, the CSV path the CLI reads."""
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(d) - set(names) - {"canonical_csv"})
+        if unknown:
+            raise ConfigError(f"dataset config has unknown key(s): {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ConfigError(f"dataset config is missing key(s): {', '.join(missing)}")
+        return cls(**{k: d[k] for k in names if k in d})
 
 
 def window_count(length, window_len, step):
@@ -190,15 +197,12 @@ def write_canonical(path, stream):
             )
 
 
-def ingest_canonical(path, nan_policy="drop-row"):
+def ingest_canonical(path):
     """Load a canonical CSV into a SensorStream.
 
-    Rows whose channel cells are NaN are dropped (and counted) under the
-    default policy; `nan_policy="error"` raises instead. Ragged rows and
-    non-numeric cells always raise, with the offending line number.
+    Rows with a NaN channel cell are dropped and counted. Ragged rows and
+    non-numeric cells raise, with the offending line number.
     """
-    if nan_policy not in ("drop-row", "error"):
-        raise ConfigError(f"unknown nan policy {nan_policy!r}")
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
         if not first.startswith("# rate_hz="):
@@ -221,7 +225,6 @@ def ingest_canonical(path, nan_policy="drop-row"):
         n_cols = len(header)
 
         subjects, sessions, raw_labels, rows = [], [], [], []
-        dropped = 0
         for line_no, row in enumerate(reader, start=3):
             if not row:
                 continue
@@ -230,32 +233,28 @@ def ingest_canonical(path, nan_policy="drop-row"):
                     f"{path}: line {line_no}: expected {n_cols} columns, got {len(row)}"
                 )
             try:
-                values = [float(cell) for cell in row[3:]]
+                rows.append([float(cell) for cell in row[3:]])
             except ValueError:
                 raise DataError(
                     f"{path}: line {line_no}: non-numeric channel value"
                 ) from None
-            if any(np.isnan(v) for v in values):
-                if nan_policy == "error":
-                    raise DataError(f"{path}: line {line_no}: NaN channel value")
-                dropped += 1
-                continue
             subjects.append(row[0])
             sessions.append(row[1])
             raw_labels.append(row[2])
-            rows.append(values)
-    if dropped:
-        log.warning("%s: dropped %d rows with NaN cells", path, dropped)
 
-    labels, label_names = _encode_labels(raw_labels)
+    data = np.array(rows, dtype=np.float64).reshape(len(rows), len(channel_names))
+    keep = ~np.isnan(data).any(axis=1)
+    if not keep.all():
+        log.warning("%s: dropped %d rows with NaN cells", path, len(keep) - int(keep.sum()))
+    labels, label_names = _encode_labels(np.array(raw_labels, dtype=object)[keep].tolist())
     return SensorStream(
-        data=np.array(rows, dtype=np.float64).reshape(len(rows), len(channel_names)),
+        data=data[keep],
         channel_names=channel_names,
         sample_rate_hz=rate,
         labels=labels,
         label_names=label_names,
-        subject=np.array(subjects, dtype=object),
-        session=np.array(sessions, dtype=object),
+        subject=np.array(subjects, dtype=object)[keep],
+        session=np.array(sessions, dtype=object)[keep],
     )
 
 
@@ -372,16 +371,15 @@ def resample(stream, to_hz):
     )
 
 
-def segment_windows(stream, profile, step=None):
-    """Slide a window of profile.window_len over every (subject, session)
-    run; windows never span a run boundary.
+def segment_windows(stream, profile):
+    """Slide a window of profile.window_len, advanced by profile.step, over
+    every (subject, session) run; windows never span a run boundary.
 
     Each window takes the majority label of its samples (ties resolve to
-    the smaller class id). `step` overrides profile.step when given.
-    Raises DataError when a label lies outside [0, profile.classes).
+    the smaller class id). Raises DataError when a label lies outside
+    [0, profile.classes).
     """
-    t_w = profile.window_len
-    step = profile.step if step is None else step
+    t_w, step = profile.window_len, profile.step
     if t_w > len(stream):
         log.warning("window length %d exceeds stream length %d", t_w, len(stream))
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the config value checks
+that raise them.
 
 The CLI maps these onto exit codes: usage problems exit 1, data problems
 exit 2, numeric failures exit 3.
@@ -23,3 +24,14 @@ class DataError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced NaN/Inf or is otherwise numerically invalid."""
+
+
+def is_number(value):
+    """True for an int or float config value; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_count(what, value, least):
+    """Raise ConfigError naming `what` unless `value` is an int >= `least`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")

@@ -188,7 +188,7 @@ class Dropout(Layer):
             return x
         if rng is None:
             raise ConfigError("train-mode dropout needs a random generator")
-        return ad.dropout(x, self.rate, rng, train=True)
+        return ad.dropout(x, self.rate, rng)
 
     def cost(self, shape):
         return shape, 0, 0

@@ -19,7 +19,7 @@ from . import archspec
 from . import autodiff as ad
 from . import storage
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_count, is_number
 
 log = logging.getLogger(__name__)
 
@@ -36,11 +36,9 @@ class StepDecay:
 
     def __post_init__(self):
         for name, value in (("init", self.init), ("factor", self.factor)):
-            if not value > 0:
-                raise ConfigError(f"step schedule {name} must be > 0, got {value!r}")
-        every = self.every_n_epochs
-        if not isinstance(every, int) or isinstance(every, bool) or every < 1:
-            raise ConfigError(f"step schedule every must be an integer >= 1, got {every!r}")
+            if not is_number(value) or not value > 0:
+                raise ConfigError(f"step schedule {name} must be a number > 0, got {value!r}")
+        check_count("step schedule every", self.every_n_epochs, 1)
 
 
 @dataclass
@@ -54,8 +52,13 @@ class Milestones:
     points: tuple
 
     def __post_init__(self):
-        if not self.points:
-            raise ConfigError("milestones schedule points must hold at least one point")
+        points = self.points
+        if not isinstance(points, (list, tuple)) or not points or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and all(map(is_number, p))
+                for p in points):
+            raise ConfigError(f"milestones schedule points must be one or more "
+                              f"[fraction, lr] number pairs, got {points!r}")
+        self.points = tuple((float(f), float(lr)) for f, lr in points)
         fracs = [f for f, _ in self.points]
         lrs = [lr for _, lr in self.points]
         if sorted(fracs) != list(fracs):
@@ -75,17 +78,15 @@ class TrainConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        check_count("batch_size", self.batch_size, 1)
+        check_count("epochs", self.epochs, 0)
 
 
 def schedule_from_dict(d):
     if d["type"] == "step":
         return StepDecay(d["init"], d["factor"], d["every"])
     if d["type"] == "milestones":
-        return Milestones(tuple((float(f), float(lr)) for f, lr in d["points"]))
+        return Milestones(d["points"])
     raise ConfigError(f"unknown schedule type {d['type']!r}")
 
 
@@ -219,7 +220,7 @@ class History:
                 fh.write(f"{epoch},{repr(float(lr))},{repr(float(loss))},{repr(float(acc))}\n")
 
 
-def save_checkpoint(path, model, adam=None, rng=None, epoch=0, history=None, extra=None):
+def save_checkpoint(path, model, adam=None, rng=None, epoch=0, history=None):
     """Versioned container: model config + parameters + BN statistics +
     optimizer moments + RNG state. Deterministic bytes for fixed content."""
     arrays = {}
@@ -235,7 +236,6 @@ def save_checkpoint(path, model, adam=None, rng=None, epoch=0, history=None, ext
         "adam_t": None,
         "rng_state": None,
         "history": None,
-        "extra": extra or {},
     }
     if adam is not None:
         arrays.update(adam.state_arrays())
@@ -281,7 +281,6 @@ def load_checkpoint(path):
         "adam_arrays": {k: v for k, v in arrays.items() if k.startswith("adam.")},
         "rng_state": meta.get("rng_state"),
         "history": meta.get("history"),
-        "extra": meta.get("extra", {}),
     }
     return model, state
 

@@ -388,10 +388,6 @@ class TestDropoutOp:
         x = Tensor(rand(4, 4, seed=41))
         assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
 
-    def test_eval_mode_is_identity(self):
-        x = Tensor(rand(4, 4, seed=42))
-        assert ad.dropout(x, 0.5, np.random.default_rng(0), train=False) is x
-
     def test_scaling_preserves_mean(self):
         x = Tensor(np.ones(100_000))
         out = ad.dropout(x, 0.5, np.random.default_rng(7))
@@ -531,11 +527,3 @@ class TestFiniteGuards:
     def test_log_of_zero_raises(self):
         with pytest.raises(NumericError):
             ad.tlog(Tensor([0.0]))
-
-    def test_guard_can_be_disabled(self):
-        ad.set_finite_checks(False)
-        try:
-            out = Tensor([1.0]) / Tensor([0.0])
-            assert np.isinf(out.data[0])
-        finally:
-            ad.set_finite_checks(True)

@@ -58,6 +58,30 @@ def workspace(tmp_path):
     return tmp_path, config_path
 
 
+# (section, key, value, field named in the error); a value of _DELETE drops the key
+_DELETE = object()
+MALFORMED_DATASET = [
+    ("dataset", "window_len", "32", "window_len"),
+    ("dataset", "step", 0, "step"),
+    ("dataset", "classes", "4", "classes"),
+    ("dataset", "split", {"kind": "random", "train_fraction": "0.7"}, "train_fraction"),
+    ("dataset", "split", {"kind": "random", "train_fraction": 1.5}, "train_fraction"),
+    ("dataset", "split", {"kind": "random", "train_fraction": 0.0}, "train_fraction"),
+    ("dataset", "test_step", 16, "test_step"),
+    ("dataset", "step", _DELETE, "step"),
+]
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _set_config_value(config_path, section, key, value):
+    config = json.loads(config_path.read_text())
+    if value is _DELETE:
+        del config[section][key]
+    else:
+        config[section][key] = value
+    config_path.write_text(json.dumps(config))
+
+
 class TestConvert:
     def test_valid_file_exits_zero(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
@@ -108,6 +132,30 @@ class TestSegment:
         assert code == 2
         assert "label 3" in caplog.text
 
+    @pytest.mark.parametrize("section,key,value,field", MALFORMED_DATASET)
+    def test_malformed_dataset_value_exits_one(self, workspace, caplog,
+                                               section, key, value, field):
+        tmp_path, config_path = workspace
+        _set_config_value(config_path, section, key, value)
+        out = tmp_path / "bad-value"
+        code = cli.main(["segment", "--config", str(config_path), "--out", str(out)])
+        assert code == 1
+        assert field in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not (out / "train.ds").exists()
+
+    def test_missing_dataset_key_exits_one_in_a_subprocess(self, workspace):
+        tmp_path, config_path = workspace
+        _set_config_value(config_path, "dataset", "step", _DELETE)
+        done = subprocess.run(
+            [sys.executable, "-m", "condcnn.cli", "segment", "--config", str(config_path),
+             "--out", str(tmp_path / "s")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        )
+        assert done.returncode == 1
+        assert "step" in done.stderr and "Traceback" not in done.stderr
+        assert len(done.stderr.strip().splitlines()) == 1
+
 
 class TestTrain:
     def test_smoke_run_produces_artifacts(self, workspace):
@@ -151,6 +199,10 @@ class TestTrain:
         ({"type": "step", "init": 0.001, "factor": 0.1, "every": 0}, "every"),
         ({"type": "step", "init": 0.001, "factor": 0.0, "every": 50}, "factor"),
         ({"type": "milestones", "points": []}, "points"),
+        ({"type": "step", "init": "0.001", "factor": 0.1, "every": 50}, "init"),
+        ({"type": "milestones", "points": [[0.5]]}, "points"),
+        ({"type": "milestones", "points": 5}, "points"),
+        ({"type": "milestones", "points": [["a", 0.001]]}, "points"),
     ])
     def test_bad_lr_schedule_exits_one_before_writing(self, workspace, caplog,
                                                        schedule, field):
@@ -162,6 +214,21 @@ class TestTrain:
         code = cli.main(["train", "--config", str(config_path), "--out", str(run)])
         assert code == 1
         assert field in caplog.text
+        assert not (run / "train.ds").exists()
+
+    @pytest.mark.parametrize("section,key,value,field", MALFORMED_DATASET + [
+        ("train", "batch_size", "32", "batch_size"),
+        ("train", "epochs", True, "epochs"),
+    ])
+    def test_malformed_config_value_exits_one_before_writing(
+            self, workspace, caplog, section, key, value, field):
+        tmp_path, config_path = workspace
+        _set_config_value(config_path, section, key, value)
+        run = tmp_path / "bad-value"
+        code = cli.main(["train", "--config", str(config_path), "--out", str(run)])
+        assert code == 1
+        assert field in caplog.text
+        assert "Traceback" not in caplog.text
         assert not (run / "train.ds").exists()
 
     def test_lockfile_blocks_concurrent_runs(self, workspace):

@@ -49,11 +49,39 @@ class TestCanonicalCsv:
         stream = dp.ingest_canonical(path)
         assert len(stream) == 2
 
-    def test_nan_policy_error(self, tmp_path):
+    def test_nan_rows_dropped_with_their_columns(self, tmp_path, caplog):
+        rows = [  # subject, session, label, a, b
+            ("s1", "x", "walk", "1.0", "2.0"),
+            ("s1", "x", "run", "nan", "2.5"),
+            ("s1", "x", "sit", "inf", "3.0"),
+            ("s1", "y", "jump", "4.0", "nan"),
+            ("s2", "y", "run", "5.0", "-inf"),
+            ("s2", "y", "walk", "nan", "nan"),
+            ("s2", "y", "sit", "7.0", "8.0"),
+        ]
         path = tmp_path / "c.csv"
-        path.write_text("# rate_hz=10\nsubject,session,label,a\ns,x,w,nan\n")
-        with pytest.raises(DataError, match="line 3"):
-            dp.ingest_canonical(path, nan_policy="error")
+        path.write_text(
+            "# rate_hz=10\nsubject,session,label,a,b\n"
+            + "".join(",".join(row) + "\n" for row in rows)
+        )
+        kept = [row for row in rows if "nan" not in row[3:]]
+        with caplog.at_level("WARNING"):
+            stream = dp.ingest_canonical(path)
+        assert "dropped 3 rows" in caplog.text
+        np.testing.assert_array_equal(
+            stream.data, [[float(a), float(b)] for *_, a, b in kept])
+        assert np.isinf(stream.data).sum() == 2  # inf cells are kept
+        assert stream.label_names == ["run", "sit", "walk"]  # "jump" was only on a NaN row
+        assert [stream.label_names[i] for i in stream.labels] == [row[2] for row in kept]
+        assert list(stream.subject) == [row[0] for row in kept]
+        assert list(stream.session) == [row[1] for row in kept]
+
+    def test_all_nan_file_gives_empty_stream(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("# rate_hz=10\nsubject,session,label,a\ns,x,w,nan\ns,x,v,nan\n")
+        stream = dp.ingest_canonical(path)
+        assert len(stream) == 0 and stream.data.shape == (0, 1)
+        assert stream.label_names == []
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -152,6 +180,37 @@ class TestResample:
     def test_upsampling_rejected(self):
         with pytest.raises(ConfigError):
             dp.resample(make_stream(10, rate=10.0), 20.0)
+
+
+class TestDatasetProfile:
+    @pytest.mark.parametrize("field,value", [
+        ("window_len", "64"), ("window_len", 0), ("window_len", 2.5),
+        ("step", True), ("step", -1), ("classes", "6"), ("classes", 0),
+    ])
+    def test_bad_count_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            profile(**{field: value})
+
+    @pytest.mark.parametrize("frac", ["0.7", 1.5, 1.0, 0.0, -0.2, True, None])
+    def test_random_train_fraction_must_lie_in_open_unit_interval(self, frac):
+        with pytest.raises(ConfigError, match="train_fraction"):
+            profile(split={"kind": "random", "train_fraction": frac})
+
+    def test_from_dict_reads_fields_and_allows_csv_path(self):
+        d = dict(name="w", canonical_csv="w.csv", window_len=200, step=10, classes=6,
+                 normalization="zscore")
+        assert dp.DatasetProfile.from_dict(d) == profile(
+            name="w", window_len=200, step=10, classes=6, normalization="zscore")
+
+    @pytest.mark.parametrize("key", ["test_step", "stride"])
+    def test_from_dict_rejects_unknown_key(self, key):
+        d = dict(name="w", window_len=200, step=10, classes=6, **{key: 5})
+        with pytest.raises(ConfigError, match=key):
+            dp.DatasetProfile.from_dict(d)
+
+    def test_from_dict_names_missing_key(self):
+        with pytest.raises(ConfigError, match="step"):
+            dp.DatasetProfile.from_dict(dict(name="w", window_len=200, classes=6))
 
 
 class TestSegmentation:

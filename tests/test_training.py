@@ -119,7 +119,7 @@ class TestLrSchedules:
     @pytest.mark.parametrize("init,factor,every,field", [
         (1e-4, 0.1, 0, "every"), (1e-4, 0.1, -5, "every"), (1e-4, 0.1, 2.5, "every"),
         (0.0, 0.1, 50, "init"), (-1e-4, 0.1, 50, "init"), (1e-4, 0.0, 50, "factor"),
-        (1e-4, -0.1, 50, "factor"),
+        (1e-4, -0.1, 50, "factor"), ("0.001", 0.1, 50, "init"), (1e-4, None, 50, "factor"),
     ])
     def test_step_decay_rejects_bad_fields(self, init, factor, every, field):
         with pytest.raises(ConfigError, match=field):
@@ -129,11 +129,29 @@ class TestLrSchedules:
         with pytest.raises(ConfigError, match="points"):
             training.schedule_from_dict({"type": "milestones", "points": []})
 
+    @pytest.mark.parametrize("points", [[[0.5]], 5, [["half", 0.001]], [[0.5, "0.001"]]])
+    def test_malformed_milestone_points_rejected(self, points):
+        with pytest.raises(ConfigError, match="points"):
+            training.schedule_from_dict({"type": "milestones", "points": points})
+
     def test_schedule_dict_round_trip(self):
         for sched in (training.StepDecay(1e-4, 0.1, 50),
                       training.Milestones(((0.125, 0.001), (0.625, 1e-5)))):
             back = training.schedule_from_dict(training.schedule_to_dict(sched))
             assert back == sched
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", "32"), ("batch_size", 0), ("batch_size", 32.0), ("batch_size", True),
+        ("epochs", "3"), ("epochs", -1), ("epochs", 1.5), ("epochs", False),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            config(**{field: value})
+
+    def test_zero_epochs_accepted(self):
+        assert config(epochs=0).epochs == 0
 
 
 class TestEvaluate:
