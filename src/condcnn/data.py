@@ -152,11 +152,26 @@ class DatasetProfile:
             check_count(f"dataset {name}", getattr(self, name), 1)
         if self.normalization not in ("none", "zscore"):
             raise ConfigError(f"unknown normalization {self.normalization!r}")
-        if self.split and self.split.get("kind") == "random":
-            frac = self.split.get("train_fraction", 0.7)
+        if self.resample_to_hz is not None and not (
+                is_number(self.resample_to_hz) and self.resample_to_hz > 0):
+            raise ConfigError(f"dataset resample_to_hz must be null or a number > 0, "
+                              f"got {self.resample_to_hz!r}")
+        split = self.split
+        kind = split.get("kind") if isinstance(split, dict) else None
+        if split is not None and kind not in ("random", "sessions"):
+            raise ConfigError(f"dataset split must be null or a dict whose kind is "
+                              f"'random' or 'sessions', got {split!r}")
+        if kind == "random":
+            frac = split.get("train_fraction", 0.7)
             if not is_number(frac) or not 0.0 < frac < 1.0:
                 raise ConfigError(f"dataset split train_fraction must be a number "
                                   f"strictly between 0 and 1, got {frac!r}")
+        if kind == "sessions" and not all(
+                isinstance(split.get(part), (list, tuple)) and all(
+                    isinstance(p, (list, tuple)) and len(p) == 2 for p in split[part])
+                for part in ("train", "test")):
+            raise ConfigError(f"dataset split of kind 'sessions' needs train and test "
+                              f"lists of [subject, session] pairs, got {split!r}")
 
     @property
     def overlap_percent(self):
@@ -316,32 +331,33 @@ def convert_wisdm(raw_path, out_path):
             skipped += 1
             continue
         try:
-            values = [float(xs), float(ys), float(zs)]
+            rows.append([float(xs), float(ys), float(zs)])
         except ValueError:
-            skipped += 1
-            continue
-        if any(np.isnan(v) for v in values):
             skipped += 1
             continue
         subjects.append(user)
         labels.append(activity)
-        rows.append(values)
 
+    data = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+    keep = ~np.isnan(data).any(axis=1)
+    skipped += len(keep) - int(keep.sum())
+    subjects = np.array(subjects, dtype=object)[keep]
+    labels = np.array(labels, dtype=object)[keep].tolist()
     label_ids, label_names = _encode_labels(labels)
     stream = SensorStream(
-        data=np.array(rows, dtype=np.float64).reshape(len(rows), 3),
+        data=data[keep],
         channel_names=["x_accel", "y_accel", "z_accel"],
         sample_rate_hz=WISDM_RATE_HZ,
         labels=label_ids,
         label_names=label_names,
-        subject=np.array(subjects, dtype=object),
-        session=np.array(subjects, dtype=object),  # WISDM has no session notion
+        subject=subjects,
+        session=subjects,  # WISDM has no session notion
     )
     write_canonical(out_path, stream)
     counts = {}
     for lab in labels:
         counts[lab] = counts.get(lab, 0) + 1
-    report = ConversionReport(seen, len(rows), skipped, counts)
+    report = ConversionReport(seen, len(labels), skipped, counts)
     log.info("wisdm conversion: %s", report.summary())
     return report
 

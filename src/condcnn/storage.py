@@ -5,9 +5,14 @@ Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
 lists them (sorted by name). Identical content always produces identical
 bytes: no timestamps, no compression, no platform-dependent fields. Writes
 are atomic (temp file + rename).
+
+Array bytes move once: a save writes each payload from the array's own
+memory and a load reads it into a fresh array, with no staging copy. A
+file that breaks the layout raises DataError naming the path.
 """
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -17,25 +22,24 @@ import numpy as np
 from .errors import DataError
 
 MAGIC = b"CCNNAR01"
+_ENTRY_KEYS = ("name", "dtype", "shape", "offset", "nbytes")
 
 
 def save_container(path, arrays, meta=None):
     """Write named arrays and a JSON-serializable meta dict to `path`."""
-    entries = []
-    payloads = []
+    entries, contiguous = [], []
     offset = 0
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
-        raw = arr.tobytes()
         entries.append({
             "name": name,
             "dtype": arr.dtype.str,
             "shape": list(arr.shape),
             "offset": offset,
-            "nbytes": len(raw),
+            "nbytes": arr.nbytes,
         })
-        payloads.append(raw)
-        offset += len(raw)
+        contiguous.append(arr)
+        offset += arr.nbytes
     header = json.dumps(
         {"version": 1, "meta": meta or {}, "arrays": entries},
         sort_keys=True, separators=(",", ":"),
@@ -49,8 +53,8 @@ def save_container(path, arrays, meta=None):
             fh.write(MAGIC)
             fh.write(struct.pack("<Q", len(header)))
             fh.write(header)
-            for raw in payloads:
-                fh.write(raw)
+            for arr in contiguous:
+                fh.write(arr.reshape(-1).view(np.uint8))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -59,23 +63,57 @@ def save_container(path, arrays, meta=None):
 
 
 def load_container(path):
-    """Read back (arrays, meta) written by `save_container`."""
+    """Read back (arrays, meta) written by `save_container`. Each array is
+    read from the file into a fresh array that shares memory with nothing:
+    the caller owns it and may keep or modify it without copying."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
+        if fh.read(len(MAGIC)) != MAGIC:
             raise DataError(f"{path}: not a condcnn container (bad magic)")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        size = os.fstat(fh.fileno()).st_size
+        raw = fh.read(8)
+        # a missing or short length field counts as a header past the end
+        length = struct.unpack("<Q", raw)[0] if len(raw) == 8 else size
+        if fh.tell() + length > size:
+            raise DataError(f"{path}: truncated container header")
+        try:
+            header = json.loads(fh.read(length).decode("utf-8"))
+        except ValueError as err:  # UnicodeDecodeError and JSONDecodeError alike
+            raise DataError(f"{path}: container header is not UTF-8 JSON ({err})") from None
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: container header is not a JSON object")
         if header.get("version") != 1:
             raise DataError(f"{path}: unsupported container version")
-        payload = fh.read()
-    arrays = {}
-    for entry in header["arrays"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        buf = payload[start:start + nbytes]
-        if len(buf) != nbytes:
-            raise DataError(f"{path}: truncated payload for {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(
-            buf, dtype=np.dtype(entry["dtype"])
-        ).reshape(entry["shape"]).copy()
+        if not isinstance(header.get("meta"), dict) or not isinstance(header.get("arrays"), list):
+            raise DataError(f"{path}: container header lacks its meta dict or array list")
+        arrays = {}
+        position, payload_size = 0, size - fh.tell()
+        for entry in header["arrays"]:
+            name, dtype, shape = _entry_fields(entry, path)
+            nbytes = math.prod(shape) * dtype.itemsize
+            if entry["offset"] != position or entry["nbytes"] != nbytes:
+                raise DataError(f"{path}: offset or nbytes of {name!r} disagrees with the layout")
+            if position + nbytes > payload_size:
+                raise DataError(f"{path}: truncated payload for {name!r}")
+            arrays[name] = np.empty(shape, dtype)
+            fh.readinto(arrays[name].reshape(-1).view(np.uint8))
+            position += nbytes
     return arrays, header["meta"]
+
+
+def _entry_fields(entry, path):
+    """(name, dtype, shape) of one header entry; DataError if a field is
+    missing or malformed."""
+    if (not isinstance(entry, dict) or any(k not in entry for k in _ENTRY_KEYS)
+            or not isinstance(entry["name"], str)):
+        raise DataError(f"{path}: array entry {entry!r} needs a string name and "
+                        f"{', '.join(_ENTRY_KEYS[1:])}")
+    name, shape = entry["name"], entry["shape"]
+    try:
+        dtype = np.dtype(entry["dtype"]) if isinstance(entry["dtype"], str) else None
+    except (TypeError, ValueError, SyntaxError):  # numpy parses some strings as Python
+        dtype = None
+    if dtype is None or dtype.hasobject:
+        raise DataError(f"{path}: array {name!r} has unknown dtype {entry['dtype']!r}")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise DataError(f"{path}: array {name!r} has malformed shape {shape!r}")
+    return name, dtype, tuple(shape)

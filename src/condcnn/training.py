@@ -83,6 +83,8 @@ class TrainConfig:
 
 
 def schedule_from_dict(d):
+    if not isinstance(d, dict):
+        raise ConfigError(f"train lr_schedule must be a dict with a type, got {d!r}")
     if d["type"] == "step":
         return StepDecay(d["init"], d["factor"], d["every"])
     if d["type"] == "milestones":
@@ -270,7 +272,7 @@ def load_checkpoint(path):
                 f"{path}: parameter {name!r} has shape {saved.shape}, "
                 f"model expects {p.data.shape}"
             )
-        p.data = saved.copy()
+        p.data = saved
     model.load_buffers({
         name[len("buffer."):]: arr for name, arr in arrays.items()
         if name.startswith("buffer.")

@@ -1,8 +1,12 @@
 """Synthetic dataset builders shared by trainer, CLI, and acceptance tests."""
 
+import json
+import struct
+
 import numpy as np
 
 from condcnn.data import DatasetProfile, SensorStream, WindowedDataset, split
+from condcnn.storage import MAGIC
 
 
 def _dataset_from_arrays(x, y, window_len, label_names=None):
@@ -97,3 +101,39 @@ def stream_from_dataset(ds, rate=20.0):
         subject=np.repeat(ds.subject, t),
         session=np.repeat([f"w{i}" for i in range(n)], t),
     )
+
+
+def container_bytes(header, payload=b""):
+    """Container bytes in the documented layout: magic, `<Q` header length,
+    header (a dict is dumped as sorted-key compact JSON), then payload."""
+    if isinstance(header, dict):
+        header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(header)) + header + payload
+
+
+def _one_array_header(**entry):
+    """Header of one 8-byte float64 array; a field given as None is left out."""
+    fields = dict(name="w", dtype="<f8", shape=[1], offset=0, nbytes=8)
+    fields.update(entry)
+    return {"version": 1, "meta": {}, "arrays": [{k: v for k, v in fields.items() if v is not None}]}
+
+
+# name -> (file bytes, fragment of the DataError message); each breaks the
+# container layout in a different place
+CORRUPT_CONTAINERS = {
+    "magic-plus-2-bytes": (MAGIC + b"\x01\x00", "truncated container header"),
+    "header-shorter-than-declared": (
+        MAGIC + struct.pack("<Q", 100) + b'{"version":1}', "truncated container header"),
+    "header-not-json": (container_bytes(b"{not json"), "not UTF-8 JSON"),
+    "header-not-utf8": (container_bytes(b'{"version":1,"x":"\xff"}'), "not UTF-8 JSON"),
+    "header-not-an-object": (container_bytes(b"[1,2]"), "not a JSON object"),
+    "entry-missing-field": (
+        container_bytes(_one_array_header(nbytes=None), bytes(8)), "needs a string name"),
+    "entry-unknown-dtype": (
+        container_bytes(_one_array_header(dtype="<q9"), bytes(8)), "unknown dtype"),
+    "truncated-payload": (container_bytes(_one_array_header(), bytes(5)), "truncated payload"),
+    "offset-off-layout": (
+        container_bytes(_one_array_header(offset=8), bytes(16)), "disagrees with the layout"),
+    "nbytes-off-layout": (
+        container_bytes(_one_array_header(nbytes=16), bytes(16)), "disagrees with the layout"),
+}

@@ -12,7 +12,7 @@ import pytest
 
 from condcnn import cli
 from condcnn import data as dp
-from helpers import make_motif_dataset, stream_from_dataset
+from helpers import CORRUPT_CONTAINERS, make_motif_dataset, stream_from_dataset
 
 
 @pytest.fixture
@@ -69,6 +69,11 @@ MALFORMED_DATASET = [
     ("dataset", "split", {"kind": "random", "train_fraction": 0.0}, "train_fraction"),
     ("dataset", "test_step", 16, "test_step"),
     ("dataset", "step", _DELETE, "step"),
+    ("dataset", "split", [1], "split"),
+    ("dataset", "split", {"kind": "bogus"}, "split"),
+    ("dataset", "split", {"kind": "sessions", "train": [["s1", "a"]]}, "split"),
+    ("dataset", "resample_to_hz", "33.3", "resample_to_hz"),
+    ("dataset", "resample_to_hz", 0, "resample_to_hz"),
 ]
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -203,6 +208,8 @@ class TestTrain:
         ({"type": "milestones", "points": [[0.5]]}, "points"),
         ({"type": "milestones", "points": 5}, "points"),
         ({"type": "milestones", "points": [["a", 0.001]]}, "points"),
+        (5, "lr_schedule"),
+        ([], "lr_schedule"),
     ])
     def test_bad_lr_schedule_exits_one_before_writing(self, workspace, caplog,
                                                        schedule, field):
@@ -338,6 +345,18 @@ class TestAnalyze:
             "--which", "routing", "--out", str(tmp_path / "x"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_CONTAINERS))
+    def test_corrupt_checkpoint_exits_two_with_one_line(self, tmp_path, caplog, case):
+        ckpt = tmp_path / "corrupt.ckpt"
+        ckpt.write_bytes(CORRUPT_CONTAINERS[case][0])
+        code = cli.main([
+            "analyze", "--checkpoint", str(ckpt), "--which", "flops",
+            "--out", str(tmp_path / "flops"),
+        ])
+        assert code == 2
+        assert len(caplog.records) == 1 and str(ckpt) in caplog.text
+        assert "Traceback" not in caplog.text
 
     def test_incompatible_dataset_is_data_error(self, trained, tmp_path):
         tmp_path_ws, run = trained

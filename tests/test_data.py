@@ -1,11 +1,15 @@
 """Ingestion, conversion, windowing, normalization, and split behavior."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from condcnn import data as dp
 from condcnn import storage
 from condcnn.errors import ConfigError, DataError
+from helpers import CORRUPT_CONTAINERS
 
 
 def make_stream(n=100, channels=3, rate=20.0, label_fn=None, subject="s1", session="a", seed=0):
@@ -152,6 +156,29 @@ class TestWisdmConverter:
                 expected[rec.split(",")[1]] = expected.get(rec.split(",")[1], 0) + 1
         assert report.class_counts == expected
 
+    def test_nan_records_skipped_and_left_out_of_counts(self, tmp_path):
+        raw = tmp_path / "raw.txt"
+        raw.write_text(
+            "7,Walking,0,1.0,2.0,3.0;"
+            "7,Walking,1,nan,2.0,3.0;"
+            "8,Sitting,2,0.5,NaN,0.5;"      # the only Sitting record
+            "8,Jogging,3,-1.5,0.25,9.81;"
+            "8,Jogging,4,1.0,2.0,junk;"
+            "9,Jogging,5,0.0,0.0,nan;"
+            "9,Walking,6,inf,0.0,0.0;"      # infinite values are kept
+        )
+        out = tmp_path / "c.csv"
+        report = dp.convert_wisdm(raw, out)
+        assert (report.records_seen, report.records_written, report.records_skipped) == (7, 3, 4)
+        assert report.class_counts == {"Walking": 2, "Jogging": 1}
+        assert out.read_text() == (
+            "# rate_hz=20.0\n"
+            "subject,session,label,x_accel,y_accel,z_accel\n"
+            "7,7,Walking,1.0,2.0,3.0\n"
+            "8,8,Jogging,-1.5,0.25,9.81\n"
+            "9,9,Walking,inf,0.0,0.0\n"
+        )
+
     def test_reingested_count_matches_written(self, tmp_path):
         raw = tmp_path / "raw.txt"
         raw.write_text("1,Walking,0,1,2,3;bad;1,Walking,1,4,5,6;")
@@ -195,6 +222,16 @@ class TestDatasetProfile:
     def test_random_train_fraction_must_lie_in_open_unit_interval(self, frac):
         with pytest.raises(ConfigError, match="train_fraction"):
             profile(split={"kind": "random", "train_fraction": frac})
+
+    @pytest.mark.parametrize("field,value", [
+        ("split", [1]), ("split", {"kind": "bogus"}), ("split", {}),
+        ("split", {"kind": "sessions", "train": [["s1", "a"]]}),
+        ("split", {"kind": "sessions", "train": [["s1"]], "test": []}),
+        ("resample_to_hz", "33.3"), ("resample_to_hz", 0), ("resample_to_hz", True),
+    ])
+    def test_bad_split_or_rate_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            profile(**{field: value})
 
     def test_from_dict_reads_fields_and_allows_csv_path(self):
         d = dict(name="w", canonical_csv="w.csv", window_len=200, step=10, classes=6,
@@ -387,3 +424,81 @@ class TestStorageContainer:
         path.write_bytes(b"not a container")
         with pytest.raises(DataError, match="magic"):
             storage.load_container(path)
+
+    def test_layout_matches_the_documented_bytes(self, tmp_path):
+        path = tmp_path / "golden.bin"
+        storage.save_container(path, {"w": np.array([[1.5, -2.0]]),
+                                      "n": np.array([7, 8], dtype=np.int64)}, {"epoch": 3})
+        header = (b'{"arrays":[{"dtype":"<i8","name":"n","nbytes":16,"offset":0,"shape":[2]},'
+                  b'{"dtype":"<f8","name":"w","nbytes":16,"offset":16,"shape":[1,2]}],'
+                  b'"meta":{"epoch":3},"version":1}')
+        assert path.read_bytes() == (b"CCNNAR01" + struct.pack("<Q", len(header)) + header
+                                     + struct.pack("<2q", 7, 8) + struct.pack("<2d", 1.5, -2.0))
+
+    @pytest.mark.parametrize("arr", [
+        np.empty((0, 20, 3)),
+        np.array(2.5),
+        np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        np.arange(12.0).reshape(3, 4).T,
+        np.arange(20.0)[::3],
+        np.array([True, False, True]),
+        np.arange(-3, 3, dtype=np.int64),
+    ], ids=["empty", "0-d", "fortran", "transposed", "strided", "bool", "int64"])
+    def test_round_trip_of_edge_arrays(self, tmp_path, arr):
+        path = tmp_path / "edge.bin"
+        storage.save_container(path, {"a": arr, "z": np.ones(2)})
+        back, _ = storage.load_container(path)
+        expected = arr.reshape(1) if arr.ndim == 0 else arr  # 0-d is stored as shape [1]
+        assert back["a"].shape == expected.shape and back["a"].dtype == arr.dtype
+        np.testing.assert_array_equal(back["a"], expected)
+        np.testing.assert_array_equal(back["z"], np.ones(2))
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_CONTAINERS))
+    def test_corrupt_container_raises_data_error_naming_the_path(self, tmp_path, case):
+        raw, message = CORRUPT_CONTAINERS[case]
+        path = tmp_path / "corrupt.bin"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=message) as err:
+            storage.load_container(path)
+        assert str(path) in str(err.value)
+
+    def test_bytes_after_the_last_array_are_ignored(self, tmp_path):
+        path = tmp_path / "tail.bin"
+        storage.save_container(path, {"a": np.arange(4.0)})
+        path.write_bytes(path.read_bytes() + b"trailing")
+        np.testing.assert_array_equal(storage.load_container(path)[0]["a"], np.arange(4.0))
+
+    @staticmethod
+    def _traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def _big_arrays():
+        return {f"a{i}": np.full((1024, 512), float(i)) for i in range(8)}  # 32 MiB
+
+    def test_save_stages_no_copy_of_the_payload(self, tmp_path):
+        arrays = self._big_arrays()
+        payload = sum(a.nbytes for a in arrays.values())
+        peak = self._traced_peak(lambda: storage.save_container(tmp_path / "big.bin", arrays))
+        assert peak <= 0.05 * payload, peak / payload
+
+    def test_load_allocates_only_the_arrays(self, tmp_path):
+        arrays = self._big_arrays()
+        payload = sum(a.nbytes for a in arrays.values())
+        storage.save_container(tmp_path / "big.bin", arrays)
+        del arrays
+        peak = self._traced_peak(lambda: storage.load_container(tmp_path / "big.bin"))
+        assert peak <= 1.1 * payload, peak / payload
+
+    def test_loaded_arrays_are_owned_and_writable(self, tmp_path):
+        path = tmp_path / "own.bin"
+        storage.save_container(path, {"a": np.arange(6.0), "b": np.ones((2, 2)),
+                                      "e": np.empty(0)})
+        back, _ = storage.load_container(path)
+        for arr in back.values():
+            assert arr.flags.owndata and arr.flags.writeable and arr.flags.c_contiguous

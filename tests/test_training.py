@@ -134,6 +134,11 @@ class TestLrSchedules:
         with pytest.raises(ConfigError, match="points"):
             training.schedule_from_dict({"type": "milestones", "points": points})
 
+    @pytest.mark.parametrize("schedule", [5, [], "step", None])
+    def test_non_dict_schedule_rejected(self, schedule):
+        with pytest.raises(ConfigError, match="lr_schedule"):
+            training.schedule_from_dict(schedule)
+
     def test_schedule_dict_round_trip(self):
         for sched in (training.StepDecay(1e-4, 0.1, 50),
                       training.Milestones(((0.125, 0.001), (0.625, 1e-5)))):
@@ -333,6 +338,15 @@ class TestCheckpoints:
         assert tail_history.rows == full_history.rows
         for name, p in straight.named_params().items():
             np.testing.assert_array_equal(p.data, reloaded.named_params()[name].data)
+
+    def test_loaded_parameters_own_separate_memory(self, tmp_path):
+        path = tmp_path / "own.ckpt"
+        training.save_checkpoint(path, tiny_model(seed=5, n_experts=2))
+        loaded, _ = training.load_checkpoint(path)
+        params = [p.data for p in loaded.named_params().values()]
+        assert all(p.flags.owndata and p.flags.writeable for p in params)
+        for i, a in enumerate(params):
+            assert not any(np.shares_memory(a, b) for b in params[i + 1:])
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         model = tiny_model(seed=9)
