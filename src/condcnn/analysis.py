@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .condconv import CondConv, PointwiseCondConvHead, route
+from .condconv import CondConv, route
 from .errors import ConfigError, DataError
 from .training import evaluate
 
@@ -89,7 +89,7 @@ def count_flops(model):
         params = sum(p.size for p in layer.params().values())
         flops = 2 * macs + elementwise
         costs.append(LayerCost(layer.name, macs + elementwise / 2.0, flops, params))
-    n_experts = max(getattr(getattr(l, "conv", l), "n_experts", 1) for l in model.layers)
+    n_experts = max(getattr(l, "n_experts", 1) for l in model.layers)
     return FlopsReport(costs, n_experts=n_experts)
 
 
@@ -221,7 +221,7 @@ def routing_stats(model, ds, batch_size=256):
     forward passes record no graph."""
     if len(ds) == 0:
         raise DataError("cannot collect routing statistics on an empty dataset")
-    cond_layers = [l for l in model.layers if isinstance(l, (CondConv, PointwiseCondConvHead))]
+    cond_layers = [l for l in model.layers if isinstance(l, CondConv)]
     if not cond_layers:
         raise ConfigError("model has no CondConv layers")
 
@@ -235,8 +235,7 @@ def routing_stats(model, ds, batch_size=256):
                 x = Tensor(ds.x[start:start + batch_size])
                 for layer in model.layers[:-1]:
                     if layer in cond_layers:
-                        conv = getattr(layer, "conv", layer)
-                        collected[layer.name].append(route(x, conv).data)
+                        collected[layer.name].append(route(x, layer).data)
                     x = layer.forward(x)
     finally:
         if was_training:

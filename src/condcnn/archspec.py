@@ -13,13 +13,13 @@ overridable defaults.
 """
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import condconv as cc
 from . import layers as ly
-from .errors import ArchitectureError, ConfigError
+from .errors import ArchitectureError, ConfigError, check_keys
 
 # Seed-stream tags so model init and the training loop never share draws.
 _LAYER_STREAM = 0xC0
@@ -121,6 +121,12 @@ def render_shorthand(spec):
         else:
             parts.append("Sm")
     return "-".join(parts)
+
+
+def _is_per_block(pool):
+    return isinstance(pool, (list, tuple)) and pool and isinstance(
+        pool[0], (list, tuple, type(None))
+    )
 
 
 def _pool_for_block(spec, block_index):
@@ -249,43 +255,30 @@ def build_model(spec, input_shape, n_classes, seed=0):
     return ly.Model(model_layers, meta=meta)
 
 
+# A recorded spec is the shorthand plus every ModelSpec field but `blocks`,
+# with tuples as lists.
+_RECORDED = tuple(f.name for f in fields(ModelSpec) if f.name != "blocks")
+
+
+def _as_lists(value):
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+def _as_tuples(value):
+    if isinstance(value, list):
+        return tuple(_as_tuples(v) for v in value)
+    return value
+
+
 def spec_to_dict(spec):
-    if spec.pool is None:
-        pool = None
-    elif _is_per_block(spec.pool):
-        pool = [list(p) if p is not None else None for p in spec.pool]
-    else:
-        pool = list(spec.pool)
-    return {
-        "shorthand": render_shorthand(spec),
-        "convs_per_block": spec.convs_per_block,
-        "kernel_length": spec.kernel_length,
-        "pool": pool,
-        "n_experts": spec.n_experts,
-        "condconv_mask": None if spec.condconv_mask is None else list(spec.condconv_mask),
-        "head": spec.head,
-        "routing_activation": spec.routing_activation,
-        "dropout_rate": spec.dropout_rate,
-        "pin_routing": spec.pin_routing,
-    }
-
-
-def _is_per_block(pool):
-    return isinstance(pool, (list, tuple)) and pool and isinstance(
-        pool[0], (list, tuple, type(None))
-    )
+    record = {"shorthand": render_shorthand(spec)}
+    record.update((name, _as_lists(getattr(spec, name))) for name in _RECORDED)
+    return record
 
 
 def spec_from_dict(d):
-    keys = ("convs_per_block", "kernel_length", "n_experts", "head",
-            "routing_activation", "dropout_rate", "pin_routing")
-    overrides = {k: d[k] for k in keys if k in d}
-    if "pool" in d:
-        pool = d["pool"]
-        if pool is not None:
-            pool = tuple(tuple(p) if p is not None else None for p in pool) \
-                if _is_per_block(pool) else tuple(pool)
-        overrides["pool"] = pool
-    if d.get("condconv_mask") is not None:
-        overrides["condconv_mask"] = tuple(bool(v) for v in d["condconv_mask"])
+    check_keys("model spec", d, ("shorthand",), _RECORDED)
+    overrides = {k: _as_tuples(v) for k, v in d.items() if k != "shorthand"}
     return parse_shorthand(d["shorthand"], **overrides)

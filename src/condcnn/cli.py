@@ -67,8 +67,12 @@ def _build_parser():
 def load_run_config(path, seed=None, epochs=None, experts=None):
     """Read a run config, apply CLI overrides, resolve data paths
     relative to the config file."""
+    from .errors import check_keys
+
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
+    check_keys("run config", config, ("dataset",),
+               ("name", "model", "train", "seed", "output_dir"))
     base = os.path.dirname(os.path.abspath(path))
     csv_path = config["dataset"].get("canonical_csv")
     if csv_path and not os.path.isabs(csv_path):
@@ -170,14 +174,6 @@ def _prepare_datasets(config):
     return train_ds, test_ds
 
 
-def _build_model_from_config(config, input_shape, n_classes):
-    from . import archspec
-
-    model_cfg = dict(config["model"])
-    spec = archspec.spec_from_dict(model_cfg)
-    return archspec.build_model(spec, input_shape, n_classes, seed=config["seed"])
-
-
 def cmd_convert(args):
     from . import data as dp
 
@@ -212,19 +208,24 @@ def cmd_segment(args):
 
 
 def cmd_train(args):
-    from . import analysis, training
+    from . import analysis, archspec, training
+    from .errors import check_keys
 
     config = load_run_config(
         args.config, seed=args.seed, epochs=args.epochs, experts=args.experts
     )
     run_dir = args.out or config.get("output_dir") or "run"
-    train_cfg = training.TrainConfig(  # validated before anything is written
-        batch_size=config["train"]["batch_size"],
-        epochs=config["train"]["epochs"],
-        lr_schedule=training.schedule_from_dict(config["train"]["lr_schedule"]),
+    # the train and model sections are validated before anything is written
+    train_section = config["train"]
+    check_keys("train config", train_section, ("batch_size", "epochs", "lr_schedule"))
+    train_cfg = training.TrainConfig(
+        batch_size=train_section["batch_size"],
+        epochs=train_section["epochs"],
+        lr_schedule=training.schedule_from_dict(train_section["lr_schedule"]),
         seed=config["seed"],
         checkpoint_dir=run_dir,
     )
+    spec = archspec.spec_from_dict(config["model"])
     with _RunLock(run_dir):
         # first, so a malformed dataset section leaves nothing written
         train_ds, test_ds = _prepare_datasets(config)
@@ -233,7 +234,8 @@ def cmd_train(args):
         test_ds.save(os.path.join(run_dir, "test.ds"))
 
         input_shape = (train_ds.window_len, train_ds.x.shape[2])
-        model = _build_model_from_config(config, input_shape, config["dataset"]["classes"])
+        model = archspec.build_model(spec, input_shape, config["dataset"]["classes"],
+                                     seed=config["seed"])
         history = training.train(model, train_ds, test_ds, train_cfg)
         history.to_csv(os.path.join(run_dir, "history.csv"))
 

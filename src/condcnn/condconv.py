@@ -173,36 +173,23 @@ def condconv_as_sum(x, layer, activation="relu"):
     return _apply_activation(y, activation)
 
 
-def condconv_pointwise_head(x, layer):
-    """1x1 CondConv classifier: per-example pointwise mix of channels,
-    then global average over time, yielding per-class logits."""
-    if layer.kernel_len != 1:
-        raise ConfigError(
-            f"pointwise head requires kernel length 1, got {layer.kernel_len}"
-        )
-    y = condconv_forward(x, layer, activation=None)
-    return y.mean(axis=1)
+class PointwiseCondConvHead(CondConv):
+    """1x1 CondConv classifier: a per-example pointwise mix of channels,
+    then a global average over time, yielding per-class logits."""
 
+    def __init__(self, c_in, n_classes, n_experts, rng, **kwargs):
+        super().__init__(c_in, n_classes, 1, n_experts, rng, **kwargs)
 
-class PointwiseCondConvHead(Layer):
-    """Model-facing wrapper around `condconv_pointwise_head`."""
-
-    def __init__(self, c_in, n_classes, n_experts, rng, routing_activation="sigmoid",
-                 pin_routing=False, name=""):
-        super().__init__(name)
-        self.conv = CondConv(
-            c_in, n_classes, 1, n_experts, rng,
-            routing_activation=routing_activation, pin_routing=pin_routing,
-            name=name,
-        )
+    @property
+    def conv(self):
+        """The head's CondConv, which is the head itself."""
+        return self
 
     def forward(self, x, rng=None):
-        return condconv_pointwise_head(x, self.conv)
+        # not CondConv.forward, so time spent there never includes the head
+        return condconv_forward(x, self, activation=None).mean(axis=1)
 
     def cost(self, shape):
         """The 1x1 CondConv plus one FLOP per element it averages over time."""
-        (t, c), macs, pool = self.conv.cost(shape)
+        (t, c), macs, pool = super().cost(shape)
         return (c,), macs, pool + t * c
-
-    def params(self):
-        return self.conv.params()

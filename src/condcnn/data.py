@@ -27,7 +27,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import storage
-from .errors import ConfigError, DataError, check_count, is_number
+from .errors import ConfigError, DataError, check_count, check_keys, is_number
 
 log = logging.getLogger(__name__)
 
@@ -118,19 +118,22 @@ class WindowedDataset:
     def load(cls, path):
         arrays, meta = storage.load_container(path)
         stats = meta.get("normalization_stats")
-        return cls(
-            x=arrays["x"],
-            y=arrays["y"],
-            window_len=meta["window_len"],
-            step=meta["step"],
-            label_names=meta["label_names"],
-            subject=np.array(meta["subject"], dtype=object),
-            session=np.array(meta["session"], dtype=object),
-            normalization_stats=None if stats is None else (
-                np.array(stats[0]), np.array(stats[1])
-            ),
-            split_tag=meta.get("split_tag", ""),
-        )
+        try:
+            return cls(
+                x=arrays["x"],
+                y=arrays["y"],
+                window_len=meta["window_len"],
+                step=meta["step"],
+                label_names=meta["label_names"],
+                subject=np.array(meta["subject"], dtype=object),
+                session=np.array(meta["session"], dtype=object),
+                normalization_stats=None if stats is None else (
+                    np.array(stats[0]), np.array(stats[1])
+                ),
+                split_tag=meta.get("split_tag", ""),
+            )
+        except KeyError as err:
+            raise DataError(f"{path}: dataset file is missing {err}") from None
 
 
 @dataclass
@@ -181,14 +184,10 @@ class DatasetProfile:
     def from_dict(cls, d):
         """Profile of a config's `dataset` section, whose keys are the
         fields plus `canonical_csv`, the CSV path the CLI reads."""
-        names = [f.name for f in fields(cls)]
-        unknown = sorted(set(d) - set(names) - {"canonical_csv"})
-        if unknown:
-            raise ConfigError(f"dataset config has unknown key(s): {', '.join(unknown)}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
-        if missing:
-            raise ConfigError(f"dataset config is missing key(s): {', '.join(missing)}")
-        return cls(**{k: d[k] for k in names if k in d})
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        optional = [f.name for f in fields(cls) if f.default is not MISSING]
+        check_keys("dataset config", d, required, optional + ["canonical_csv"])
+        return cls(**{k: v for k, v in d.items() if k != "canonical_csv"})
 
 
 def window_count(length, window_len, step):

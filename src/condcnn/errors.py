@@ -31,6 +31,19 @@ def is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def check_keys(what, section, required, optional=()):
+    """Raise ConfigError naming `what` and the keys unless dict `section`
+    holds every `required` key and no key beyond `required` and `optional`."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{what} must be a dict, got {section!r}")
+    unknown = sorted(set(section) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"{what} has unknown key(s): {', '.join(unknown)}")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise ConfigError(f"{what} is missing key(s): {', '.join(missing)}")
+
+
 def check_count(what, value, least):
     """Raise ConfigError naming `what` unless `value` is an int >= `least`."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:

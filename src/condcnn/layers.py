@@ -253,9 +253,7 @@ class Model:
     def load_buffers(self, named):
         for layer in self.layers:
             for key in layer.buffers():
-                full = f"{layer.name}.{key}"
-                if full in named:
-                    setattr(layer, key, np.array(named[full]))
+                setattr(layer, key, np.array(named[f"{layer.name}.{key}"]))
 
     def zero_grad(self):
         for p in self.params():

@@ -19,7 +19,8 @@ from . import archspec
 from . import autodiff as ad
 from . import storage
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, NumericError, check_count, is_number
+from .errors import (ConfigError, DataError, NumericError, check_count, check_keys,
+                     is_number)
 
 log = logging.getLogger(__name__)
 
@@ -85,11 +86,13 @@ class TrainConfig:
 def schedule_from_dict(d):
     if not isinstance(d, dict):
         raise ConfigError(f"train lr_schedule must be a dict with a type, got {d!r}")
-    if d["type"] == "step":
+    if d.get("type") == "step":
+        check_keys("step schedule", d, ("type", "init", "factor", "every"))
         return StepDecay(d["init"], d["factor"], d["every"])
-    if d["type"] == "milestones":
+    if d.get("type") == "milestones":
+        check_keys("milestones schedule", d, ("type", "points"))
         return Milestones(d["points"])
-    raise ConfigError(f"unknown schedule type {d['type']!r}")
+    raise ConfigError(f"unknown schedule type {d.get('type')!r}")
 
 
 def schedule_to_dict(sched):
@@ -255,24 +258,39 @@ def save_checkpoint(path, model, adam=None, rng=None, epoch=0, history=None):
 
 def load_checkpoint(path):
     """Rebuild the model a checkpoint describes and return it with the
-    saved training state."""
+    saved training state. A checkpoint that lacks a meta key or an array
+    the model expects, holds a parameter or buffer array the model lacks,
+    or has an array of the wrong shape raises DataError naming the path."""
     arrays, meta = storage.load_container(path)
     if meta.get("kind") != "condcnn-checkpoint":
         raise DataError(f"{path}: not a checkpoint container")
-    model_meta = meta["model"]
-    spec = archspec.spec_from_dict(model_meta["spec"])
-    model = archspec.build_model(
-        spec, tuple(model_meta["input_shape"]), model_meta["n_classes"],
-        seed=model_meta["seed"],
-    )
-    for name, p in model.named_params().items():
-        saved = arrays[f"param.{name}"]
-        if saved.shape != p.data.shape:
+    try:
+        model_meta = meta["model"]
+        spec = archspec.spec_from_dict(model_meta["spec"])
+        model = archspec.build_model(
+            spec, tuple(model_meta["input_shape"]), model_meta["n_classes"],
+            seed=model_meta["seed"],
+        )
+    except KeyError as err:
+        raise DataError(f"{path}: checkpoint meta is missing key {err}") from None
+    except ConfigError as err:
+        raise DataError(f"{path}: recorded model is invalid: {err}") from None
+    expected = {f"param.{name}": p.data for name, p in model.named_params().items()}
+    expected.update((f"buffer.{name}", buf) for name, buf in model.named_buffers().items())
+    stored = {name for name in arrays if name.startswith(("param.", "buffer."))}
+    if stored != set(expected):
+        raise DataError(
+            f"{path}: checkpoint arrays disagree with the recorded model; missing: "
+            f"{sorted(set(expected) - stored)}, unexpected: {sorted(stored - set(expected))}"
+        )
+    for name, current in expected.items():
+        if arrays[name].shape != current.shape:
             raise DataError(
-                f"{path}: parameter {name!r} has shape {saved.shape}, "
-                f"model expects {p.data.shape}"
+                f"{path}: array {name!r} has shape {arrays[name].shape}, "
+                f"model expects {current.shape}"
             )
-        p.data = saved
+    for name, p in model.named_params().items():
+        p.data = arrays[f"param.{name}"]
     model.load_buffers({
         name[len("buffer."):]: arr for name, arr in arrays.items()
         if name.startswith("buffer.")

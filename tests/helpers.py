@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 
+from condcnn import archspec, storage, training
 from condcnn.data import DatasetProfile, SensorStream, WindowedDataset, split
 from condcnn.storage import MAGIC
 
@@ -137,3 +138,31 @@ CORRUPT_CONTAINERS = {
     "nbytes-off-layout": (
         container_bytes(_one_array_header(nbytes=16), bytes(16)), "disagrees with the layout"),
 }
+
+
+# name -> edit of a saved checkpoint's (arrays, meta) that leaves a valid
+# container whose content no longer matches the model it records
+DAMAGED_CHECKPOINTS = {
+    "missing-param": lambda arrays, meta: arrays.pop("param.b0.bn0.beta"),
+    "extra-param": lambda arrays, meta: arrays.update({"param.b0.extra": np.zeros(2)}),
+    "missing-buffer": lambda arrays, meta: arrays.pop("buffer.b0.bn0.running_mean"),
+    "extra-buffer": lambda arrays, meta: arrays.update({"buffer.b0.extra": np.zeros(2)}),
+    "param-of-wrong-shape": lambda arrays, meta: arrays.update({"param.head.bias": np.zeros(2)}),
+    "buffer-of-wrong-shape": lambda arrays, meta: arrays.update(
+        {"buffer.b0.bn0.running_var": np.ones(3)}),
+    "meta-without-model": lambda arrays, meta: meta.pop("model"),
+    "model-without-seed": lambda arrays, meta: meta["model"].pop("seed"),
+    "spec-without-shorthand": lambda arrays, meta: meta["model"]["spec"].pop("shorthand"),
+    "spec-with-unknown-key": lambda arrays, meta: meta["model"]["spec"].update(n_expert=8),
+}
+
+
+def write_damaged_checkpoint(path, damage):
+    """Save a small two-expert model's checkpoint to `path`, then rewrite
+    it with `damage(arrays, meta)` applied."""
+    spec = archspec.parse_shorthand("C(4)-FC-Sm", convs_per_block=1, kernel_length=3,
+                                    n_experts=2, head="pointwise-condconv")
+    training.save_checkpoint(path, archspec.build_model(spec, (8, 2), 3, seed=0))
+    arrays, meta = storage.load_container(path)
+    damage(arrays, meta)
+    storage.save_container(path, arrays, meta)

@@ -1,5 +1,8 @@
 """Shorthand grammar, round-trips, and model building."""
 
+import importlib.resources as resources
+import json
+
 import numpy as np
 import pytest
 
@@ -76,11 +79,39 @@ class TestRoundTrip:
 
     def test_spec_dict_round_trip(self):
         spec = archspec.parse_shorthand(
-            "C(8)-C(16)-FC-Sm", kernel_length=7, n_experts=4,
+            "C(8)-C(16)-FC-Sm", convs_per_block=3, kernel_length=7, n_experts=4,
             pool=((2, 2), None), head="pointwise-condconv",
-            condconv_mask=(True, False, True, True, True),
+            condconv_mask=(True, False, True, True, True, False, True),
+            routing_activation="softmax", dropout_rate=0.25, pin_routing=True,
         )
+        defaults = archspec.ModelSpec(blocks=spec.blocks)
+        assert all(getattr(spec, f) != getattr(defaults, f) for f in archspec._RECORDED)
         assert archspec.spec_from_dict(archspec.spec_to_dict(spec)) == spec
+
+    def test_bundled_wisdm_spec_record(self):
+        text = resources.files("condcnn.configs").joinpath("wisdm.json").read_text()
+        spec = archspec.spec_from_dict(json.loads(text)["model"])
+        assert archspec.spec_to_dict(spec) == {
+            "shorthand": "C(64)-C(128)-C(384)-FC-Sm",
+            "convs_per_block": 2,
+            "kernel_length": 5,
+            "pool": [[2, 2], None, None],
+            "n_experts": 8,
+            "condconv_mask": None,
+            "head": "pointwise-condconv",
+            "routing_activation": "sigmoid",
+            "dropout_rate": 0.5,
+            "pin_routing": False,
+        }
+
+    @pytest.mark.parametrize("record,key", [
+        ({"shorthand": "C(8)-FC-Sm", "n_expert": 8}, "n_expert"),
+        ({"shorthand": "C(8)-FC-Sm", "blocks": []}, "blocks"),
+        ({"n_experts": 8}, "shorthand"),
+    ])
+    def test_spec_dict_with_unknown_or_missing_key_rejected(self, record, key):
+        with pytest.raises(ConfigError, match=key):
+            archspec.spec_from_dict(record)
 
 
 class TestBuildModel:

@@ -10,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from condcnn import cli
+from condcnn import cli, storage
 from condcnn import data as dp
-from helpers import CORRUPT_CONTAINERS, make_motif_dataset, stream_from_dataset
+from helpers import (CORRUPT_CONTAINERS, DAMAGED_CHECKPOINTS, make_motif_dataset,
+                     stream_from_dataset, write_damaged_checkpoint)
 
 
 @pytest.fixture
@@ -79,11 +80,13 @@ SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 
 def _set_config_value(config_path, section, key, value):
+    """Set `key` in `section`, or at the top level when `section` is None."""
     config = json.loads(config_path.read_text())
+    target = config if section is None else config[section]
     if value is _DELETE:
-        del config[section][key]
+        del target[key]
     else:
-        config[section][key] = value
+        target[key] = value
     config_path.write_text(json.dumps(config))
 
 
@@ -210,6 +213,10 @@ class TestTrain:
         ({"type": "milestones", "points": [["a", 0.001]]}, "points"),
         (5, "lr_schedule"),
         ([], "lr_schedule"),
+        ({"type": "step", "init": 0.001, "factor": 0.1, "every": 50, "warmup": 5}, "warmup"),
+        ({"type": "step", "init": 0.001, "every": 50}, "factor"),
+        ({"type": "milestones", "points": [[1.0, 0.001]], "every": 50}, "every"),
+        ({"init": 0.001, "factor": 0.1, "every": 50}, "type"),
     ])
     def test_bad_lr_schedule_exits_one_before_writing(self, workspace, caplog,
                                                        schedule, field):
@@ -226,6 +233,13 @@ class TestTrain:
     @pytest.mark.parametrize("section,key,value,field", MALFORMED_DATASET + [
         ("train", "batch_size", "32", "batch_size"),
         ("train", "epochs", True, "epochs"),
+        ("train", "weight_decay", 0.1, "weight_decay"),
+        ("train", "epochs", _DELETE, "epochs"),
+        (None, "seeds", [0, 1], "seeds"),
+        (None, "train", 5, "train config"),
+        (None, "dataset", _DELETE, "dataset"),
+        ("model", "n_expert", 8, "n_expert"),
+        ("model", "shorthand", _DELETE, "shorthand"),
     ])
     def test_malformed_config_value_exits_one_before_writing(
             self, workspace, caplog, section, key, value, field):
@@ -346,16 +360,34 @@ class TestAnalyze:
         ])
         assert code == 1
 
-    @pytest.mark.parametrize("case", sorted(CORRUPT_CONTAINERS))
+    @pytest.mark.parametrize("case", sorted(CORRUPT_CONTAINERS) + sorted(DAMAGED_CHECKPOINTS))
     def test_corrupt_checkpoint_exits_two_with_one_line(self, tmp_path, caplog, case):
         ckpt = tmp_path / "corrupt.ckpt"
-        ckpt.write_bytes(CORRUPT_CONTAINERS[case][0])
+        if case in CORRUPT_CONTAINERS:
+            ckpt.write_bytes(CORRUPT_CONTAINERS[case][0])
+        else:
+            write_damaged_checkpoint(ckpt, DAMAGED_CHECKPOINTS[case])
         code = cli.main([
             "analyze", "--checkpoint", str(ckpt), "--which", "flops",
             "--out", str(tmp_path / "flops"),
         ])
         assert code == 2
         assert len(caplog.records) == 1 and str(ckpt) in caplog.text
+        assert "Traceback" not in caplog.text
+
+    def test_dataset_without_a_meta_key_exits_two_with_one_line(self, trained, caplog):
+        tmp_path, run = trained
+        arrays, meta = storage.load_container(run / "test.ds")
+        del meta["window_len"]
+        bad = tmp_path / "no-window-len.ds"
+        storage.save_container(bad, arrays, meta)
+        caplog.clear()
+        code = cli.main([
+            "analyze", "--checkpoint", str(run / "best.ckpt"),
+            "--which", "confusion", "--dataset", str(bad), "--out", str(tmp_path / "z"),
+        ])
+        assert code == 2
+        assert len(caplog.records) == 1 and "window_len" in caplog.text
         assert "Traceback" not in caplog.text
 
     def test_incompatible_dataset_is_data_error(self, trained, tmp_path):

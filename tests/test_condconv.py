@@ -170,24 +170,31 @@ class TestForwardEquivalence:
 
 
 class TestPointwiseHead:
-    def test_kernel_length_must_be_one(self):
-        layer = make_layer(k=3, seed=23)
-        with pytest.raises(ConfigError):
-            cc.condconv_pointwise_head(Tensor(np.zeros((2, 6, 3))), layer)
+    def test_head_is_a_kernel_length_one_condconv(self):
+        head = cc.PointwiseCondConvHead(3, 5, 4, np.random.default_rng(23), name="head")
+        assert isinstance(head, cc.CondConv)
+        assert head.kernel_len == 1 and head.experts.data.shape == (4, 1, 3, 5)
+        assert sorted(head.params()) == ["bias", "experts", "routing"]
+
+    def test_draws_experts_then_routing_like_a_condconv(self):
+        head = cc.PointwiseCondConvHead(3, 5, 4, np.random.default_rng(23))
+        conv = cc.CondConv(3, 5, 1, 4, np.random.default_rng(23))
+        for name, p in conv.params().items():
+            np.testing.assert_array_equal(head.params()[name].data, p.data)
 
     def test_pinned_single_expert_equals_dense_on_averaged_features(self):
-        layer = cc.CondConv(3, 5, 1, 1, np.random.default_rng(24), pin_routing=True)
+        head = cc.PointwiseCondConvHead(3, 5, 1, np.random.default_rng(24), pin_routing=True)
         x = np.random.default_rng(25).normal(size=(4, 10, 3))
-        logits = cc.condconv_pointwise_head(Tensor(x), layer).data
+        logits = head(Tensor(x)).data
         pooled = x.mean(axis=1)
-        expected = pooled @ layer.experts.data[0, 0] + layer.bias.data
+        expected = pooled @ head.experts.data[0, 0] + head.bias.data
         np.testing.assert_allclose(logits, expected, rtol=1e-10, atol=1e-12)
 
     def test_matches_sum_form_oracle(self):
-        layer = cc.CondConv(3, 5, 1, 4, np.random.default_rng(26))
+        head = cc.PointwiseCondConvHead(3, 5, 4, np.random.default_rng(26))
         x = Tensor(np.random.default_rng(27).normal(size=(4, 10, 3)))
-        logits = cc.condconv_pointwise_head(x, layer)
-        oracle = cc.condconv_as_sum(x, layer, activation=None).mean(axis=1)
+        logits = head(x)
+        oracle = cc.condconv_as_sum(x, head, activation=None).mean(axis=1)
         np.testing.assert_allclose(logits.data, oracle.data, rtol=1e-10, atol=1e-12)
 
 

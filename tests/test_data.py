@@ -318,6 +318,16 @@ class TestSegmentation:
         np.testing.assert_array_equal(back.y, ds.y)
         assert back.window_len == ds.window_len
 
+    @pytest.mark.parametrize("missing", ["window_len", "label_names", "x", "y"])
+    def test_artifact_without_a_key_raises_data_error(self, tmp_path, missing):
+        path = tmp_path / "d.ds"
+        dp.segment_windows(make_stream(60, label_fn=lambda i: i % 2), profile()).save(path)
+        arrays, meta = storage.load_container(path)
+        (arrays if missing in arrays else meta).pop(missing)
+        storage.save_container(path, arrays, meta)
+        with pytest.raises(DataError, match=f"{path}.*{missing}"):
+            dp.WindowedDataset.load(path)
+
 
 class TestNormalize:
     def _dataset(self, seed=3):
