@@ -140,7 +140,16 @@ def _pool_for_block(spec, block_index):
     return tuple(pool)
 
 
-def build_model(spec, input_shape, n_classes, seed=0):
+class _NoDraw:
+    """Stands in for a layer's generator when every drawn weight will be
+    overwritten: `normal` returns uninitialized memory of the asked size."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.empty(size)
+
+
+def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
     """Materialize a ModelSpec into a Model for (T, C) inputs.
 
     Every conv block expands to convs_per_block x [conv -> BN -> ReLU]
@@ -148,6 +157,10 @@ def build_model(spec, input_shape, n_classes, seed=0):
     configured. The classifier is a dense layer on time-averaged features
     or a 1x1 CondConv head, with the single dropout layer immediately
     before it and softmax last.
+
+    `draw_init=False` leaves every randomly initialized array uninitialized
+    (`np.empty`), for a caller that replaces them all, as loading a
+    checkpoint does; `seed` is still recorded in the model's meta.
     """
     t, channels = input_shape
     if t < 1 or channels < 1:
@@ -183,6 +196,8 @@ def build_model(spec, input_shape, n_classes, seed=0):
 
     def stream():
         nonlocal layer_seed
+        if not draw_init:
+            return _NoDraw
         rng = np.random.default_rng([seed, _LAYER_STREAM, layer_seed])
         layer_seed += 1
         return rng

@@ -67,22 +67,23 @@ def _build_parser():
 def load_run_config(path, seed=None, epochs=None, experts=None):
     """Read a run config, apply CLI overrides, resolve data paths
     relative to the config file."""
-    from .errors import check_keys
+    from .errors import check_dict, check_keys
 
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     check_keys("run config", config, ("dataset",),
                ("name", "model", "train", "seed", "output_dir"))
     base = os.path.dirname(os.path.abspath(path))
-    csv_path = config["dataset"].get("canonical_csv")
+    dataset = check_dict("dataset config", config["dataset"])
+    csv_path = dataset.get("canonical_csv")
     if csv_path and not os.path.isabs(csv_path):
-        config["dataset"]["canonical_csv"] = os.path.normpath(os.path.join(base, csv_path))
+        dataset["canonical_csv"] = os.path.normpath(os.path.join(base, csv_path))
     if seed is not None:
         config["seed"] = seed
     if epochs is not None:
-        config["train"]["epochs"] = epochs
+        check_dict("train config", config["train"])["epochs"] = epochs
     if experts is not None:
-        config["model"]["n_experts"] = experts
+        check_dict("model spec", config["model"])["n_experts"] = experts
     config.setdefault("seed", 0)
     return config
 

@@ -22,6 +22,7 @@ A config's `dataset` section maps onto `DatasetProfile` fields plus the
 
 import csv
 import logging
+import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -214,8 +215,11 @@ def write_canonical(path, stream):
 def ingest_canonical(path):
     """Load a canonical CSV into a SensorStream.
 
-    Rows with a NaN channel cell are dropped and counted. Ragged rows and
-    non-numeric cells raise, with the offending line number.
+    The body is parsed in one C pass of `np.loadtxt`, which takes `"`-quoted
+    cells, skips blank lines and parses channel cells as Python's `float`
+    does, except that it rejects literals such as `1_0`. Rows with a NaN
+    channel cell are dropped and counted. Ragged rows and non-numeric cells
+    raise, with the offending line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
@@ -225,51 +229,65 @@ def ingest_canonical(path):
             rate = float(first.split("=", 1)[1])
         except ValueError:
             raise DataError(f"{path}: line 1 has a non-numeric rate") from None
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: missing header row") from None
+        line = fh.readline()
+        if not line:
+            raise DataError(f"{path}: missing header row")
+        header = next(csv.reader([line]))
         if header[:3] != ["subject", "session", "label"] or len(header) < 4:
             raise DataError(
                 f"{path}: line 2 must start 'subject,session,label' and "
                 f"name at least one channel"
             )
         channel_names = header[3:]
-        n_cols = len(header)
+        # one record per row: a row with any other number of cells is an error
+        row = np.dtype([("subject", object), ("session", object), ("label", object),
+                        ("data", np.float64, (len(channel_names),))])
+        body = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                # a header-only file warns that the input "contained no data"
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, dtype=row, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=1)
+        except ValueError as err:
+            fh.seek(body)
+            _raise_first_bad_row(path, fh, len(header))
+            raise DataError(f"{path}: unparseable body: {err}") from None
 
-        subjects, sessions, raw_labels, rows = [], [], [], []
-        for line_no, row in enumerate(reader, start=3):
-            if not row:
-                continue
-            if len(row) != n_cols:
-                raise DataError(
-                    f"{path}: line {line_no}: expected {n_cols} columns, got {len(row)}"
-                )
-            try:
-                rows.append([float(cell) for cell in row[3:]])
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {line_no}: non-numeric channel value"
-                ) from None
-            subjects.append(row[0])
-            sessions.append(row[1])
-            raw_labels.append(row[2])
-
-    data = np.array(rows, dtype=np.float64).reshape(len(rows), len(channel_names))
+    data = table["data"]
     keep = ~np.isnan(data).any(axis=1)
     if not keep.all():
         log.warning("%s: dropped %d rows with NaN cells", path, len(keep) - int(keep.sum()))
-    labels, label_names = _encode_labels(np.array(raw_labels, dtype=object)[keep].tolist())
+    labels, label_names = _encode_labels(table["label"][keep].tolist())
     return SensorStream(
         data=data[keep],
         channel_names=channel_names,
         sample_rate_hz=rate,
         labels=labels,
         label_names=label_names,
-        subject=np.array(subjects, dtype=object)[keep],
-        session=np.array(sessions, dtype=object)[keep],
+        subject=table["subject"][keep],
+        session=table["session"][keep],
     )
+
+
+def _raise_first_bad_row(path, fh, n_cols):
+    """Raise a DataError naming the line of the first ragged row or
+    non-numeric channel cell that `csv.reader` finds from `fh` onwards,
+    counting the first body line as line 3. Return if there is none."""
+    for line_no, row in enumerate(csv.reader(fh), start=3):
+        if not row:
+            continue
+        if len(row) != n_cols:
+            raise DataError(
+                f"{path}: line {line_no}: expected {n_cols} columns, got {len(row)}"
+            )
+        try:
+            for cell in row[3:]:
+                float(cell)
+        except ValueError:
+            raise DataError(
+                f"{path}: line {line_no}: non-numeric channel value"
+            ) from None
 
 
 def _encode_labels(raw):

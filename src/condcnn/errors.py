@@ -31,11 +31,17 @@ def is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def check_dict(what, section):
+    """Return `section`; raise ConfigError naming `what` unless it is a dict."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{what} must be a dict, got {section!r}")
+    return section
+
+
 def check_keys(what, section, required, optional=()):
     """Raise ConfigError naming `what` and the keys unless dict `section`
     holds every `required` key and no key beyond `required` and `optional`."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{what} must be a dict, got {section!r}")
+    check_dict(what, section)
     unknown = sorted(set(section) - set(required) - set(optional))
     if unknown:
         raise ConfigError(f"{what} has unknown key(s): {', '.join(unknown)}")

@@ -269,12 +269,14 @@ def load_checkpoint(path):
         spec = archspec.spec_from_dict(model_meta["spec"])
         model = archspec.build_model(
             spec, tuple(model_meta["input_shape"]), model_meta["n_classes"],
-            seed=model_meta["seed"],
+            seed=model_meta["seed"], draw_init=False,
         )
     except KeyError as err:
         raise DataError(f"{path}: checkpoint meta is missing key {err}") from None
     except ConfigError as err:
         raise DataError(f"{path}: recorded model is invalid: {err}") from None
+    # every parameter is uninitialized until the set and shape checks below
+    # pass and its stored array replaces it
     expected = {f"param.{name}": p.data for name, p in model.named_params().items()}
     expected.update((f"buffer.{name}", buf) for name, buf in model.named_buffers().items())
     stored = {name for name in arrays if name.startswith(("param.", "buffer."))}

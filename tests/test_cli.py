@@ -238,6 +238,7 @@ class TestTrain:
         (None, "seeds", [0, 1], "seeds"),
         (None, "train", 5, "train config"),
         (None, "dataset", _DELETE, "dataset"),
+        (None, "dataset", 5, "dataset"),
         ("model", "n_expert", 8, "n_expert"),
         ("model", "shorthand", _DELETE, "shorthand"),
     ])
@@ -250,6 +251,20 @@ class TestTrain:
         assert code == 1
         assert field in caplog.text
         assert "Traceback" not in caplog.text
+        assert not (run / "train.ds").exists()
+
+    @pytest.mark.parametrize("section,value,flag", [
+        ("train", 5, ["--epochs", "3"]),
+        ("model", [1], ["--experts", "3"]),
+    ])
+    def test_override_into_malformed_section_exits_one_before_writing(
+            self, workspace, caplog, section, value, flag):
+        tmp_path, config_path = workspace
+        _set_config_value(config_path, None, section, value)
+        run = tmp_path / "bad-section"
+        code = cli.main(["train", "--config", str(config_path), "--out", str(run)] + flag)
+        assert code == 1
+        assert f"{section} " in caplog.text and "must be a dict" in caplog.text
         assert not (run / "train.ds").exists()
 
     def test_lockfile_blocks_concurrent_runs(self, workspace):

@@ -1,7 +1,11 @@
 """Ingestion, conversion, windowing, normalization, and split behavior."""
 
+import csv
+import importlib.util
 import struct
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +110,124 @@ class TestCanonicalCsv:
         path.write_text("subject,session,label,a\ns,x,w,1.0\n")
         with pytest.raises(DataError, match="rate_hz"):
             dp.ingest_canonical(path)
+
+
+HEAD = "# rate_hz=10\nsubject,session,label,a,b\n"
+
+
+def stream_of(rows, names):
+    """Expected stream fields from (subject, session, label id, values) rows."""
+    return {
+        "data": [r[3] for r in rows], "labels": [r[2] for r in rows],
+        "label_names": names, "subject": [r[0] for r in rows],
+        "session": [r[1] for r in rows],
+    }
+
+
+# (canonical CSV text, expected stream fields or the DataError message pattern)
+INGEST_CASES = {
+    "quoted label with commas": (
+        HEAD + 's1,a,"walk, fast",1.0,2.0\ns1,a,sit,3.0,4.0\n',
+        stream_of([("s1", "a", 1, [1.0, 2.0]), ("s1", "a", 0, [3.0, 4.0])],
+                  ["sit", "walk, fast"])),
+    "doubled quote inside a quoted label": (
+        HEAD + 's1,a,"say ""hi""",+.5,2.\n',
+        stream_of([("s1", "a", 0, [0.5, 2.0])], ['say "hi"'])),
+    "crlf line endings": (
+        HEAD.replace("\n", "\r\n") + "s1,a,w,1.0,2.0\r\ns2,b,w,3.0,4.0\r\n",
+        stream_of([("s1", "a", 0, [1.0, 2.0]), ("s2", "b", 0, [3.0, 4.0])], ["w"])),
+    "hash inside a label": (
+        HEAD + "s1,a,w#1,1.0,2.0\n",
+        stream_of([("s1", "a", 0, [1.0, 2.0])], ["w#1"])),
+    "infinities kept": (
+        HEAD + "s1,a,w,Infinity,-inf\ns1,a,w,inf,1e400\n",
+        stream_of([("s1", "a", 0, [np.inf, -np.inf]), ("s1", "a", 0, [np.inf, np.inf])],
+                  ["w"])),
+    "padded numeric cells": (
+        HEAD + "s1,a,w, 1.5 ,\t-2e-3\n",
+        stream_of([("s1", "a", 0, [1.5, -0.002])], ["w"])),
+    "digit labels": (
+        HEAD + "s1,a,2,1.0,2.0\ns1,a,0,3.0,4.0\n",
+        stream_of([("s1", "a", 2, [1.0, 2.0]), ("s1", "a", 0, [3.0, 4.0])],
+                  ["0", "1", "2"])),
+    "blank lines skipped": (
+        HEAD + "\ns1,a,w,1.0,2.0\n\n\ns1,a,w,3.0,4.0\n\n",
+        stream_of([("s1", "a", 0, [1.0, 2.0]), ("s1", "a", 0, [3.0, 4.0])], ["w"])),
+    "single row": (
+        HEAD + "s9,z,run,-0.25,8\n",
+        stream_of([("s9", "z", 0, [-0.25, 8.0])], ["run"])),
+    "single channel": (
+        "# rate_hz=10\nsubject,session,label,a\ns1,a,w,1.0\ns1,b,v,nan\ns2,b,v,2.0\n",
+        stream_of([("s1", "a", 1, [1.0]), ("s2", "b", 0, [2.0])], ["v", "w"])),
+    "header only": (HEAD, stream_of([], [])),
+    "whitespace-only line": (HEAD + "s1,a,w,1.0,2.0\n   \n", "line 4: expected 5 columns, got 1"),
+    "empty cell": (HEAD + "s1,a,w,1.0,2.0\ns1,a,w,,2.0\n", "line 4: non-numeric"),
+    "extra cell": (HEAD + "s1,a,w,1.0,2.0\ns1,a,w,1.0,2.0,3.0\n",
+                   "line 4: expected 5 columns, got 6"),
+    "underscore literal": (HEAD + "s1,a,w,1_0,2.0\n", "c.csv: .*'1_0'"),
+}
+
+
+def reference_ingest(path):
+    """The csv.reader rule ingest_canonical replaced, for well-formed files:
+    float() per cell, NaN rows dropped, labels encoded as ingest does."""
+    with open(path, encoding="utf-8") as fh:
+        rate = float(fh.readline().split("=", 1)[1])
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [row for row in reader if row]
+    values = np.array([[float(c) for c in row[3:]] for row in rows]).reshape(
+        len(rows), len(header) - 3)
+    keep = ~np.isnan(values).any(axis=1)
+    kept = [row for row, k in zip(rows, keep) if k]
+    labels, names = dp._encode_labels([row[2] for row in kept])
+    return rate, header[3:], values[keep], labels, names, kept
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestIngestGrammar:
+    @pytest.mark.parametrize("text,expected", INGEST_CASES.values(), ids=INGEST_CASES)
+    def test_case(self, tmp_path, text, expected):
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, str):
+                with pytest.raises(DataError, match=expected):
+                    dp.ingest_canonical(path)
+                return
+            stream = dp.ingest_canonical(path)
+        n_channels = text.splitlines()[1].count(",") - 2
+        assert stream.data.dtype == np.float64 and stream.data.flags.c_contiguous
+        np.testing.assert_array_equal(
+            stream.data, np.array(expected["data"]).reshape(-1, n_channels))
+        assert stream.labels.tolist() == expected["labels"]
+        assert stream.label_names == expected["label_names"]
+        assert stream.subject.dtype == object and stream.session.dtype == object
+        assert stream.subject.tolist() == expected["subject"]
+        assert stream.session.tolist() == expected["session"]
+
+    @pytest.mark.parametrize("recipe", ["wisdm-n8", "pamap2-analyze"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_inputs_match_the_csv_reader_rule(self, tmp_path, recipe, seed):
+        workloads = load_workloads()
+        src = Path(__file__).resolve().parents[1] / "src"
+        workloads.make_inputs(workloads.WORKLOADS[recipe], seed, str(src), str(tmp_path))
+        path = tmp_path / "data.csv"
+        stream = dp.ingest_canonical(path)
+        rate, channels, values, labels, names, kept = reference_ingest(path)
+        assert stream.sample_rate_hz == rate and stream.channel_names == channels
+        assert stream.data.tobytes() == values.tobytes()
+        assert stream.labels.tolist() == labels.tolist() and stream.label_names == names
+        assert stream.subject.tolist() == [row[0] for row in kept]
+        assert stream.session.tolist() == [row[1] for row in kept]
 
 
 class TestWisdmConverter:

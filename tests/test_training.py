@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from condcnn import archspec, training
+from condcnn import archspec, storage, training
 from condcnn.autodiff import Tensor
 from condcnn.errors import ConfigError, DataError, NumericError
 from helpers import make_linear_dataset, split_70_30
@@ -315,6 +315,29 @@ class TestCheckpoints:
             np.testing.assert_array_equal(p.data, q.data)
         for name, buf in model.named_buffers().items():
             np.testing.assert_array_equal(buf, loaded.named_buffers()[name])
+        resaved = tmp_path / "resaved.ckpt"
+        training.save_checkpoint(resaved, loaded)
+        assert resaved.read_bytes() == path.read_bytes()
+
+    def test_load_draws_no_init_and_keeps_the_loaded_arrays(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        training.save_checkpoint(path, tiny_model(seed=4, n_experts=3))
+        returned, original = {}, storage.load_container
+
+        def load_container(p):
+            arrays, meta = original(p)
+            returned.update(arrays)
+            return arrays, meta
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random init")
+
+        monkeypatch.setattr(storage, "load_container", load_container)
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded, _ = training.load_checkpoint(path)
+        assert loaded.meta["seed"] == 4
+        for name, p in loaded.named_params().items():
+            assert p.data is returned[f"param.{name}"]
 
     def test_resume_continues_bitwise(self, tmp_path):
         ds = make_linear_dataset(n_per_class=20, seed=12)
