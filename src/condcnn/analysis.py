@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
-from .condconv import CondConv, route
+from .autodiff import Tensor
+from .condconv import CondConv, convolve, route
 from .errors import ConfigError, DataError
 from .training import evaluate
 
@@ -217,8 +217,9 @@ class RoutingStats:
 
 def routing_stats(model, ds, batch_size=256):
     """Collect per-example routing weights over a dataset, per CondConv
-    layer, with per-class means/deviations and a pooled histogram. The
-    forward passes record no graph."""
+    layer, with per-class means/deviations and a pooled histogram. Each
+    batch routes every CondConv layer once, convolves with the weights it
+    records, and stops at the last one; no graph is recorded."""
     if len(ds) == 0:
         raise DataError("cannot collect routing statistics on an empty dataset")
     cond_layers = [l for l in model.layers if isinstance(l, CondConv)]
@@ -227,19 +228,19 @@ def routing_stats(model, ds, batch_size=256):
 
     n_classes = model.meta.get("n_classes") or int(ds.y.max()) + 1
     collected = {layer.name: [] for layer in cond_layers}
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            for start in range(0, len(ds), batch_size):
-                x = Tensor(ds.x[start:start + batch_size])
-                for layer in model.layers[:-1]:
-                    if layer in cond_layers:
-                        collected[layer.name].append(route(x, layer).data)
+    last = cond_layers[-1]
+    before_last = model.layers[:model.layers.index(last)]
+    with model.inference():
+        for start in range(0, len(ds), batch_size):
+            x = Tensor(ds.x[start:start + batch_size])
+            for layer in before_last:
+                if isinstance(layer, CondConv):
+                    alpha = route(x, layer)
+                    collected[layer.name].append(alpha.data)
+                    x = convolve(x, alpha, layer)
+                else:
                     x = layer.forward(x)
-    finally:
-        if was_training:
-            model.train()
+            collected[last.name].append(route(x, last).data)
 
     per_layer = {}
     for layer in cond_layers:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import condconv as cc
 from . import layers as ly
-from .errors import ArchitectureError, ConfigError, check_keys
+from .errors import ArchitectureError, ConfigError, check_count, check_keys, is_number
 
 # Seed-stream tags so model init and the training loop never share draws.
 _LAYER_STREAM = 0xC0
@@ -40,9 +40,16 @@ class SoftmaxHead:
     pass
 
 
+def _is_per_block(pool):
+    return isinstance(pool, (list, tuple)) and pool and isinstance(
+        pool[0], (list, tuple, type(None))
+    )
+
+
 @dataclass
 class ModelSpec:
-    """Parsed architecture plus the hyperparameters needed to build it."""
+    """Parsed architecture plus the hyperparameters needed to build it; it
+    checks each field that does not need the input shape when built."""
 
     blocks: tuple
     convs_per_block: int = 2
@@ -54,6 +61,48 @@ class ModelSpec:
     routing_activation: str = "sigmoid"
     dropout_rate: float = 0.5
     pin_routing: bool = False
+
+    def __post_init__(self):
+        for name in ("convs_per_block", "kernel_length", "n_experts"):
+            check_count(f"model {name}", getattr(self, name), 1)
+        if self.head not in ("dense", "pointwise-condconv"):
+            raise ConfigError(f"unknown head {self.head!r}")
+        if self.routing_activation not in cc.ROUTING_ACTIVATIONS:
+            raise ConfigError(f"unknown routing activation {self.routing_activation!r}")
+        if not is_number(self.dropout_rate) or not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"model dropout_rate must be a number in [0, 1), "
+                              f"got {self.dropout_rate!r}")
+        mask = self.condconv_mask
+        if mask is not None and len(mask) != self.n_conv_layers():
+            raise ConfigError(
+                f"condconv_mask has {len(mask)} entries, model has "
+                f"{self.n_conv_layers()} convolution layers"
+            )
+        if self.head == "pointwise-condconv" and mask is not None and not mask[-1]:
+            raise ConfigError(
+                'condconv_mask turns off the head, but head "pointwise-condconv" is '
+                'always a CondConv; use head "dense" for a standard classifier'
+            )
+        n_blocks = len(self.conv_filter_counts())
+        if _is_per_block(self.pool) and len(self.pool) != n_blocks:
+            raise ConfigError(
+                f"pool has {len(self.pool)} entries, model has {n_blocks} conv blocks"
+            )
+        for b in range(n_blocks):
+            pool = self.block_pool(b)
+            if pool is not None and not (isinstance(pool, (list, tuple)) and len(pool) == 2):
+                raise ConfigError(f"pool must be a (size, stride) pair, got {pool!r}")
+            for what, value in zip(("size", "stride"), pool or ()):
+                check_count(f"model pool {what}", value, 1)
+        fc = [i for i, b in enumerate(self.blocks) if isinstance(b, FullyConnected)]
+        if fc and fc[0] != len(self.blocks) - 2:
+            raise ArchitectureError("FC must sit immediately before Sm")
+        if self.head == "pointwise-condconv" and not fc:
+            raise ArchitectureError("pointwise-condconv head requires an FC block")
+
+    def block_pool(self, b):
+        """Block b's (size, stride) pool, or None."""
+        return self.pool[b] if _is_per_block(self.pool) else self.pool
 
     def conv_filter_counts(self):
         return [b.filters for b in self.blocks if isinstance(b, ConvBlock)]
@@ -123,23 +172,6 @@ def render_shorthand(spec):
     return "-".join(parts)
 
 
-def _is_per_block(pool):
-    return isinstance(pool, (list, tuple)) and pool and isinstance(
-        pool[0], (list, tuple, type(None))
-    )
-
-
-def _pool_for_block(spec, block_index):
-    pool = spec.pool
-    if _is_per_block(pool):
-        pool = pool[block_index]
-    if pool is None:
-        return None
-    if len(pool) != 2:
-        raise ConfigError(f"pool must be a (size, stride) pair, got {list(pool)}")
-    return tuple(pool)
-
-
 class _NoDraw:
     """Stands in for a layer's generator when every drawn weight will be
     overwritten: `normal` returns uninitialized memory of the asked size."""
@@ -156,7 +188,8 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
     (optionally CondConv per the mask), followed by that block's pool if
     configured. The classifier is a dense layer on time-averaged features
     or a 1x1 CondConv head, with the single dropout layer immediately
-    before it and softmax last.
+    before it and softmax last. The ModelSpec checked its own fields; the
+    checks here are those that need the input shape.
 
     `draw_init=False` leaves every randomly initialized array uninitialized
     (`np.empty`), for a caller that replaces them all, as loading a
@@ -165,32 +198,7 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
     t, channels = input_shape
     if t < 1 or channels < 1:
         raise ArchitectureError(f"input shape must be positive, got {input_shape}")
-    if spec.head not in ("dense", "pointwise-condconv"):
-        raise ConfigError(f"unknown head {spec.head!r}")
-
-    mask = spec.condconv_mask
-    if mask is None:
-        mask = (True,) * spec.n_conv_layers()
-    elif len(mask) != spec.n_conv_layers():
-        raise ConfigError(
-            f"condconv_mask has {len(mask)} entries, model has "
-            f"{spec.n_conv_layers()} convolution layers"
-        )
-    if spec.head == "pointwise-condconv" and not mask[-1]:
-        raise ConfigError(
-            'condconv_mask turns off the head, but head "pointwise-condconv" is '
-            'always a CondConv; use head "dense" for a standard classifier'
-        )
-
-    conv_blocks = spec.conv_filter_counts()
-    if _is_per_block(spec.pool) and len(spec.pool) != len(conv_blocks):
-        raise ConfigError(
-            f"pool has {len(spec.pool)} entries, model has {len(conv_blocks)} conv blocks"
-        )
-    fc_positions = [i for i, b in enumerate(spec.blocks) if isinstance(b, FullyConnected)]
-    if fc_positions and fc_positions[0] != len(spec.blocks) - 2:
-        raise ArchitectureError("FC must sit immediately before Sm")
-
+    mask = spec.condconv_mask or (True,) * spec.n_conv_layers()
     model_layers = []
     layer_seed = 0
 
@@ -203,7 +211,7 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
         return rng
 
     conv_index = 0
-    for b, filters in enumerate(conv_blocks):
+    for b, filters in enumerate(spec.conv_filter_counts()):
         if t < spec.kernel_length:
             raise ArchitectureError(
                 f"block {b}: temporal length {t} fell below kernel length "
@@ -224,7 +232,7 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
             model_layers.append(ly.BatchNorm(filters, name=f"b{b}.bn{j}"))
             model_layers.append(ly.ReLU(name=f"b{b}.relu{j}"))
             channels = filters
-        pool = _pool_for_block(spec, b)
+        pool = spec.block_pool(b)
         if pool is not None:
             size, stride = pool
             if size > t:
@@ -238,15 +246,13 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
             raise ArchitectureError(f"block {b}: temporal axis collapsed to {t}")
 
     if spec.head == "pointwise-condconv":
-        if not fc_positions:
-            raise ArchitectureError("pointwise-condconv head requires an FC block")
         model_layers.append(ly.Dropout(spec.dropout_rate, name="drop"))
         model_layers.append(cc.PointwiseCondConvHead(
             channels, n_classes, spec.n_experts, stream(),
             routing_activation=spec.routing_activation,
             pin_routing=spec.pin_routing, name="head",
         ))
-    elif fc_positions:
+    elif any(isinstance(b, FullyConnected) for b in spec.blocks):
         model_layers.append(ly.GlobalAvgPool(name="gap"))
         model_layers.append(ly.Dropout(spec.dropout_rate, name="drop"))
         model_layers.append(ly.Dense(channels, n_classes, stream(), name="head"))

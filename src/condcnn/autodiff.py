@@ -248,26 +248,6 @@ def power(a, exponent):
     return _result(a.data ** exponent, (a,), backward, "power")
 
 
-def texp(a):
-    with np.errstate(over="ignore"):
-        value = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(a, g * value)
-
-    return _result(value, (a,), backward, "exp")
-
-
-def tlog(a):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.log(a.data)
-
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    return _result(value, (a,), backward, "log")
-
-
 def tsqrt(a):
     value = np.sqrt(a.data)
 
@@ -388,23 +368,35 @@ def matmul(a, b):
 
 # -- normalization -------------------------------------------------------------
 
-def batch_norm(x, gamma, beta, epsilon):
-    """Train-mode batch normalization of `x` (batch, T, C) by the mean and
-    (biased) variance of each channel over the (batch, T) axes, then the
-    per-channel affine map gamma * x_hat + beta.
+def batch_norm(x, gamma, beta, epsilon, stats=None):
+    """Batch normalization of `x` (batch, T, C): (x - mean) * (gamma / std)
+    + beta per channel, with std = sqrt(var + epsilon), into one buffer.
 
+    Without `stats` (train mode) mean and var are the channel's mean and
+    biased variance over the (batch, T) axes; `stats`, a (mean, var) pair
+    of arrays (eval mode, the running statistics), fixes them instead.
     Returns (out, mean, var); mean and var are plain arrays for the
     running statistics. The node keeps only per-channel vectors: backward
-    recomputes x_hat from the input, which the graph holds anyway, and
-    applies the closed form
-    dx = gamma / std * (g - mean(g) - x_hat * mean(g * x_hat)).
+    recomputes x_hat from the input, which the graph holds anyway. With
+    batch statistics it applies the closed form
+    dx = gamma / std * (g - mean(g) - x_hat * mean(g * x_hat));
+    with fixed ones the statistic terms drop out, dx = g * gamma / std.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"batch norm input must be (batch, T, C), got {x.data.shape}")
+    if x.data.shape[2] != gamma.data.shape[0]:
+        raise ShapeError(f"batch norm built for {gamma.data.shape[0]} channels, "
+                         f"input has {x.data.shape[2]}")
     count = x.data.shape[0] * x.data.shape[1]
-    mu = x.data.mean(axis=(0, 1))
-    value = x.data - mu
-    var = (value * value).mean(axis=(0, 1))
+    if stats is None and count < 2:
+        raise ConfigError("batch norm needs at least 2 samples per channel in train mode")
+    if stats is None:
+        mu = x.data.mean(axis=(0, 1))
+        value = x.data - mu
+        var = (value * value).mean(axis=(0, 1))
+    else:
+        mu, var = stats
+        value = x.data - mu
     std = np.sqrt(var + epsilon)
     scale = gamma.data / std
     value *= scale
@@ -417,7 +409,9 @@ def batch_norm(x, gamma, beta, epsilon):
         gx_sum = (g * x_hat).sum(axis=(0, 1))
         _accumulate(beta, g_sum)
         _accumulate(gamma, gx_sum)
-        if x.requires_grad:
+        if x.requires_grad and stats is not None:
+            _accumulate(x, g * scale)
+        elif x.requires_grad:
             dx = g - g_sum / count
             x_hat *= gx_sum / count
             dx -= x_hat

@@ -228,15 +228,15 @@ def cmd_train(args):
     )
     spec = archspec.spec_from_dict(config["model"])
     with _RunLock(run_dir):
-        # first, so a malformed dataset section leaves nothing written
+        # first, so a malformed dataset section or a model that does not fit
+        # the windows leaves nothing written
         train_ds, test_ds = _prepare_datasets(config)
-        _write_json(os.path.join(run_dir, "config.json"), config)
-        train_ds.save(os.path.join(run_dir, "train.ds"))
-        test_ds.save(os.path.join(run_dir, "test.ds"))
-
         input_shape = (train_ds.window_len, train_ds.x.shape[2])
         model = archspec.build_model(spec, input_shape, config["dataset"]["classes"],
                                      seed=config["seed"])
+        _write_json(os.path.join(run_dir, "config.json"), config)
+        train_ds.save(os.path.join(run_dir, "train.ds"))
+        test_ds.save(os.path.join(run_dir, "test.ds"))
         history = training.train(model, train_ds, test_ds, train_cfg)
         history.to_csv(os.path.join(run_dir, "history.csv"))
 

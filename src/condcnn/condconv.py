@@ -133,19 +133,22 @@ def _apply_activation(y, activation):
     raise ConfigError(f"unsupported output activation {activation!r}")
 
 
-def condconv_forward(x, layer, activation="relu"):
-    """Efficient path: route, then mix kernels and convolve once per
-    example, one batch chunk at a time."""
-    alpha = route(x, layer)
+def convolve(x, alpha, layer):
+    """The layer's convolution of `x` under the (batch, n) routing weights
+    `alpha` that `route` gave for it: mix kernels and convolve once per
+    example, one batch chunk at a time. No activation."""
     if layer.pin_routing and layer.n_experts == 1:
         # the mixed kernel is exactly 1.0 * W1; the shared-kernel path keeps
         # forward AND backward bitwise identical to a standard convolution
         kernel = ad.reshape(layer.experts, layer.experts.data.shape[1:])
-        y = ad.conv_temporal(x, kernel, layer.stride, layer.padding, layer.bias)
-    else:
-        y = ad.condconv_temporal(x, alpha, layer.experts, layer.stride, layer.padding,
-                                 layer.bias)
-    return _apply_activation(y, activation)
+        return ad.conv_temporal(x, kernel, layer.stride, layer.padding, layer.bias)
+    return ad.condconv_temporal(x, alpha, layer.experts, layer.stride, layer.padding,
+                                layer.bias)
+
+
+def condconv_forward(x, layer, activation="relu"):
+    """Efficient path: route, then `convolve` with those weights."""
+    return _apply_activation(convolve(x, route(x, layer), layer), activation)
 
 
 def condconv_as_sum(x, layer, activation="relu"):

@@ -147,7 +147,7 @@ class DatasetProfile:
     classes: int
     resample_to_hz: float | None = None
     normalization: str = "none"          # "none" | "zscore"
-    split: dict | None = None            # {"kind": "random", "train_fraction": 0.7}
+    split: dict | None = None            # {"kind": "random"[, "train_fraction": f]}
                                          # or {"kind": "sessions", "train": [[subj, sess]...],
                                          #     "test": [[subj, sess]...]}
 
@@ -166,7 +166,7 @@ class DatasetProfile:
             raise ConfigError(f"dataset split must be null or a dict whose kind is "
                               f"'random' or 'sessions', got {split!r}")
         if kind == "random":
-            frac = split.get("train_fraction", 0.7)
+            frac = self.train_fraction
             if not is_number(frac) or not 0.0 < frac < 1.0:
                 raise ConfigError(f"dataset split train_fraction must be a number "
                                   f"strictly between 0 and 1, got {frac!r}")
@@ -178,8 +178,9 @@ class DatasetProfile:
                               f"lists of [subject, session] pairs, got {split!r}")
 
     @property
-    def overlap_percent(self):
-        return 100.0 * (1.0 - self.step / self.window_len)
+    def train_fraction(self):
+        """Train share of a random split; 70/30 unless the split sets it."""
+        return (self.split or {}).get("train_fraction", 0.7)
 
     @classmethod
     def from_dict(cls, d):
@@ -219,40 +220,46 @@ def ingest_canonical(path):
     cells, skips blank lines and parses channel cells as Python's `float`
     does, except that it rejects literals such as `1_0`. Rows with a NaN
     channel cell are dropped and counted. Ragged rows and non-numeric cells
-    raise, with the offending line number.
+    raise, with the offending line number, as do bytes that are not UTF-8.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# rate_hz="):
-            raise DataError(f"{path}: line 1 must be '# rate_hz=<float>', got {first!r}")
-        try:
-            rate = float(first.split("=", 1)[1])
-        except ValueError:
-            raise DataError(f"{path}: line 1 has a non-numeric rate") from None
-        line = fh.readline()
-        if not line:
-            raise DataError(f"{path}: missing header row")
-        header = next(csv.reader([line]))
-        if header[:3] != ["subject", "session", "label"] or len(header) < 4:
-            raise DataError(
-                f"{path}: line 2 must start 'subject,session,label' and "
-                f"name at least one channel"
-            )
-        channel_names = header[3:]
-        # one record per row: a row with any other number of cells is an error
-        row = np.dtype([("subject", object), ("session", object), ("label", object),
-                        ("data", np.float64, (len(channel_names),))])
-        body = fh.tell()
-        try:
-            with warnings.catch_warnings():
-                # a header-only file warns that the input "contained no data"
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, dtype=row, delimiter=",", comments=None,
-                                   quotechar='"', ndmin=1)
-        except ValueError as err:
-            fh.seek(body)
-            _raise_first_bad_row(path, fh, len(header))
-            raise DataError(f"{path}: unparseable body: {err}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline().strip()
+            if not first.startswith("# rate_hz="):
+                raise DataError(f"{path}: line 1 must be '# rate_hz=<float>', got {first!r}")
+            try:
+                rate = float(first.split("=", 1)[1])
+            except ValueError:
+                raise DataError(f"{path}: line 1 has a non-numeric rate") from None
+            line = fh.readline()
+            if not line:
+                raise DataError(f"{path}: missing header row")
+            header = next(csv.reader([line]))
+            if header[:3] != ["subject", "session", "label"] or len(header) < 4:
+                raise DataError(
+                    f"{path}: line 2 must start 'subject,session,label' and "
+                    f"name at least one channel"
+                )
+            channel_names = header[3:]
+            # one record per row: a row with any other number of cells is an error
+            row = np.dtype([("subject", object), ("session", object), ("label", object),
+                            ("data", np.float64, (len(channel_names),))])
+            body = fh.tell()
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file warns that the input "contained no data"
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = np.loadtxt(fh, dtype=row, delimiter=",", comments=None,
+                                       quotechar='"', ndmin=1)
+            except ValueError as err:
+                fh.seek(body)
+                _raise_first_bad_row(path, fh, len(header))
+                raise DataError(f"{path}: unparseable body: {err}") from None
+    except UnicodeDecodeError:  # from any read, the body rescan's included
+        with open(path, "rb") as fh:  # a line is UTF-8 if it survives a round trip
+            line_no = next(i for i, line in enumerate(fh, start=1)
+                           if line.decode("utf-8", "replace").encode("utf-8") != line)
+        raise DataError(f"{path}: line {line_no}: not valid UTF-8") from None
 
     data = table["data"]
     keep = ~np.isnan(data).any(axis=1)
@@ -477,10 +484,9 @@ def normalize(ds, policy, stats=None):
 
 def split(ds, profile, seed=0):
     """Partition windows into train/test per the profile's strategy."""
-    kind = (profile.split or {"kind": "random", "train_fraction": 0.7})["kind"]
+    kind = profile.split["kind"] if profile.split else "random"
     if kind == "random":
-        frac = profile.split.get("train_fraction", 0.7) if profile.split else 0.7
-        train_idx, test_idx = _stratified_indices(ds.y, frac, seed)
+        train_idx, test_idx = _stratified_indices(ds.y, profile.train_fraction, seed)
     elif kind == "sessions":
         train_pairs = {tuple(p) for p in profile.split["train"]}
         test_pairs = {tuple(p) for p in profile.split["test"]}

@@ -6,6 +6,7 @@ call so a whole training run is reproducible from one seeded generator.
 Each layer also derives its own per-example output shape and cost.
 """
 
+from contextlib import contextmanager
 from math import prod
 
 import numpy as np
@@ -102,14 +103,14 @@ class Dense(Layer):
 class BatchNorm(Layer):
     """Per-channel standardization of (batch, T, C) activations.
 
-    Train mode normalizes by batch statistics over the (batch, T) axes and
-    updates running statistics by exponential moving average; eval mode
-    uses only the running statistics.
+    Both modes are one `autodiff.batch_norm` node. Train mode normalizes
+    by batch statistics over the (batch, T) axes and updates running
+    statistics by exponential moving average; eval mode normalizes by the
+    running statistics alone.
     """
 
     def __init__(self, channels, momentum=0.1, epsilon=1e-5, name=""):
         super().__init__(name)
-        self.channels = channels
         self.momentum = momentum
         self.epsilon = epsilon
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
@@ -118,26 +119,14 @@ class BatchNorm(Layer):
         self.running_var = np.ones(channels)
 
     def forward(self, x, rng=None):
-        if x.data.ndim != 3:
-            raise ShapeError(f"batch norm input must be (batch, T, C), got {x.data.shape}")
-        if x.data.shape[2] != self.channels:
-            raise ShapeError(
-                f"batch norm built for {self.channels} channels, input has {x.data.shape[2]}"
-            )
-        if self.training:
-            if x.data.shape[0] * x.data.shape[1] < 2:
-                raise ConfigError(
-                    "batch norm needs at least 2 samples per channel in train mode"
-                )
-            out, mu, var = ad.batch_norm(x, self.gamma, self.beta, self.epsilon)
-            m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mu
-            self.running_var = (1 - m) * self.running_var + m * var
-            return out
-        norm = (x - Tensor(self.running_mean)) / Tensor(
-            np.sqrt(self.running_var + self.epsilon)
-        )
-        return norm * self.gamma + self.beta
+        if not self.training:
+            return ad.batch_norm(x, self.gamma, self.beta, self.epsilon,
+                                 (self.running_mean, self.running_var))[0]
+        out, mu, var = ad.batch_norm(x, self.gamma, self.beta, self.epsilon)
+        m = self.momentum
+        self.running_mean = (1 - m) * self.running_mean + m * mu
+        self.running_var = (1 - m) * self.running_var + m * var
+        return out
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -232,6 +221,19 @@ class Model:
     @property
     def training(self):
         return self.layers[0].training if self.layers else True
+
+    @contextmanager
+    def inference(self):
+        """Every layer in eval mode and no graph recorded; each layer's
+        previous mode returns on exit, also on an error."""
+        modes = [layer.training for layer in self.layers]
+        self.eval()
+        try:
+            with ad.no_grad():
+                yield self
+        finally:
+            for layer, mode in zip(self.layers, modes):
+                layer.training = mode
 
     def named_params(self):
         out = {}

@@ -95,13 +95,6 @@ def schedule_from_dict(d):
     raise ConfigError(f"unknown schedule type {d.get('type')!r}")
 
 
-def schedule_to_dict(sched):
-    if isinstance(sched, StepDecay):
-        return {"type": "step", "init": sched.init, "factor": sched.factor,
-                "every": sched.every_n_epochs}
-    return {"type": "milestones", "points": [list(p) for p in sched.points]}
-
-
 def lr_at(config, epoch):
     """Learning rate in effect for a given epoch index."""
     sched = config.lr_schedule
@@ -187,21 +180,15 @@ def evaluate(model, ds, batch_size=256):
     """
     if len(ds) == 0:
         raise DataError("cannot evaluate on an empty dataset")
-    was_training = model.training
-    model.eval()
-    try:
-        n_classes = model.meta.get("n_classes") or int(ds.y.max()) + 1
-        confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-        with ad.no_grad():
-            for start in range(0, len(ds), batch_size):
-                xb = ds.x[start:start + batch_size]
-                yb = ds.y[start:start + batch_size]
-                logits = model.logits(Tensor(xb))
-                pred = logits.data.argmax(axis=1)
-                np.add.at(confusion, (yb, pred), 1)
-    finally:
-        if was_training:
-            model.train()
+    n_classes = model.meta.get("n_classes") or int(ds.y.max()) + 1
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    with model.inference():
+        for start in range(0, len(ds), batch_size):
+            xb = ds.x[start:start + batch_size]
+            yb = ds.y[start:start + batch_size]
+            logits = model.logits(Tensor(xb))
+            pred = logits.data.argmax(axis=1)
+            np.add.at(confusion, (yb, pred), 1)
     totals = confusion.sum(axis=1)
     with np.errstate(invalid="ignore"):
         per_class = np.where(totals > 0, np.diag(confusion) / np.maximum(totals, 1), np.nan)
@@ -391,7 +378,6 @@ def train(model, train_ds, test_ds, config, start_state=None, selection_ds=None)
                     os.path.join(ckpt_dir, "best.ckpt"), model, adam=adam, rng=rng,
                     epoch=epoch + 1, history=history,
                 )
-        model.train()
 
     if ckpt_dir:
         save_checkpoint(

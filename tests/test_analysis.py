@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from condcnn import analysis, archspec, training
+from condcnn import analysis, archspec, condconv, training
 from condcnn.autodiff import Tensor
 from condcnn.condconv import route
 from condcnn.errors import ConfigError
@@ -185,6 +185,25 @@ class TestRoutingStats:
                 assert alpha._backward is not None  # this pass recorded the graph
                 np.testing.assert_array_equal(stats.per_layer[layer.name].alphas, alpha.data)
             x = layer.forward(x)
+
+    def test_routes_each_layer_once_and_runs_nothing_after_the_last(self, monkeypatch):
+        ds = make_motif_dataset(n_per_class=2, seed=11)  # 8 examples: 3 + 3 + 2
+        model = self._model(head="dense")
+        routed = [l for l in model.layers if isinstance(l, condconv.CondConv)]
+        after = model.layers[model.layers.index(routed[-1]) + 1:]
+        routes, late = [], []
+
+        def counting(x, layer):
+            routes.append(layer.name)
+            return route(x, layer)
+        monkeypatch.setattr(analysis, "route", counting)
+        monkeypatch.setattr(condconv, "route", counting)
+        for layer in after:
+            monkeypatch.setattr(layer, "forward",
+                                lambda x, rng=None, name=layer.name: late.append(name))
+        analysis.routing_stats(model, ds, batch_size=3)
+        assert routes == [l.name for l in routed] * 3
+        assert late == []
 
     def test_layer_selection_and_no_condconv_error(self):
         ds = make_linear_dataset(n_per_class=5, seed=7)

@@ -114,6 +114,31 @@ class TestRoundTrip:
             archspec.spec_from_dict(record)
 
 
+class TestSpecChecks:
+    @pytest.mark.parametrize("field,value,match", [
+        ("convs_per_block", 0, "convs_per_block"),
+        ("kernel_length", 0, "kernel_length"),
+        ("n_experts", 0, "n_experts"),
+        ("n_experts", 1.5, "n_experts"),
+        ("head", "bogus", "head"),
+        ("routing_activation", "swish", "routing activation"),
+        ("dropout_rate", 1.0, "dropout_rate"),
+        ("dropout_rate", "0.5", "dropout_rate"),
+        ("pool", (2, 0), "pool stride"),
+        ("pool", ((0, 2), None), "pool size"),
+        ("pool", 2, "pair"),
+    ])
+    def test_bad_field_rejected_when_built(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            archspec.parse_shorthand("C(4)-C(8)-FC-Sm", **{field: value})
+
+    def test_fc_placement_checked_without_a_shape(self):
+        with pytest.raises(ArchitectureError, match="immediately before Sm"):
+            archspec.ModelSpec(blocks=(FullyConnected(), ConvBlock(4), SoftmaxHead()))
+        with pytest.raises(ArchitectureError, match="requires an FC block"):
+            archspec.parse_shorthand("C(4)-Sm", head="pointwise-condconv")
+
+
 class TestBuildModel:
     def test_benchmark_model_output_shape(self):
         spec = archspec.parse_shorthand(
@@ -151,29 +176,26 @@ class TestBuildModel:
         with pytest.raises(ArchitectureError, match="block"):
             archspec.build_model(spec, (16, 2), 2, seed=0)
 
+    # the spec checks its shape-independent fields itself, before any build
     def test_mask_length_validated(self):
-        spec = archspec.parse_shorthand("C(4)-FC-Sm", condconv_mask=(True,))
         with pytest.raises(ConfigError, match="mask"):
-            archspec.build_model(spec, (16, 2), 2, seed=0)
+            archspec.parse_shorthand("C(4)-FC-Sm", condconv_mask=(True,))
 
     def test_mask_cannot_turn_off_pointwise_head(self):
-        spec = archspec.parse_shorthand(
-            "C(4)-FC-Sm", head="pointwise-condconv", condconv_mask=(True, True, False),
-        )
         with pytest.raises(ConfigError, match='head.*use head "dense"'):
-            archspec.build_model(spec, (16, 2), 2, seed=0)
+            archspec.parse_shorthand(
+                "C(4)-FC-Sm", head="pointwise-condconv", condconv_mask=(True, True, False),
+            )
 
     @pytest.mark.parametrize("pool", [((2, 2),), ((2, 2), None, None)])
     def test_per_block_pool_length_validated(self, pool):
-        spec = archspec.parse_shorthand("C(4)-C(8)-FC-Sm", pool=pool)
         with pytest.raises(ConfigError, match="pool has .* 2 conv blocks"):
-            archspec.build_model(spec, (16, 2), 2, seed=0)
+            archspec.parse_shorthand("C(4)-C(8)-FC-Sm", pool=pool)
 
     @pytest.mark.parametrize("pool", [(), (2,), ((2,), None)])
     def test_pool_must_be_size_stride_pairs(self, pool):
-        spec = archspec.parse_shorthand("C(4)-C(8)-FC-Sm", pool=pool)
         with pytest.raises(ConfigError, match="pair"):
-            archspec.build_model(spec, (16, 2), 2, seed=0)
+            archspec.parse_shorthand("C(4)-C(8)-FC-Sm", pool=pool)
 
     def test_exactly_one_dropout_before_classifier(self):
         from condcnn.layers import Dropout, Softmax

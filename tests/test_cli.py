@@ -152,6 +152,37 @@ class TestSegment:
         assert "Traceback" not in caplog.text
         assert not (out / "train.ds").exists()
 
+    @staticmethod
+    def _segment_and_train_exit_two_with_one_line(workspace, caplog, line_no):
+        tmp_path, config_path = workspace
+        for command in ("segment", "train"):
+            caplog.clear()
+            out = tmp_path / f"out-{command}"
+            code = cli.main([command, "--config", str(config_path), "--out", str(out)])
+            assert code == 2
+            assert len(caplog.records) == 1
+            assert caplog.records[0].getMessage().endswith(
+                f"synth.csv: line {line_no}: not valid UTF-8")
+            assert not (out / "train.ds").exists()
+
+    def test_non_utf8_header_exits_two(self, workspace, caplog):
+        csv_path = workspace[0] / "synth.csv"
+        lines = csv_path.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b"subject", b"subj\xe9ct")
+        csv_path.write_bytes(b"\n".join(lines))
+        self._segment_and_train_exit_two_with_one_line(workspace, caplog, 2)
+
+    def test_non_utf8_body_label_exits_two(self, workspace, caplog):
+        # the last row, so the first reads decode cleanly and the body parse meets it
+        csv_path = workspace[0] / "synth.csv"
+        lines = csv_path.read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        cells = lines[-2].split(b",")
+        cells[2] += b"\xe9"
+        lines[-2] = b",".join(cells)
+        csv_path.write_bytes(b"\n".join(lines))
+        self._segment_and_train_exit_two_with_one_line(workspace, caplog, len(lines) - 1)
+
     def test_missing_dataset_key_exits_one_in_a_subprocess(self, workspace):
         tmp_path, config_path = workspace
         _set_config_value(config_path, "dataset", "step", _DELETE)
@@ -241,6 +272,13 @@ class TestTrain:
         (None, "dataset", 5, "dataset"),
         ("model", "n_expert", 8, "n_expert"),
         ("model", "shorthand", _DELETE, "shorthand"),
+        ("model", "n_experts", 0, "n_experts"),
+        ("model", "n_experts", 1.5, "n_experts"),
+        ("model", "head", "bogus", "head"),
+        ("model", "dropout_rate", 1.5, "dropout_rate"),
+        ("model", "kernel_length", 0, "kernel_length"),
+        ("model", "kernel_length", 33, "kernel length 33"),
+        ("model", "convs_per_block", 0, "convs_per_block"),
     ])
     def test_malformed_config_value_exits_one_before_writing(
             self, workspace, caplog, section, key, value, field):
@@ -251,6 +289,7 @@ class TestTrain:
         assert code == 1
         assert field in caplog.text
         assert "Traceback" not in caplog.text
+        assert not (run / "config.json").exists()
         assert not (run / "train.ds").exists()
 
     @pytest.mark.parametrize("section,value,flag", [

@@ -382,11 +382,6 @@ class TestSegmentation:
         ds = dp.segment_windows(make_stream(20), profile(window_len=20, step=5))
         assert len(ds) == 1
 
-    def test_pamap2_style_step_from_overlap(self):
-        # 78% overlap at window 512 ~ step 113
-        p = profile(window_len=512, step=113)
-        assert abs(p.overlap_percent - 78) < 0.5
-
     def test_majority_label_with_tie_to_smaller_id(self):
         stream = make_stream(10, label_fn=lambda i: 1 if i >= 5 else 0)
         ds = dp.segment_windows(stream, profile(window_len=10, step=1))

@@ -1,5 +1,7 @@
 """Layer behavior: batch norm statistics, dense/dropout contracts, modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,55 @@ class TestBatchNorm:
         a = bn.forward(Tensor(np.full((2, 3, 2), 100.0))).data
         b = bn.forward(Tensor(np.full((5, 9, 2), 100.0))).data
         np.testing.assert_allclose(a[0, 0], b[0, 0], atol=1e-12)
+
+    def test_both_modes_call_the_fused_op(self, rng, monkeypatch):
+        calls = []
+        fused = ad.batch_norm
+        monkeypatch.setattr(ad, "batch_norm",
+                            lambda *args: calls.append(len(args)) or fused(*args))
+        bn = layers.BatchNorm(3)
+        bn.forward(Tensor(rng.normal(size=(4, 5, 3))))
+        bn.training = False
+        bn.forward(Tensor(rng.normal(size=(4, 5, 3))))
+        assert calls == [4, 5]  # train mode passes no statistics, eval mode the running ones
+
+    def test_eval_forward_peak_is_one_output_buffer(self, rng):
+        bn = layers.BatchNorm(64)
+        bn.running_mean = rng.normal(size=64)
+        bn.running_var = rng.random(64) + 0.5
+        bn.training = False
+        x = Tensor(rng.normal(size=(16, 128, 64)))
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                out = bn.forward(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.5 * out.data.nbytes
+
+    def test_eval_gradients_treat_running_statistics_as_constants(self, rng):
+        bn = layers.BatchNorm(2)
+        bn.running_mean = rng.normal(size=2)
+        bn.running_var = rng.random(2) + 0.5
+        bn.gamma.data = rng.normal(1.0, 0.5, size=2)
+        bn.training = False
+        probe = Tensor(rng.normal(size=(3, 4, 2)))
+
+        def f(x):
+            return (bn.forward(x) * probe).sum()
+
+        x = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
+        assert ad.grad_check(f, x, eps=1e-5) < 1e-6
+        for t in (x, bn.gamma, bn.beta):
+            t.zero_grad()
+        f(x).backward()
+        std = np.sqrt(bn.running_var + bn.epsilon)
+        x_hat = (x.data - bn.running_mean) / std
+        np.testing.assert_allclose(x.grad, probe.data * bn.gamma.data / std, rtol=1e-12)
+        np.testing.assert_allclose(bn.gamma.grad, (probe.data * x_hat).sum(axis=(0, 1)),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(bn.beta.grad, probe.data.sum(axis=(0, 1)), rtol=1e-12)
 
     def test_single_sample_train_rejected(self):
         bn = layers.BatchNorm(2)
@@ -216,6 +267,20 @@ class TestModelContainer:
         names = set(model.named_params())
         assert names == {"conv0.kernel", "conv0.bias", "bn0.gamma", "bn0.beta",
                          "fc.w", "fc.b"}
+
+    def test_inference_scope_restores_each_layer_mode_also_on_error(self):
+        model = self._tiny_model()
+        model.layers[1].training = False  # a mixed state comes back as it was
+        before = [layer.training for layer in model.layers]
+        with pytest.raises(RuntimeError, match="inside"):
+            with model.inference():
+                assert not any(layer.training for layer in model.layers)
+                x = Tensor(np.ones((2, 12, 2)), requires_grad=True)
+                assert model.logits(x)._backward is None  # no graph recorded
+                raise RuntimeError("inside")
+        assert [layer.training for layer in model.layers] == before
+        x = Tensor(np.ones((2, 12, 2)), requires_grad=True)
+        assert model.logits(x, rng=np.random.default_rng(0)).requires_grad  # graph is back
 
     def test_model_requires_softmax_tail(self):
         with pytest.raises(ConfigError):

@@ -139,12 +139,6 @@ class TestLrSchedules:
         with pytest.raises(ConfigError, match="lr_schedule"):
             training.schedule_from_dict(schedule)
 
-    def test_schedule_dict_round_trip(self):
-        for sched in (training.StepDecay(1e-4, 0.1, 50),
-                      training.Milestones(((0.125, 0.001), (0.625, 1e-5)))):
-            back = training.schedule_from_dict(training.schedule_to_dict(sched))
-            assert back == sched
-
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
