@@ -469,15 +469,21 @@ def _im2col(data, left, t_padded, t_out, k, stride):
     )
 
 
-def _fold_windows(dwin, t_padded, stride):
+def _fold_windows(dwin, dx, left, stride):
     """Adjoint of `_im2col`: dwin[b, t, j, c] is the gradient of
-    padded[b, t*stride + j, c]; sum it onto a (batch, t_padded, C) array."""
-    batch, t_out, k, c = dwin.shape
-    dpad = np.zeros((batch, t_padded, c), dtype=np.float64)
+    padded[b, t*stride + j, c], i.e. of x[b, t*stride + j - left, c]. Add it
+    onto the zeroed (batch, T_in, C) `dx`, tap by tap in j order; terms
+    that fall on padding are dropped."""
+    t_out, k = dwin.shape[1], dwin.shape[2]
+    t_in = dx.shape[1]
     for j in range(k):
-        # for fixed j the target indices t*stride + j are distinct
-        dpad[:, j:j + (t_out - 1) * stride + 1:stride, :] += dwin[:, :, j, :]
-    return dpad
+        # window positions t whose tap j lands inside the input
+        lo = max(0, -((j - left) // stride))
+        hi = min(t_out, (t_in - 1 + left - j) // stride + 1)
+        if hi > lo:
+            # for fixed j the target indices t*stride + j - left are distinct
+            start = lo * stride + j - left
+            dx[:, start:start + (hi - lo - 1) * stride + 1:stride, :] += dwin[:, lo:hi, j, :]
 
 
 # Byte budget for the mixed kernels that `condconv_temporal` holds at once;
@@ -497,6 +503,23 @@ def _chunks(batch, kernel_shape):
     """The batch as consecutive slices of `condconv_chunk` examples."""
     step = condconv_chunk(kernel_shape)
     return [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
+
+
+# Columns of the experts' gradient that `condconv_temporal`'s backward
+# computes per matmul before adding them in. Which columns share a matmul
+# does not change the result; with one expert (a vector-matrix product)
+# that holds for blocks of a multiple of 4 columns, so keep it one.
+_GRAD_COLUMNS = 4096
+
+
+def _column_blocks(width):
+    """[lo, hi) ranges of `_GRAD_COLUMNS` columns that cover `width`. A last
+    range of one column joins the one before: numpy hands a one-column
+    product to a matrix-vector routine, which rounds differently."""
+    los = list(range(0, width, _GRAD_COLUMNS))
+    if len(los) > 1 and width - los[-1] == 1:
+        los.pop()
+    return list(zip(los, los[1:] + [width]))
 
 
 def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
@@ -525,7 +548,7 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
         if bias is not None:
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
         dw = np.zeros_like(w) if kernel.requires_grad else None
-        dx = np.empty_like(x.data) if x.requires_grad else None
+        dx = np.zeros_like(x.data) if x.requires_grad else None
         for c in _chunks(batch, kernel.data.shape):
             g_c = g[c].reshape(-1, c_out)
             if dw is not None:
@@ -534,7 +557,8 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
                 del cols  # frees the padded chunk before the input pass
             if dx is not None:
                 dcols = (g_c @ w.T).reshape(-1, t_out, k, c_in)
-                dx[c] = _fold_windows(dcols, t_padded, stride)[:, left:left + t_in, :]
+                _fold_windows(dcols, dx[c], left, stride)
+                del dcols  # no chunk's buffer outlives its iteration
         if dw is not None:
             _accumulate(kernel, dw.reshape(kernel.data.shape))
         if dx is not None:
@@ -550,10 +574,15 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     sum_i alpha[b, i] * experts[i] of the (n, K, C_in, C_out) experts under
     the (batch, n) routing weights `alpha`. The batch is walked in chunks of
     `condconv_chunk` examples: each chunk mixes its kernels and convolves
-    them as one batched matmul against an im2col view of the input, so at
-    most one chunk of mixed kernels exists at a time. Backward recomputes
-    them per chunk rather than keeping them from the forward pass. An
-    optional (C_out,) `bias` is added in place to the output.
+    them as one batched matmul against an im2col view of the input.
+    Forward and backward each allocate one chunk of per-example kernels and
+    reuse it for every chunk. Backward writes a chunk's kernel gradient
+    `dk` into it and adds alphaᵀ·dk to the experts' gradient
+    `_GRAD_COLUMNS` columns at a time, so no expert-sized temporary exists;
+    then it remixes the chunk's kernels into the same buffer for the input
+    gradient rather than keeping them from the forward pass, and folds the
+    window gradients straight into the chunk's slice of the input gradient.
+    An optional (C_out,) `bias` is added in place to the output.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
@@ -573,16 +602,22 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     left, t_padded, t_out = _conv_geometry(t_in, k, stride, padding)
     flat = experts.data.reshape(n, k * c_in * c_out)
     chunks = _chunks(batch, (k, c_in, c_out))
+    rows = chunks[0].stop if chunks else 0  # examples in the largest chunk
 
     def cols(c):
         return _im2col(x.data[c], left, t_padded, t_out, k, stride)
 
-    def mixed(c):
-        return (alpha.data[c] @ flat).reshape(-1, k * c_in, c_out)
+    def mixed(c, kernels):
+        """The chunk's kernels, mixed into the front of `kernels`."""
+        m = c.stop - c.start
+        np.matmul(alpha.data[c], flat, out=kernels[:m])
+        return kernels[:m].reshape(m, k * c_in, c_out)
 
     value = np.empty((batch, t_out, c_out))
+    kernels = np.empty((rows, flat.shape[1]))  # the call's one workspace
     for c in chunks:
-        np.matmul(cols(c), mixed(c), out=value[c])
+        np.matmul(cols(c), mixed(c, kernels), out=value[c])
+    del kernels  # freed before the bias add and the finite check
     if bias is not None:
         value += bias.data
 
@@ -590,19 +625,30 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
         if bias is not None:
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
         d_alpha = np.empty_like(alpha.data) if alpha.requires_grad else None
-        dx = np.empty_like(x.data) if x.requires_grad else None
+        dx = np.zeros_like(x.data) if x.requires_grad else None
+        if experts.requires_grad:
+            # contiguous, so that writes through the flat view land in it
+            experts.grad = (np.zeros(experts.data.shape) if experts.grad is None
+                            else np.ascontiguousarray(experts.grad))
+            d_experts = experts.grad.reshape(n, -1)
+        kernels = np.empty((rows, flat.shape[1]))
         for c in chunks:
+            m = c.stop - c.start
             if experts.requires_grad or alpha.requires_grad:
-                dk = np.matmul(cols(c).transpose(0, 2, 1), g[c]).reshape(-1, flat.shape[1])
+                dk = kernels[:m]
+                np.matmul(cols(c).transpose(0, 2, 1), g[c],
+                          out=dk.reshape(m, k * c_in, c_out))
                 if experts.requires_grad:
-                    _accumulate(experts, (alpha.data[c].T @ dk).reshape(experts.data.shape))
+                    for lo, hi in _column_blocks(flat.shape[1]):
+                        d_experts[:, lo:hi] += alpha.data[c].T @ dk[:, lo:hi]
                 if alpha.requires_grad:
-                    d_alpha[c] = dk @ flat.T
-                del dk  # freed before the input pass mixes this chunk's kernels
+                    np.matmul(dk, flat.T, out=d_alpha[c])
             if dx is not None:
-                dcols = np.matmul(g[c], mixed(c).transpose(0, 2, 1))
-                dpad = _fold_windows(dcols.reshape(-1, t_out, k, c_in), t_padded, stride)
-                dx[c] = dpad[:, left:left + t_in, :]
+                dcols = np.matmul(g[c], mixed(c, kernels).transpose(0, 2, 1))
+                if c is chunks[-1]:
+                    kernels = dk = None  # the last fold runs without the workspace
+                _fold_windows(dcols.reshape(m, t_out, k, c_in), dx[c], left, stride)
+                del dcols  # no chunk's buffer outlives its iteration
         if d_alpha is not None:
             _accumulate(alpha, d_alpha)
         if dx is not None:

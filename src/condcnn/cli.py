@@ -168,7 +168,9 @@ def _prepare_datasets(config):
     if profile.resample_to_hz:
         stream = dp.resample(stream, profile.resample_to_hz)
     windows = dp.segment_windows(stream, profile)
+    del stream  # each step's input is dropped once the next holds a copy
     train_ds, test_ds = dp.split(windows, profile, seed=config["seed"])
+    del windows
     train_ds, stats = dp.normalize(train_ds, profile.normalization)
     if stats is not None:  # empty train split leaves nothing to standardize by
         test_ds, _ = dp.normalize(test_ds, profile.normalization, stats=stats)
@@ -257,7 +259,7 @@ def cmd_train(args):
             fh.write("\n".join(report_lines) + "\n")
         print(f"best epoch {history.best_epoch}: "
               f"test accuracy {history.best_accuracy:.4f} -> {run_dir}")
-    return 0
+    return 3 if history.halted else 0  # a numeric halt, after writing the run
 
 
 def cmd_analyze(args):

@@ -478,8 +478,9 @@ def normalize(ds, policy, stats=None):
         std = np.where(std < 1e-12, 1.0, std)
         stats = (mean, std)
     mean, std = stats
-    out = replace(ds, x=(ds.x - mean) / std, normalization_stats=(mean, std))
-    return out, stats
+    x = ds.x - mean  # the one new array; the division reuses it
+    x /= std
+    return replace(ds, x=x, normalization_stats=(mean, std)), stats
 
 
 def split(ds, profile, seed=0):

@@ -212,6 +212,38 @@ class TestConvTemporal:
         assert added < layer.kernel_len, added
 
 
+def _padded_fold(dwin, t_in, stride, padding):
+    """Reference adjoint of im2col: add every tap, in j order, onto a
+    zero-padded (batch, T_padded, C) array, then crop the padding."""
+    batch, t_out, k, c = dwin.shape
+    left, t_padded, _ = ad._conv_geometry(t_in, k, stride, padding)
+    dpad = np.zeros((batch, t_padded, c))
+    for j in range(k):
+        for t in range(t_out):
+            dpad[:, t * stride + j, :] += dwin[:, t, j, :]
+    return dpad[:, left:left + t_in, :]
+
+
+class TestFoldWindows:
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_bitwise_equals_padded_fold(self, k, stride, padding):
+        """The fold writes straight into the input gradient and drops the
+        terms that land on padding; every kept position gets the same sum,
+        in the same order, as the padded fold. T_in = 1 and 2 put K above
+        T_in under 'same' padding."""
+        for t_in in (1, 2, 4, 7, 11):
+            if padding == "valid" and k > t_in:
+                continue  # no window fits
+            left, _, t_out = ad._conv_geometry(t_in, k, stride, padding)
+            dwin = rand(3, t_out, k, 2, seed=100 + t_in)
+            dwin[:, :, 0, 0] = -0.0  # signed zeros must fold as in the reference
+            dx = np.zeros((3, t_in, 2))
+            ad._fold_windows(dwin, dx, left, stride)
+            assert dx.tobytes() == _padded_fold(dwin, t_in, stride, padding).tobytes(), t_in
+
+
 def _chunk_budget(monkeypatch, examples, kernel_shape):
     """Shrink the chunk budget so that `examples` examples fill a chunk."""
     monkeypatch.setattr(ad, "CONDCONV_CHUNK_BYTES", examples * 8 * int(np.prod(kernel_shape)))

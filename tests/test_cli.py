@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from condcnn import cli, storage
+from condcnn import cli, storage, training
 from condcnn import data as dp
+from condcnn.errors import NumericError
 from helpers import (CORRUPT_CONTAINERS, DAMAGED_CHECKPOINTS, make_motif_dataset,
                      stream_from_dataset, write_damaged_checkpoint)
 
@@ -233,6 +234,28 @@ class TestTrain:
         ])
         echoed = json.loads((run / "config.json").read_text())
         assert echoed["model"]["n_experts"] == 4
+
+    def test_numeric_halt_exits_three_after_writing_the_run(self, workspace, caplog,
+                                                            monkeypatch):
+        tmp_path, config_path = workspace
+        step, calls = training.Adam.step, []
+
+        def second_step_fails(adam, lr):
+            calls.append(lr)
+            if len(calls) == 2:
+                raise NumericError("non-finite gradient in 'head.experts'; step aborted")
+            return step(adam, lr)
+
+        monkeypatch.setattr(training.Adam, "step", second_step_fails)
+        run = tmp_path / "halted"
+        caplog.clear()
+        code = cli.main(["train", "--config", str(config_path), "--out", str(run)])
+        assert code == 3
+        assert len(caplog.records) == 1 and "halting" in caplog.text
+        for name in ("history.csv", "report.txt", "last.ckpt"):
+            assert (run / name).exists(), name
+        assert "halted: True" in (run / "report.txt").read_text().splitlines()
+        assert not (run / ".lock").exists()
 
     @pytest.mark.parametrize("schedule,field", [
         ({"type": "step", "init": 0.001, "factor": 0.1, "every": 0}, "every"),

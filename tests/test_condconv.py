@@ -330,6 +330,34 @@ class TestCondConvTemporal:
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("kernel_shape", [(1, 5, 5), (3, 3, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_gradients_do_not_depend_on_the_column_block(self, monkeypatch, kernel_shape, n):
+        """Output and gradients are bitwise those of one whole-width block
+        (the default at these shapes) when tiny column blocks add the experts'
+        gradient, under every chunk split. 25 columns leave one-column tails,
+        which join the block before; 27 leave tails of one to three. With one
+        expert the product is a matrix-vector one, checked at blocks of
+        multiples of 4 columns, as the default is."""
+        whole = ad._GRAD_COLUMNS
+        assert whole >= 27 and whole % 4 == 0
+        rng = np.random.default_rng(40)
+        arrays = (rng.normal(size=(7, 11, kernel_shape[1])), rng.random((7, n)),
+                  rng.normal(size=(n, *kernel_shape)))
+        blocks = (4, 8, 12) if n == 1 else (2, 3, 4, 8, 12)
+        for examples in (1, 2, 3, 7):
+            monkeypatch.setattr(ad, "CONDCONV_CHUNK_BYTES",
+                                examples * 8 * int(np.prod(kernel_shape)))
+            runs = []
+            for columns in (whole, *blocks):
+                monkeypatch.setattr(ad, "_GRAD_COLUMNS", columns)
+                tensors = [Tensor(a, requires_grad=True) for a in arrays]
+                y, grads = _run_op(ad.condconv_temporal, *tensors)
+                runs.append([y, *grads])
+            for columns, run in zip(blocks, runs[1:]):
+                for got, want in zip(run, runs[0]):
+                    assert got.tobytes() == want.tobytes(), (examples, columns)
+
     def test_shape_mismatches_rejected(self):
         x, alpha, experts = _op_inputs()
         with pytest.raises(ShapeError, match="alpha"):
@@ -376,3 +404,29 @@ class TestCondConvMemory:
         batch = chunk  # one full chunk already holds every kernel alive at once
         growth = peak(2 * batch) - peak(batch)
         assert growth < 0.25 * batch * kernel_bytes, (growth, batch * kernel_bytes)
+
+    def test_backward_holds_one_chunk_of_kernels_and_no_expert_sized_temporary(
+            self, monkeypatch):
+        """One 384->384, K=5, n=8 op over two chunks of 2 examples: what
+        backward allocates on top of the graph stays under one chunk of
+        per-example kernels, one chunk's window gradients and a quarter of
+        the experts. A fresh kernel gradient per chunk beside an
+        (n, K*C_in*C_out) product of alpha and it exceeds that."""
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.normal(size=(4, 8, 384)), requires_grad=True)
+        alpha = Tensor(rng.random((4, 8)), requires_grad=True)
+        experts = Tensor(rng.normal(size=(8, 5, 384, 384)), requires_grad=True)
+        _chunk_budget(monkeypatch, 2, experts)
+        loss = (ad.condconv_temporal(x, alpha, experts)
+                * Tensor(rng.normal(size=(4, 8, 384)))).sum()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            transient = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_kernels = 2 * 8 * experts.data[0].size
+        chunk_dcols = 2 * 8 * (8 * 5 * 384)  # 2 examples x T_out x K*C_in
+        bound = chunk_kernels + chunk_dcols + experts.data.nbytes / 4
+        assert transient < bound, (transient, bound)

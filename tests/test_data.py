@@ -478,6 +478,29 @@ class TestNormalize:
         out, stats = dp.normalize(ds, "none")
         assert out is ds and stats is None
 
+    @pytest.mark.parametrize("given_stats", [False, True])
+    def test_peak_is_one_output_and_bits_match_the_formula(self, given_stats):
+        """z-scoring allocates the normalized windows once (subtract into a
+        new array, divide it in place), computing statistics included, and
+        gives the bits of (x - mean) / std."""
+        n = 500
+        ds = dp.WindowedDataset(
+            x=np.random.default_rng(9).normal(3.0, 2.0, size=(n, 100, 3)),
+            y=np.zeros(n, dtype=np.int64), window_len=100, step=100, label_names=["a"],
+            subject=np.array(["s"] * n, dtype=object),
+            session=np.array(["e"] * n, dtype=object),
+        )
+        _, stats = dp.normalize(ds, "zscore")
+        tracemalloc.start()
+        try:
+            out, _ = dp.normalize(ds, "zscore", stats=stats if given_stats else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * out.x.nbytes, peak / out.x.nbytes
+        mean, std = stats
+        assert out.x.tobytes() == ((ds.x - mean) / std).tobytes()
+
 
 class TestSplit:
     def _balanced(self, n=100, classes=2):
