@@ -186,10 +186,13 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
 
     Every conv block expands to convs_per_block x [conv -> BN -> ReLU]
     (optionally CondConv per the mask), followed by that block's pool if
-    configured. The classifier is a dense layer on time-averaged features
-    or a 1x1 CondConv head, with the single dropout layer immediately
-    before it and softmax last. The ModelSpec checked its own fields; the
-    checks here are those that need the input shape.
+    configured. Each ReLU is applied by its batch-norm layer (`relu=True`)
+    in the BN's own buffer, so a conv block keeps two activations for
+    backward and the model has no separate ReLU layer. The classifier is a
+    dense layer on time-averaged features or a 1x1 CondConv head, with the
+    single dropout layer immediately before it and softmax last. The
+    ModelSpec checked its own fields; the checks here are those that need
+    the input shape.
 
     `draw_init=False` leaves every randomly initialized array uninitialized
     (`np.empty`), for a caller that replaces them all, as loading a
@@ -229,8 +232,7 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
                 conv = ly.TemporalConv(channels, filters, spec.kernel_length, stream(), name=name)
             conv_index += 1
             model_layers.append(conv)
-            model_layers.append(ly.BatchNorm(filters, name=f"b{b}.bn{j}"))
-            model_layers.append(ly.ReLU(name=f"b{b}.relu{j}"))
+            model_layers.append(ly.BatchNorm(filters, relu=True, name=f"b{b}.bn{j}"))
             channels = filters
         pool = spec.block_pool(b)
         if pool is not None:

@@ -368,7 +368,7 @@ def matmul(a, b):
 
 # -- normalization -------------------------------------------------------------
 
-def batch_norm(x, gamma, beta, epsilon, stats=None):
+def batch_norm(x, gamma, beta, epsilon, stats=None, relu=False):
     """Batch normalization of `x` (batch, T, C): (x - mean) * (gamma / std)
     + beta per channel, with std = sqrt(var + epsilon), into one buffer.
 
@@ -381,6 +381,11 @@ def batch_norm(x, gamma, beta, epsilon, stats=None):
     batch statistics it applies the closed form
     dx = gamma / std * (g - mean(g) - x_hat * mean(g * x_hat));
     with fixed ones the statistic terms drop out, dx = g * gamma / std.
+
+    `relu=True` clamps the buffer at 0 in place, the values of
+    `relu(batch_norm(...))` in one node. The clamped output carries the
+    ReLU's mask (`max(a, 0) > 0` exactly when `a > 0`), so backward masks
+    `g` by it first and keeps no array of its own.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"batch norm input must be (batch, T, C), got {x.data.shape}")
@@ -401,8 +406,12 @@ def batch_norm(x, gamma, beta, epsilon, stats=None):
     scale = gamma.data / std
     value *= scale
     value += beta.data
+    if relu:
+        np.maximum(value, 0.0, out=value)
 
     def backward(g):
+        if relu:
+            g = g * (value > 0)
         x_hat = x.data - mu
         x_hat /= std
         g_sum = g.sum(axis=(0, 1))
@@ -755,17 +764,24 @@ def softmax_cross_entropy(logits, labels):
 
 def dropout(x, rate, rng):
     """Inverted dropout: zero with probability `rate`, survivors scaled by
-    1/(1-rate). Identity when rate is 0."""
+    1/(1-rate). Identity when rate is 0. The node keeps a boolean mask,
+    1 byte per element; masking and then scaling gives the same bits as
+    multiplying by a float mask of 0 and 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    keep = rng.random(x.data.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
 
     def backward(g):
-        _accumulate(x, g * mask)
+        dx = np.multiply(g, keep)
+        dx *= scale
+        _accumulate(x, dx)
 
-    return _result(x.data * mask, (x,), backward, "dropout")
+    value = np.multiply(x.data, keep)
+    value *= scale
+    return _result(value, (x,), backward, "dropout")
 
 
 # -- gradient checking -----------------------------------------------------------

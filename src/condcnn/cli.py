@@ -243,12 +243,19 @@ def cmd_train(args):
         history.to_csv(os.path.join(run_dir, "history.csv"))
 
         flops = analysis.count_flops(model)
+        if history.best_epoch < 0:
+            best_lines = ["no epoch completed"]
+            outcome = "no epoch completed"
+        else:
+            best_lines = [f"best epoch: {history.best_epoch}",
+                          f"best test accuracy: {history.best_accuracy:.6f}"]
+            outcome = (f"best epoch {history.best_epoch}: "
+                       f"test accuracy {history.best_accuracy:.4f}")
         report_lines = [
             "condcnn training report",
             f"config: {json.dumps(config, sort_keys=True)}",
             f"epochs run: {len(history.rows)}",
-            f"best epoch: {history.best_epoch}",
-            f"best test accuracy: {history.best_accuracy:.6f}",
+            *best_lines,
             f"halted: {history.halted}",
             f"parameters: {analysis.count_params(model)}",
             f"flops per example: {flops.total_flops}",
@@ -257,8 +264,7 @@ def cmd_train(args):
         with open(os.path.join(run_dir, "report.txt"), "w", newline="\n",
                   encoding="utf-8") as fh:
             fh.write("\n".join(report_lines) + "\n")
-        print(f"best epoch {history.best_epoch}: "
-              f"test accuracy {history.best_accuracy:.4f} -> {run_dir}")
+        print(f"{outcome} -> {run_dir}")
     return 3 if history.halted else 0  # a numeric halt, after writing the run
 
 

@@ -106,13 +106,15 @@ class BatchNorm(Layer):
     Both modes are one `autodiff.batch_norm` node. Train mode normalizes
     by batch statistics over the (batch, T) axes and updates running
     statistics by exponential moving average; eval mode normalizes by the
-    running statistics alone.
+    running statistics alone. With `relu` set the node also applies the
+    block's ReLU in its own buffer, and the layer's cost includes it.
     """
 
-    def __init__(self, channels, momentum=0.1, epsilon=1e-5, name=""):
+    def __init__(self, channels, momentum=0.1, epsilon=1e-5, relu=False, name=""):
         super().__init__(name)
         self.momentum = momentum
         self.epsilon = epsilon
+        self.relu = relu
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels)
@@ -121,12 +123,18 @@ class BatchNorm(Layer):
     def forward(self, x, rng=None):
         if not self.training:
             return ad.batch_norm(x, self.gamma, self.beta, self.epsilon,
-                                 (self.running_mean, self.running_var))[0]
-        out, mu, var = ad.batch_norm(x, self.gamma, self.beta, self.epsilon)
+                                 (self.running_mean, self.running_var),
+                                 relu=self.relu)[0]
+        out, mu, var = ad.batch_norm(x, self.gamma, self.beta, self.epsilon,
+                                     relu=self.relu)
         m = self.momentum
         self.running_mean = (1 - m) * self.running_mean + m * mu
         self.running_var = (1 - m) * self.running_var + m * var
         return out
+
+    def cost(self, shape):
+        """One FLOP per element, and one more for a fused ReLU."""
+        return shape, 0, (1 + self.relu) * prod(shape)
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}

@@ -212,9 +212,14 @@ class History:
                 fh.write(f"{epoch},{repr(float(lr))},{repr(float(loss))},{repr(float(acc))}\n")
 
 
-def save_checkpoint(path, model, adam=None, rng=None, epoch=0, history=None):
+def save_checkpoint(path, model, adam=None, rng=None, epoch=0, history=None,
+                    halted=False):
     """Versioned container: model config + parameters + BN statistics +
-    optimizer moments + RNG state. Deterministic bytes for fixed content."""
+    optimizer moments + RNG state. Deterministic bytes for fixed content.
+
+    `epoch` is the next epoch to run. A checkpoint written after a numeric
+    halt (`halted=True`) records `halted: true` and, as `epoch`, the epoch
+    in progress: its state holds part of that epoch's updates."""
     arrays = {}
     for name, p in model.named_params().items():
         arrays[f"param.{name}"] = p.data
@@ -229,6 +234,8 @@ def save_checkpoint(path, model, adam=None, rng=None, epoch=0, history=None):
         "rng_state": None,
         "history": None,
     }
+    if halted:
+        meta["halted"] = True
     if adam is not None:
         arrays.update(adam.state_arrays())
         meta["adam_t"] = adam.t
@@ -290,6 +297,7 @@ def load_checkpoint(path):
         "adam_arrays": {k: v for k, v in arrays.items() if k.startswith("adam.")},
         "rng_state": meta.get("rng_state"),
         "history": meta.get("history"),
+        "halted": bool(meta.get("halted", False)),
     }
     return model, state
 
@@ -315,7 +323,8 @@ def train(model, train_ds, test_ds, config, start_state=None, selection_ds=None)
 
     `start_state` is the state dict from `load_checkpoint` of a previous
     run's last checkpoint; training then continues bitwise as if it had
-    never stopped.
+    never stopped. A state saved after a numeric halt holds part of an
+    epoch and raises ConfigError.
     """
     if config.epochs > 0 and len(train_ds) == 0:
         raise DataError("cannot train on an empty dataset")
@@ -325,6 +334,12 @@ def train(model, train_ds, test_ds, config, start_state=None, selection_ds=None)
     history = History()
     start_epoch = 0
     if start_state is not None:
+        if start_state.get("halted"):
+            raise ConfigError(
+                f"cannot resume from a checkpoint written by a run that halted in "
+                f"epoch {start_state.get('epoch', 0)}: it holds part of that epoch's "
+                f"updates"
+            )
         if start_state.get("adam_t") is not None:
             adam.load_state_arrays(start_state["adam_arrays"], start_state["adam_t"])
         if start_state.get("rng_state") is not None:
@@ -382,6 +397,6 @@ def train(model, train_ds, test_ds, config, start_state=None, selection_ds=None)
     if ckpt_dir:
         save_checkpoint(
             os.path.join(ckpt_dir, "last.ckpt"), model, adam=adam, rng=rng,
-            epoch=next_epoch, history=history,
+            epoch=next_epoch, history=history, halted=history.halted,
         )
     return history

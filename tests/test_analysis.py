@@ -1,5 +1,8 @@
 """Cost accounting and routing-statistics reports."""
 
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,26 @@ class TestCountFlops:
         no_pool = analysis.count_flops(build(pool=None)).total_flops
         pooled = analysis.count_flops(build(pool=(2, 2))).total_flops
         assert pooled < no_pool
+
+
+class TestRecipeCosts:
+    # (T, C) of each recipe's windows, then its FLOPs per example and
+    # parameters, pinned from the model with a separate ReLU layer per block
+    @pytest.mark.parametrize("name,shape,flops,params", [
+        ("wisdm", (200, 3), 248_699_110, 9_050_014),
+        ("pamap2", (512, 27), 365_812_076, 10_312_764),
+        ("unimib", (151, 3), 313_748_097, 14_502_441),
+        ("opportunity", (64, 113), 73_861_986, 7_024_282),
+    ])
+    def test_totals_are_pinned(self, name, shape, flops, params):
+        config = json.loads(
+            resources.files("condcnn.configs").joinpath(f"{name}.json").read_text())
+        model = archspec.build_model(
+            archspec.spec_from_dict(config["model"]), shape,
+            config["dataset"]["classes"], draw_init=False)
+        report = analysis.count_flops(model)
+        assert (report.total_flops, report.total_params) == (flops, params)
+        assert analysis.count_params(model) == params
 
 
 class TestCountParams:

@@ -209,7 +209,7 @@ class TestBuildModel:
             assert isinstance(model.layers[-1], Softmax)
             assert drops[0] == len(model.layers) - 3
 
-    def test_bn_sits_between_conv_and_relu(self):
+    def test_each_conv_feeds_a_batch_norm_that_applies_relu(self):
         from condcnn.condconv import CondConv
         from condcnn.layers import BatchNorm, ReLU, TemporalConv
 
@@ -218,7 +218,8 @@ class TestBuildModel:
         for i, layer in enumerate(model.layers):
             if isinstance(layer, (CondConv, TemporalConv)):
                 assert isinstance(model.layers[i + 1], BatchNorm)
-                assert isinstance(model.layers[i + 2], ReLU)
+                assert model.layers[i + 1].relu
+        assert not any(isinstance(layer, ReLU) for layer in model.layers)
 
     def test_mixed_mask_builds_both_layer_kinds(self):
         from condcnn.condconv import CondConv

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from condcnn import archspec
 from condcnn import autodiff as ad
 from condcnn.autodiff import Tensor
 from condcnn.condconv import CondConv
@@ -435,6 +436,29 @@ class TestDropoutOp:
         with pytest.raises(ConfigError):
             ad.dropout(Tensor([1.0]), 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("rate", [0.5, 0.3])
+    def test_bitwise_equals_float_mask(self, rate):
+        data = rand(40, 30, seed=44)
+        data[::7, ::3] = 0.0
+        x = Tensor(data, requires_grad=True)
+        probe = rand(40, 30, seed=45)
+        out = ad.dropout(x, rate, np.random.default_rng(12))
+        (out * Tensor(probe)).sum().backward()
+        mask = (np.random.default_rng(12).random(data.shape) >= rate) / (1.0 - rate)
+        assert out.data.tobytes() == (data * mask).tobytes()
+        assert x.grad.tobytes() == (np.zeros_like(data) + probe * mask).tobytes()
+
+    def test_node_keeps_one_byte_per_element(self):
+        x = Tensor(rand(500, 500, seed=46), requires_grad=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = ad.dropout(x, 0.5, np.random.default_rng(13))
+            held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.2 * x.size, held / x.size
+
 
 class TestConsumedGraph:
     def _graph(self):
@@ -516,6 +540,27 @@ class TestConsumedGraph:
         finally:
             tracemalloc.stop()
         assert forward_peak <= 4 * n_layers * activation, forward_peak / activation
+
+    @pytest.mark.parametrize("conv", ["plain", "condconv"])
+    def test_built_model_conv_blocks_keep_two_activations_per_layer(self, conv):
+        # A built model's batch norm applies the block's ReLU in its own
+        # buffer, so each conv block keeps the conv output and the BN output.
+        # With a separate ReLU node the forward peak exceeded 3 per layer.
+        spec = archspec.parse_shorthand(
+            "C(32)-C(32)-C(32)-FC-Sm", convs_per_block=2, kernel_length=3, pool=None,
+            n_experts=2, condconv_mask=(conv == "condconv",) * 6,
+        )
+        model = archspec.build_model(spec, (100, 32), 4, seed=0)
+        rng = np.random.default_rng(98)
+        x = Tensor(rng.normal(size=(8, 100, 32)))
+        activation = 8 * x.size
+        tracemalloc.start()
+        try:
+            model.logits(x, rng=rng)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= 3 * 6 * activation, forward_peak / activation
 
 
 class TestNoGrad:

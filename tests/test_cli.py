@@ -257,6 +257,21 @@ class TestTrain:
         assert "halted: True" in (run / "report.txt").read_text().splitlines()
         assert not (run / ".lock").exists()
 
+    def test_halt_before_any_epoch_reports_no_results(self, workspace, capsys,
+                                                       monkeypatch):
+        tmp_path, config_path = workspace
+
+        def step_fails(adam, lr):
+            raise NumericError("non-finite gradient in 'head.experts'; step aborted")
+
+        monkeypatch.setattr(training.Adam, "step", step_fails)
+        run = tmp_path / "halted-early"
+        assert cli.main(["train", "--config", str(config_path), "--out", str(run)]) == 3
+        assert capsys.readouterr().out == f"no epoch completed -> {run}\n"
+        report = (run / "report.txt").read_text().splitlines()
+        assert "no epoch completed" in report
+        assert not any(line.startswith("best ") or "-1" in line for line in report[2:])
+
     @pytest.mark.parametrize("schedule,field", [
         ({"type": "step", "init": 0.001, "factor": 0.1, "every": 0}, "every"),
         ({"type": "step", "init": 0.001, "factor": 0.0, "every": 50}, "factor"),

@@ -56,7 +56,7 @@ class TestBatchNorm:
         calls = []
         fused = ad.batch_norm
         monkeypatch.setattr(ad, "batch_norm",
-                            lambda *args: calls.append(len(args)) or fused(*args))
+                            lambda *args, **kw: calls.append(len(args)) or fused(*args, **kw))
         bn = layers.BatchNorm(3)
         bn.forward(Tensor(rng.normal(size=(4, 5, 3))))
         bn.training = False
@@ -179,6 +179,84 @@ class TestFusedBatchNorm:
             for got, want in zip(fused[:3], composed[:3]):
                 np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12,
                                            atol=1e-12 * np.abs(want.grad).max())
+
+
+def _relu_inputs(seed, case, shape=(5, 7, 4)):
+    """x, gamma, beta and a gradient probe for the fused BN+ReLU. "zeros"
+    makes channel 1 the constant 4 with beta 0, so its outputs are exactly
+    0, and zeroes some inputs; "dead" pushes channel 2 below 0 everywhere."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(2.0, 3.0, size=shape)
+    gamma = rng.normal(1.0, 0.5, size=shape[2])
+    beta = rng.normal(size=shape[2])
+    if case == "zeros":
+        x[:, :, 1] = 4.0
+        beta[1] = 0.0
+        x[0, :3, 0] = 0.0
+    elif case == "dead":
+        gamma[2], beta[2] = 0.1, -10.0
+    return x, gamma, beta, rng.normal(size=shape)
+
+
+class TestFusedBatchNormReLU:
+    @pytest.mark.parametrize("case", ["random", "zeros", "dead"])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_bitwise_equals_relu_of_batch_norm(self, case, training):
+        fused = layers.BatchNorm(4, relu=True)
+        plain, relu = layers.BatchNorm(4), layers.ReLU()
+        stats_rng = np.random.default_rng(5)
+        mean, var = stats_rng.normal(size=4), stats_rng.random(4) + 0.5
+        mean[1] = 4.0  # the constant channel of "zeros" also centers to 0 in eval mode
+        for bn in (fused, plain):
+            bn.running_mean, bn.running_var = mean.copy(), var.copy()
+            bn.training = training
+        x, gamma, beta, probe = _relu_inputs(30, case)
+        outs, xs = [], []
+        for forward, bn in ((fused.forward, fused),
+                            (lambda t: relu.forward(plain.forward(t)), plain)):
+            bn.gamma.data, bn.beta.data = gamma.copy(), beta.copy()
+            xs.append(Tensor(x.copy(), requires_grad=True))
+            outs.append(forward(xs[-1]))
+            (outs[-1] * Tensor(probe)).sum().backward()
+        if case == "dead":
+            assert not (outs[0].data[..., 2] > 0).any()
+        if case == "zeros":
+            assert (outs[0].data[..., 1] == 0).all()
+        assert outs[0].data.tobytes() == outs[1].data.tobytes()
+        for got, want in ((fused.running_mean, plain.running_mean),
+                          (fused.running_var, plain.running_var),
+                          (xs[0].grad, xs[1].grad),
+                          (fused.gamma.grad, plain.gamma.grad),
+                          (fused.beta.grad, plain.beta.grad)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_node_with_the_batch_norm_inputs(self):
+        x, gamma, beta, _ = _relu_inputs(31, "random")
+        x, gamma, beta = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        out = ad.batch_norm(x, gamma, beta, 1e-5, relu=True)[0]
+        assert out._children == (x, gamma, beta)
+
+    @pytest.mark.parametrize("wrt", ["x", "gamma", "beta"])
+    def test_finite_differences_away_from_the_kink(self, wrt):
+        x, gamma, beta, probe = _relu_inputs(12, "random", shape=(3, 4, 2))
+        pre = ad.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), 1e-5)[0].data
+        # both sides of the kink, none of it within a step's reach
+        assert (pre < 0).any() and (pre > 0).any() and np.abs(pre).min() > 1e-2
+        args = {"x": Tensor(x), "gamma": Tensor(gamma), "beta": Tensor(beta)}
+        args[wrt].requires_grad = True
+
+        def f(t):
+            call = dict(args, **{wrt: t})
+            return (ad.batch_norm(call["x"], call["gamma"], call["beta"], 1e-5,
+                                  relu=True)[0] * Tensor(probe)).sum()
+
+        assert ad.grad_check(f, args[wrt], eps=1e-6) < 1e-6
+
+    def test_cost_carries_the_relu(self):
+        shape = (10, 4)
+        fused = layers.BatchNorm(4, relu=True).cost(shape)
+        plain, relu = layers.BatchNorm(4).cost(shape), layers.ReLU().cost(shape)
+        assert fused == (shape, 0, plain[2] + relu[2])
 
 
 class TestDense:

@@ -356,6 +356,31 @@ class TestCheckpoints:
         for name, p in straight.named_params().items():
             np.testing.assert_array_equal(p.data, reloaded.named_params()[name].data)
 
+    def test_checkpoint_of_a_mid_epoch_halt_is_refused(self, tmp_path, monkeypatch):
+        ds = make_linear_dataset(n_per_class=20, seed=12)
+        train_ds, test_ds = split_70_30(ds, classes=2, seed=0)
+        step, calls = training.Adam.step, []
+
+        def second_step_fails(adam, lr):
+            calls.append(lr)
+            if len(calls) == 2:
+                raise NumericError("non-finite gradient in 'head.w'; step aborted")
+            return step(adam, lr)
+
+        monkeypatch.setattr(training.Adam, "step", second_step_fails)
+        # one step per epoch, so the second step is epoch 1's
+        history = training.train(
+            tiny_model(seed=8), train_ds, test_ds,
+            config(epochs=3, batch_size=len(train_ds), checkpoint_dir=str(tmp_path)),
+        )
+        assert history.halted and len(history.rows) == 1
+        _, meta = storage.load_container(tmp_path / "last.ckpt")
+        assert meta["halted"] is True and meta["epoch"] == 1
+        assert "halted" not in storage.load_container(tmp_path / "best.ckpt")[1]
+        reloaded, state = training.load_checkpoint(tmp_path / "last.ckpt")
+        with pytest.raises(ConfigError, match="halted in epoch 1"):
+            training.train(reloaded, train_ds, test_ds, config(epochs=3), start_state=state)
+
     def test_loaded_parameters_own_separate_memory(self, tmp_path):
         path = tmp_path / "own.ckpt"
         training.save_checkpoint(path, tiny_model(seed=5, n_experts=2))
