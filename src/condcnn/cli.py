@@ -11,12 +11,11 @@ run-to-run determinism); override with CONDCNN_NUM_THREADS.
 """
 
 import argparse
+import fcntl
 import hashlib
 import json
 import logging
 import os
-import shlex
-import socket
 import sys
 
 log = logging.getLogger("condcnn")
@@ -103,58 +102,29 @@ def _write_json(path, payload):
 
 
 class _RunLock:
-    """Guards a run directory against concurrent writers.
-
-    The lockfile records the owner's PID and host. A clash with a lock
-    whose process no longer exists on this host is reported as stale, with
-    the command that clears it; the lock is never removed automatically.
-    """
+    """Guards a run directory against concurrent writers with an exclusive
+    `flock` on the directory itself. The kernel releases it however its
+    holder exits, so a killed run never blocks the next one."""
 
     def __init__(self, directory):
-        self.path = os.path.join(directory, ".lock")
+        self.directory = directory
 
     def __enter__(self):
         from .errors import ConfigError
 
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
+        os.makedirs(self.directory, exist_ok=True)
+        self.fd = os.open(self.directory, os.O_RDONLY)
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(self._clash_message()) from None
-        owner = {"host": socket.gethostname(), "pid": os.getpid()}
-        os.write(self.fd, (json.dumps(owner) + "\n").encode("utf-8"))
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self.fd)
+            raise ConfigError(
+                f"run directory {self.directory} is locked by another process"
+            ) from None
         return self
 
     def __exit__(self, *exc):
         os.close(self.fd)
-        os.unlink(self.path)
-
-    def _clash_message(self):
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                owner = json.load(fh)
-            pid, host = int(owner["pid"]), owner["host"]
-        except (OSError, ValueError, TypeError, KeyError):
-            pid = host = None
-        if host == socket.gethostname() and pid > 0 and not _process_exists(pid):
-            return (
-                f"stale lock {self.path}: process {pid} on {host} no longer "
-                f"exists; clear it with: rm {shlex.quote(self.path)}"
-            )
-        return (
-            f"run directory is locked by another process ({self.path}); "
-            f"remove the lockfile if that process is gone"
-        )
-
-
-def _process_exists(pid):
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OverflowError):
-        return True  # alive under another user, or not a PID to judge
-    return True
 
 
 def _prepare_datasets(config):
@@ -286,7 +256,7 @@ def cmd_analyze(args):
             baseline_spec = archspec.spec_from_dict(dict(meta["spec"], n_experts=1))
             baseline = archspec.build_model(
                 baseline_spec, tuple(meta["input_shape"]), meta["n_classes"],
-                seed=meta["seed"],
+                seed=meta["seed"], draw_init=False,  # count_flops reads only shapes
             )
             base_total = analysis.count_flops(baseline).total_flops
             lines.append(

@@ -212,14 +212,12 @@ class History:
                 fh.write(f"{epoch},{repr(float(lr))},{repr(float(loss))},{repr(float(acc))}\n")
 
 
-def save_checkpoint(path, model, adam=None, rng=None, epoch=0, history=None,
-                    halted=False):
+def save_checkpoint(path, model, adam=None, rng=None, epoch=0, history=None):
     """Versioned container: model config + parameters + BN statistics +
     optimizer moments + RNG state. Deterministic bytes for fixed content.
 
-    `epoch` is the next epoch to run. A checkpoint written after a numeric
-    halt (`halted=True`) records `halted: true` and, as `epoch`, the epoch
-    in progress: its state holds part of that epoch's updates."""
+    `epoch` is the next epoch to run: `train` saves only at epoch ends, so
+    a checkpoint holds whole epochs."""
     arrays = {}
     for name, p in model.named_params().items():
         arrays[f"param.{name}"] = p.data
@@ -234,8 +232,6 @@ def save_checkpoint(path, model, adam=None, rng=None, epoch=0, history=None,
         "rng_state": None,
         "history": None,
     }
-    if halted:
-        meta["halted"] = True
     if adam is not None:
         arrays.update(adam.state_arrays())
         meta["adam_t"] = adam.t
@@ -312,19 +308,20 @@ def _restore_history(state):
     return history
 
 
-def train(model, train_ds, test_ds, config, start_state=None, selection_ds=None):
-    """Train with per-epoch shuffling and Adam; keep the checkpoint of the
-    best accuracy; halt (retaining the last good state) if the loss goes
-    non-finite.
+def train(model, train_ds, test_ds, config, start_state=None):
+    """Train with per-epoch shuffling and Adam, selecting the best epoch
+    by test accuracy (the benchmark protocol these recipes follow).
 
-    Best-epoch selection scores `test_ds` by default (the benchmark
-    protocol these recipes follow); pass a held-out `selection_ds` to
-    select on validation data instead while still logging test accuracy.
+    With `config.checkpoint_dir` set, every epoch end writes `last.ckpt`,
+    and `best.ckpt` when the test accuracy improves. A non-finite value
+    halts the run (`History.halted`) and writes nothing more, so
+    `last.ckpt` holds the last completed epoch.
 
     `start_state` is the state dict from `load_checkpoint` of a previous
     run's last checkpoint; training then continues bitwise as if it had
-    never stopped. A state saved after a numeric halt holds part of an
-    epoch and raises ConfigError.
+    never stopped. A checkpoint that records `halted: true` (written by
+    an older version after a mid-epoch halt) holds part of an epoch and
+    raises ConfigError.
     """
     if config.epochs > 0 and len(train_ds) == 0:
         raise DataError("cannot train on an empty dataset")
@@ -352,12 +349,10 @@ def train(model, train_ds, test_ds, config, start_state=None, selection_ds=None)
         os.makedirs(ckpt_dir, exist_ok=True)
 
     model.train()
-    next_epoch = start_epoch
     for epoch in range(start_epoch, config.epochs):
         lr = lr_at(config, epoch)
         perm = rng.permutation(len(train_ds))
         total_loss, seen = 0.0, 0
-        halted = False
         for start in range(0, len(perm), config.batch_size):
             idx = perm[start:start + config.batch_size]
             xb = Tensor(train_ds.x[idx])
@@ -371,32 +366,21 @@ def train(model, train_ds, test_ds, config, start_state=None, selection_ds=None)
             except NumericError as err:
                 log.error("epoch %d: %s; halting with last good state", epoch, err)
                 history.halted = True
-                halted = True
                 break
             total_loss += loss.item() * len(idx)
             seen += len(idx)
-        if halted:
+        if history.halted:
             break
 
         train_loss = total_loss / max(seen, 1)
         test_acc = evaluate(model, test_ds).accuracy
-        selection_acc = (
-            test_acc if selection_ds is None else evaluate(model, selection_ds).accuracy
-        )
         history.rows.append((epoch, lr, train_loss, test_acc))
-        next_epoch = epoch + 1
-        if selection_acc > history.best_accuracy:
-            history.best_accuracy = selection_acc
+        improved = test_acc > history.best_accuracy
+        if improved:
+            history.best_accuracy = test_acc
             history.best_epoch = epoch
-            if ckpt_dir:
-                save_checkpoint(
-                    os.path.join(ckpt_dir, "best.ckpt"), model, adam=adam, rng=rng,
-                    epoch=epoch + 1, history=history,
-                )
-
-    if ckpt_dir:
-        save_checkpoint(
-            os.path.join(ckpt_dir, "last.ckpt"), model, adam=adam, rng=rng,
-            epoch=next_epoch, history=history, halted=history.halted,
-        )
+        if ckpt_dir:
+            for name in ("best.ckpt", "last.ckpt") if improved else ("last.ckpt",):
+                save_checkpoint(os.path.join(ckpt_dir, name), model, adam=adam, rng=rng,
+                                epoch=epoch + 1, history=history)
     return history

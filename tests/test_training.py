@@ -277,22 +277,6 @@ class TestTrainLoop:
         assert history.best_accuracy == max(accs)
         assert accs[history.best_epoch] == history.best_accuracy
 
-    def test_validation_selection_option(self):
-        ds = make_linear_dataset(n_per_class=30, seed=16)
-        train_all, test_ds = split_70_30(ds, classes=2, seed=0)
-        # carve a validation set from the training split for selection
-        val_ds = train_all.subset(np.arange(0, len(train_all), 3), split_tag="val")
-        train_ds = train_all.subset(
-            np.array([i for i in range(len(train_all)) if i % 3 != 0])
-        )
-        model = tiny_model(seed=17)
-        history = training.train(
-            model, train_ds, test_ds, config(epochs=4), selection_ds=val_ds,
-        )
-        assert 0 <= history.best_epoch < 4
-        # history still logs test accuracy per epoch
-        assert all(0.0 <= row[3] <= 1.0 for row in history.rows)
-
 
 class TestCheckpoints:
     def test_round_trip_restores_parameters(self, tmp_path):
@@ -356,9 +340,16 @@ class TestCheckpoints:
         for name, p in straight.named_params().items():
             np.testing.assert_array_equal(p.data, reloaded.named_params()[name].data)
 
-    def test_checkpoint_of_a_mid_epoch_halt_is_refused(self, tmp_path, monkeypatch):
+    def test_halt_leaves_the_last_epoch_boundary_checkpoint(self, tmp_path, monkeypatch):
         ds = make_linear_dataset(n_per_class=20, seed=12)
         train_ds, test_ds = split_70_30(ds, classes=2, seed=0)
+        # one step per epoch, so the second step is epoch 1's
+        run = dict(batch_size=len(train_ds), seed=3)
+        training.train(tiny_model(seed=8), train_ds, test_ds,
+                       config(epochs=1, checkpoint_dir=str(tmp_path / "one"), **run))
+        straight = tiny_model(seed=8)
+        full_history = training.train(straight, train_ds, test_ds, config(epochs=3, **run))
+
         step, calls = training.Adam.step, []
 
         def second_step_fails(adam, lr):
@@ -368,16 +359,30 @@ class TestCheckpoints:
             return step(adam, lr)
 
         monkeypatch.setattr(training.Adam, "step", second_step_fails)
-        # one step per epoch, so the second step is epoch 1's
-        history = training.train(
-            tiny_model(seed=8), train_ds, test_ds,
-            config(epochs=3, batch_size=len(train_ds), checkpoint_dir=str(tmp_path)),
-        )
+        halted = tmp_path / "halted"
+        history = training.train(tiny_model(seed=8), train_ds, test_ds,
+                                 config(epochs=3, checkpoint_dir=str(halted), **run))
         assert history.halted and len(history.rows) == 1
-        _, meta = storage.load_container(tmp_path / "last.ckpt")
-        assert meta["halted"] is True and meta["epoch"] == 1
-        assert "halted" not in storage.load_container(tmp_path / "best.ckpt")[1]
-        reloaded, state = training.load_checkpoint(tmp_path / "last.ckpt")
+        assert (halted / "last.ckpt").read_bytes() == (tmp_path / "one" / "last.ckpt").read_bytes()
+
+        reloaded, state = training.load_checkpoint(halted / "last.ckpt")
+        assert state["epoch"] == 1
+        tail_history = training.train(reloaded, train_ds, test_ds, config(epochs=3, **run),
+                                      start_state=state)
+        assert tail_history.rows == full_history.rows
+        for name, p in straight.named_params().items():
+            np.testing.assert_array_equal(p.data, reloaded.named_params()[name].data)
+
+    def test_checkpoint_of_a_mid_epoch_halt_is_refused(self, tmp_path):
+        # older versions wrote `halted: true` into the checkpoint they saved
+        # after a mid-epoch halt; it holds part of that epoch's updates
+        ds = make_linear_dataset(n_per_class=20, seed=12)
+        train_ds, test_ds = split_70_30(ds, classes=2, seed=0)
+        path = tmp_path / "last.ckpt"
+        training.save_checkpoint(path, tiny_model(seed=8), epoch=1)
+        arrays, meta = storage.load_container(path)
+        storage.save_container(path, arrays, dict(meta, halted=True))
+        reloaded, state = training.load_checkpoint(path)
         with pytest.raises(ConfigError, match="halted in epoch 1"):
             training.train(reloaded, train_ds, test_ds, config(epochs=3), start_state=state)
 
