@@ -18,6 +18,8 @@ import logging
 import os
 import sys
 
+from .errors import ConfigError, DataError, NumericError, ShapeError, check_dict, check_keys
+
 log = logging.getLogger("condcnn")
 
 
@@ -66,8 +68,6 @@ def _build_parser():
 def load_run_config(path, seed=None, epochs=None, experts=None):
     """Read a run config, apply CLI overrides, resolve data paths
     relative to the config file."""
-    from .errors import check_dict, check_keys
-
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     check_keys("run config", config, ("dataset",),
@@ -101,6 +101,15 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _make_dir(path):
+    """Create directory `path` and its parents unless it exists; a failure,
+    such as a path through a regular file, is a ConfigError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create directory {path}: {err.strerror}") from None
+
+
 class _RunLock:
     """Guards a run directory against concurrent writers with an exclusive
     `flock` on the directory itself. The kernel releases it however its
@@ -110,9 +119,7 @@ class _RunLock:
         self.directory = directory
 
     def __enter__(self):
-        from .errors import ConfigError
-
-        os.makedirs(self.directory, exist_ok=True)
+        _make_dir(self.directory)
         self.fd = os.open(self.directory, os.O_RDONLY)
         try:
             fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -158,7 +165,7 @@ def cmd_convert(args):
 def cmd_segment(args):
     config = load_run_config(args.config, seed=args.seed)
     train_ds, test_ds = _prepare_datasets(config)
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out)
     train_path = os.path.join(args.out, "train.ds")
     test_path = os.path.join(args.out, "test.ds")
     train_ds.save(train_path)
@@ -182,7 +189,6 @@ def cmd_segment(args):
 
 def cmd_train(args):
     from . import analysis, archspec, training
-    from .errors import check_keys
 
     config = load_run_config(
         args.config, seed=args.seed, epochs=args.epochs, experts=args.experts
@@ -241,10 +247,9 @@ def cmd_train(args):
 def cmd_analyze(args):
     from . import analysis, training
     from . import data as dp
-    from .errors import ConfigError
 
     model, _state = training.load_checkpoint(args.checkpoint)
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out)
 
     if args.which == "flops":
         report = analysis.count_flops(model)
@@ -275,8 +280,6 @@ def cmd_analyze(args):
     ds = dp.WindowedDataset.load(args.dataset)
     expected = tuple(model.meta.get("input_shape", ()))
     if expected and (ds.window_len, ds.x.shape[2]) != expected:
-        from .errors import ShapeError
-
         raise ShapeError(
             f"dataset windows are {(ds.window_len, ds.x.shape[2])}, "
             f"checkpointed model expects {expected}"
@@ -320,8 +323,6 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 
-    from .errors import ArchitectureError, ConfigError, DataError, NumericError, ShapeError
-
     handler = {
         "convert": cmd_convert,
         "segment": cmd_segment,
@@ -330,7 +331,7 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, ArchitectureError) as err:
+    except ConfigError as err:  # ArchitectureError included
         log.error("%s", err)
         return 1
     except KeyError as err:

@@ -26,6 +26,7 @@ import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import storage
 from .errors import ConfigError, DataError, check_count, check_keys, is_number
@@ -54,18 +55,6 @@ class SensorStream:
 
     def __len__(self):
         return self.data.shape[0]
-
-    def session_runs(self):
-        """Yield (start, end) index pairs of contiguous (subject, session) runs."""
-        L = len(self)
-        if L == 0:
-            return
-        start = 0
-        for i in range(1, L):
-            if self.subject[i] != self.subject[start] or self.session[i] != self.session[start]:
-                yield start, i
-                start = i
-        yield start, L
 
 
 @dataclass
@@ -432,28 +421,30 @@ def segment_windows(stream, profile):
             f"label {label} ({name!r}) lies outside the {n_classes} classes the "
             f"profile configures; valid labels are 0..{n_classes - 1}"
         )
-    xs, ys, subjects, sessions = [], [], [], []
-    for start, end in stream.session_runs():
-        run_len = end - start
-        for w in range(window_count(run_len, t_w, step)):
-            a = start + w * step
-            window_labels = stream.labels[a:a + t_w]
-            xs.append(stream.data[a:a + t_w])
-            ys.append(int(np.bincount(window_labels, minlength=n_classes).argmax()))
-            subjects.append(stream.subject[a])
-            sessions.append(stream.session[a])
-    n = len(xs)
-    if n == 0:
+    # runs end where the (subject, session) tag changes; a run's windows
+    # start every `step` rows while a whole window fits
+    cuts = np.flatnonzero((stream.subject[1:] != stream.subject[:-1])
+                          | (stream.session[1:] != stream.session[:-1])) + 1
+    bounds = np.concatenate(([0], cuts, [len(stream)]))
+    starts = np.concatenate([np.arange(a, b - t_w + 1, step, dtype=np.int64)
+                             for a, b in zip(bounds[:-1], bounds[1:])])
+    shape = (t_w, stream.data.shape[1])
+    if len(starts):
+        x = sliding_window_view(stream.data, shape)[starts, 0]
+    else:
         log.warning("segmentation produced an empty dataset")
-    return WindowedDataset(
-        x=np.array(xs, dtype=np.float64).reshape(n, t_w, stream.data.shape[1]),
-        y=np.array(ys, dtype=np.int64),
-        window_len=t_w,
-        step=step,
-        label_names=stream.label_names,
-        subject=np.array(subjects, dtype=object),
-        session=np.array(sessions, dtype=object),
-    )
+        x = np.empty((0,) + shape)
+    # majority label: only a strictly larger count wins, so ties keep the smaller id
+    y = np.zeros(len(starts), dtype=np.int64)
+    best = np.zeros(len(starts), dtype=np.int64)
+    for c in range(n_classes):
+        count = np.concatenate(([0], np.cumsum(stream.labels == c)))
+        in_window = count[starts + t_w] - count[starts]
+        y[in_window > best] = c
+        np.maximum(best, in_window, out=best)
+    return WindowedDataset(x, y, t_w, step, stream.label_names,
+                           subject=stream.subject[starts].astype(object),
+                           session=stream.session[starts].astype(object))
 
 
 def normalize(ds, policy, stats=None):

@@ -110,10 +110,10 @@ class BatchNorm(Layer):
     block's ReLU in its own buffer, and the layer's cost includes it.
     """
 
-    def __init__(self, channels, momentum=0.1, epsilon=1e-5, relu=False, name=""):
+    momentum, epsilon = 0.1, 1e-5
+
+    def __init__(self, channels, relu=False, name=""):
         super().__init__(name)
-        self.momentum = momentum
-        self.epsilon = epsilon
         self.relu = relu
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)

@@ -110,11 +110,12 @@ def lr_at(config, epoch):
 
 
 class Adam:
-    """Bias-corrected Adam with the canonical defaults."""
+    """Bias-corrected Adam with the canonical constants."""
 
-    def __init__(self, named_params, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params):
         self.named_params = dict(named_params)
-        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.named_params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.named_params.items()}

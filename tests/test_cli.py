@@ -552,6 +552,39 @@ class TestAnalyze:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["train", "segment", "analyze"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_through_a_regular_file_exits_one_with_one_line(workspace, caplog, command, below):
+    tmp_path, config_path = workspace
+    blocker = tmp_path / "notadir"
+    blocker.write_text("a file\n")
+    out = blocker / below if below else blocker
+    if command == "analyze":
+        ckpt = tmp_path / "model.ckpt"
+        write_damaged_checkpoint(ckpt, lambda arrays, meta: None)  # left intact
+        argv = ["analyze", "--checkpoint", str(ckpt), "--which", "flops"]
+    else:
+        argv = [command, "--config", str(config_path)]
+    before = sorted(tmp_path.rglob("*"))
+    caplog.clear()
+    code = cli.main(argv + ["--out", str(out)])
+    assert code == 1
+    assert len(caplog.records) == 1 and str(out) in caplog.text
+    assert "Traceback" not in caplog.text
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "a file\n"
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # `main` pins the numeric thread count, which numpy reads when it loads
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, condcnn.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 class TestBundledConfigs:
     def test_all_four_parse_and_build(self):
         import importlib.resources as resources

@@ -406,6 +406,57 @@ class TestSegmentation:
         ds = dp.segment_windows(stream, profile(classes=3))
         assert set(ds.y) == {0, 2}
 
+    def test_matches_a_per_window_reference(self):
+        """Against a loop over samples and windows, on seeded random streams
+        of several subjects and sessions, with runs shorter than the window,
+        majority ties, an empty stream and windows longer than the stream."""
+        rng = np.random.default_rng(15)
+        seen = dict(ties=0, short_runs=0, empty=0, window_beyond_stream=0)
+        for trial in range(200):
+            run_lens = rng.integers(0, 40, size=rng.integers(0 if trial == 0 else 1, 6))
+            length, t_w = int(run_lens.sum()), int(rng.integers(1, 30))
+            channels, classes = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            tag_type = object if trial % 2 else str  # provenance may arrive as str arrays
+            stream = dp.SensorStream(
+                data=rng.normal(size=(length, channels)),
+                channel_names=[f"ch{i}" for i in range(channels)],
+                sample_rate_hz=20.0,
+                labels=rng.integers(0, classes, size=length),
+                label_names=[str(c) for c in range(classes)],
+                subject=np.repeat([f"s{i}" for i in rng.integers(0, 3, len(run_lens))],
+                                  run_lens).astype(tag_type),
+                session=np.repeat([f"e{i}" for i in rng.integers(0, 2, len(run_lens))],
+                                  run_lens).astype(tag_type),
+            )
+            step = int(rng.integers(1, 12))
+            ds = dp.segment_windows(stream, profile(window_len=t_w, step=step, classes=classes))
+
+            xs, ys, subjects, sessions = [], [], [], []
+            run_start = 0
+            for i in range(1, length + 1):
+                if i < length and (stream.subject[i], stream.session[i]) == (
+                        stream.subject[run_start], stream.session[run_start]):
+                    continue
+                seen["short_runs"] += i - run_start < t_w
+                for a in range(run_start, i - t_w + 1, step):
+                    counts = [int((stream.labels[a:a + t_w] == c).sum()) for c in range(classes)]
+                    seen["ties"] += counts.count(max(counts)) > 1
+                    xs.append(stream.data[a:a + t_w])
+                    ys.append(counts.index(max(counts)))  # the first maximum: smaller id
+                    subjects.append(stream.subject[a])
+                    sessions.append(stream.session[a])
+                run_start = i
+            seen["empty"] += length == 0
+            seen["window_beyond_stream"] += t_w > length
+
+            x = np.array(xs, dtype=np.float64).reshape(len(xs), t_w, channels)
+            assert ds.x.dtype == np.float64 and ds.x.flags.c_contiguous
+            assert ds.x.shape == x.shape and ds.x.tobytes() == x.tobytes()
+            assert ds.y.dtype == np.int64 and ds.y.tolist() == ys
+            assert ds.subject.dtype == object and ds.subject.tolist() == subjects
+            assert ds.session.dtype == object and ds.session.tolist() == sessions
+        assert all(seen.values()), seen
+
     def test_window_count_property_against_enumeration(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
