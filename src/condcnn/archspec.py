@@ -1,15 +1,14 @@
 """Architecture shorthand: parse/render strings like "C(64)-C(128)-FC-Sm"
 and build runnable models from them.
 
-Grammar (case-insensitive for FC, whitespace ignored):
+Grammar (case-insensitive, whitespace ignored):
 
-    spec  := block ("-" block)*
-    block := "C(" int ")" | "FC" | "Sm"
+    spec := ("C(" int ")" "-")* "FC" "-" "Sm"
 
-Exactly one "Sm" is required and it must come last. Hyperparameters that
-the shorthand does not encode (convolutions per block, kernel length,
-pooling, expert count, head implementation) live on ModelSpec with
-overridable defaults.
+that is, conv blocks of the given widths, then the classifier, then
+softmax. Hyperparameters that the shorthand does not encode (convolutions
+per block, kernel length, pooling, expert count, head implementation) live
+on ModelSpec with overridable defaults.
 """
 
 import re
@@ -25,21 +24,6 @@ from .errors import ArchitectureError, ConfigError, check_count, check_keys, is_
 _LAYER_STREAM = 0xC0
 
 
-@dataclass(frozen=True)
-class ConvBlock:
-    filters: int
-
-
-@dataclass(frozen=True)
-class FullyConnected:
-    pass
-
-
-@dataclass(frozen=True)
-class SoftmaxHead:
-    pass
-
-
 def _is_per_block(pool):
     return isinstance(pool, (list, tuple)) and pool and isinstance(
         pool[0], (list, tuple, type(None))
@@ -51,7 +35,7 @@ class ModelSpec:
     """Parsed architecture plus the hyperparameters needed to build it; it
     checks each field that does not need the input shape when built."""
 
-    blocks: tuple
+    filters: tuple  # each conv block's width; the FC-Sm tail is implied
     convs_per_block: int = 2
     kernel_length: int = 5
     pool: tuple | None = (2, 2)  # (size, stride) after each conv block, or None
@@ -65,6 +49,8 @@ class ModelSpec:
     def __post_init__(self):
         for name in ("convs_per_block", "kernel_length", "n_experts"):
             check_count(f"model {name}", getattr(self, name), 1)
+        for width in self.filters:
+            check_count("model conv block filters", width, 1)
         if self.head not in ("dense", "pointwise-condconv"):
             raise ConfigError(f"unknown head {self.head!r}")
         if self.routing_activation not in cc.ROUTING_ACTIVATIONS:
@@ -83,7 +69,7 @@ class ModelSpec:
                 'condconv_mask turns off the head, but head "pointwise-condconv" is '
                 'always a CondConv; use head "dense" for a standard classifier'
             )
-        n_blocks = len(self.conv_filter_counts())
+        n_blocks = len(self.filters)
         if _is_per_block(self.pool) and len(self.pool) != n_blocks:
             raise ConfigError(
                 f"pool has {len(self.pool)} entries, model has {n_blocks} conv blocks"
@@ -94,22 +80,14 @@ class ModelSpec:
                 raise ConfigError(f"pool must be a (size, stride) pair, got {pool!r}")
             for what, value in zip(("size", "stride"), pool or ()):
                 check_count(f"model pool {what}", value, 1)
-        fc = [i for i, b in enumerate(self.blocks) if isinstance(b, FullyConnected)]
-        if fc and fc[0] != len(self.blocks) - 2:
-            raise ArchitectureError("FC must sit immediately before Sm")
-        if self.head == "pointwise-condconv" and not fc:
-            raise ArchitectureError("pointwise-condconv head requires an FC block")
 
     def block_pool(self, b):
         """Block b's (size, stride) pool, or None."""
         return self.pool[b] if _is_per_block(self.pool) else self.pool
 
-    def conv_filter_counts(self):
-        return [b.filters for b in self.blocks if isinstance(b, ConvBlock)]
-
     def n_conv_layers(self):
         """Conv layers the mask must cover: block convs plus a condconv head."""
-        count = len(self.conv_filter_counts()) * self.convs_per_block
+        count = len(self.filters) * self.convs_per_block
         if self.head == "pointwise-condconv":
             count += 1
         return count
@@ -118,7 +96,7 @@ class ModelSpec:
         return replace(self, **kw)
 
 
-_TOKEN = re.compile(r"C\((\d+)\)|FC|SM", re.IGNORECASE)
+_CONV = re.compile(r"C\((\d+)\)", re.IGNORECASE)
 
 
 def parse_shorthand(text, **overrides):
@@ -130,46 +108,25 @@ def parse_shorthand(text, **overrides):
     compact = re.sub(r"\s+", "", text)
     if not compact:
         raise ConfigError("empty architecture string")
-    blocks = []
+    pieces = compact.split("-")
+    if [piece.upper() for piece in pieces[-2:]] != ["FC", "SM"]:
+        raise ConfigError(f"architecture {text!r} must end in FC-Sm")
+    filters = []
     position = 0
-    for piece in compact.split("-"):
+    for piece in pieces[:-2]:
         if not piece:
             raise ConfigError(f"empty block at position {position}")
-        match = _TOKEN.fullmatch(piece)
+        match = _CONV.fullmatch(piece)
         if match is None:
             raise ConfigError(f"unknown block {piece!r} at position {position}")
-        if match.group(1) is not None:
-            filters = int(match.group(1))
-            if filters <= 0:
-                raise ConfigError(f"filter count must be positive at position {position}")
-            blocks.append(ConvBlock(filters))
-        elif piece.upper() == "FC":
-            blocks.append(FullyConnected())
-        else:
-            blocks.append(SoftmaxHead())
+        filters.append(int(match.group(1)))
         position += len(piece) + 1
-
-    heads = [i for i, b in enumerate(blocks) if isinstance(b, SoftmaxHead)]
-    if len(heads) != 1:
-        raise ConfigError(f"expected exactly one Sm block, found {len(heads)}")
-    if heads[0] != len(blocks) - 1:
-        raise ConfigError("Sm must be the last block")
-    if sum(isinstance(b, FullyConnected) for b in blocks) > 1:
-        raise ConfigError("at most one FC block is supported")
-    return ModelSpec(blocks=tuple(blocks), **overrides)
+    return ModelSpec(filters=tuple(filters), **overrides)
 
 
 def render_shorthand(spec):
     """Canonical string form; inverse of parse_shorthand on canonical specs."""
-    parts = []
-    for block in spec.blocks:
-        if isinstance(block, ConvBlock):
-            parts.append(f"C({block.filters})")
-        elif isinstance(block, FullyConnected):
-            parts.append("FC")
-        else:
-            parts.append("Sm")
-    return "-".join(parts)
+    return "-".join([f"C({width})" for width in spec.filters] + ["FC", "Sm"])
 
 
 class _NoDraw:
@@ -214,7 +171,7 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
         return rng
 
     conv_index = 0
-    for b, filters in enumerate(spec.conv_filter_counts()):
+    for b, filters in enumerate(spec.filters):
         if t < spec.kernel_length:
             raise ArchitectureError(
                 f"block {b}: temporal length {t} fell below kernel length "
@@ -254,18 +211,10 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
             routing_activation=spec.routing_activation,
             pin_routing=spec.pin_routing, name="head",
         ))
-    elif any(isinstance(b, FullyConnected) for b in spec.blocks):
+    else:
         model_layers.append(ly.GlobalAvgPool(name="gap"))
         model_layers.append(ly.Dropout(spec.dropout_rate, name="drop"))
         model_layers.append(ly.Dense(channels, n_classes, stream(), name="head"))
-    else:
-        # Head-only degenerate spec: softmax over pooled channels.
-        if channels != n_classes:
-            raise ArchitectureError(
-                f"spec has no FC block and {channels} channels != {n_classes} classes"
-            )
-        model_layers.append(ly.GlobalAvgPool(name="gap"))
-        model_layers.append(ly.Dropout(spec.dropout_rate, name="drop"))
     model_layers.append(ly.Softmax(name="sm"))
 
     meta = {
@@ -278,9 +227,9 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
     return ly.Model(model_layers, meta=meta)
 
 
-# A recorded spec is the shorthand plus every ModelSpec field but `blocks`,
-# with tuples as lists.
-_RECORDED = tuple(f.name for f in fields(ModelSpec) if f.name != "blocks")
+# A recorded spec is the shorthand, which carries the widths, plus every
+# other ModelSpec field, with tuples as lists.
+_RECORDED = tuple(f.name for f in fields(ModelSpec) if f.name != "filters")
 
 
 def _as_lists(value):

@@ -67,16 +67,28 @@ def _build_parser():
 
 def load_run_config(path, seed=None, epochs=None, experts=None):
     """Read a run config, apply CLI overrides, resolve data paths
-    relative to the config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    relative to the config file. A missing file raises FileNotFoundError;
+    one that cannot be read as UTF-8 JSON is a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except FileNotFoundError:
+        raise
+    except OSError as err:
+        raise ConfigError(f"cannot read config {path}: {err.strerror}") from None
+    except ValueError as err:  # malformed JSON or not UTF-8
+        raise ConfigError(f"cannot read config {path}: {err}") from None
     check_keys("run config", config, ("dataset",),
                ("name", "model", "train", "seed", "output_dir"))
     base = os.path.dirname(os.path.abspath(path))
     dataset = check_dict("dataset config", config["dataset"])
-    csv_path = dataset.get("canonical_csv")
-    if csv_path and not os.path.isabs(csv_path):
-        dataset["canonical_csv"] = os.path.normpath(os.path.join(base, csv_path))
+    if "canonical_csv" in dataset:
+        csv_path = dataset["canonical_csv"]
+        if not isinstance(csv_path, str) or not csv_path:
+            raise ConfigError(
+                f"dataset canonical_csv must be a non-empty string, got {csv_path!r}")
+        if not os.path.isabs(csv_path):
+            dataset["canonical_csv"] = os.path.normpath(os.path.join(base, csv_path))
     if seed is not None:
         config["seed"] = seed
     if epochs is not None:
@@ -164,8 +176,8 @@ def cmd_convert(args):
 
 def cmd_segment(args):
     config = load_run_config(args.config, seed=args.seed)
+    _make_dir(args.out)  # first, so a bad --out costs no data preparation
     train_ds, test_ds = _prepare_datasets(config)
-    _make_dir(args.out)
     train_path = os.path.join(args.out, "train.ds")
     test_path = os.path.join(args.out, "test.ds")
     train_ds.save(train_path)
@@ -248,8 +260,10 @@ def cmd_analyze(args):
     from . import analysis, training
     from . import data as dp
 
-    model, _state = training.load_checkpoint(args.checkpoint)
+    if args.which != "flops" and args.dataset is None:
+        raise ConfigError(f"--which {args.which} needs --dataset")
     _make_dir(args.out)
+    model, _state = training.load_checkpoint(args.checkpoint)
 
     if args.which == "flops":
         report = analysis.count_flops(model)
@@ -275,8 +289,6 @@ def cmd_analyze(args):
         print(text)
         return 0
 
-    if args.dataset is None:
-        raise ConfigError(f"--which {args.which} needs --dataset")
     ds = dp.WindowedDataset.load(args.dataset)
     expected = tuple(model.meta.get("input_shape", ()))
     if expected and (ds.window_len, ds.x.shape[2]) != expected:

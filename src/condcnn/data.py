@@ -287,7 +287,7 @@ def _raise_first_bad_row(path, fh, n_cols):
 
 
 def _encode_labels(raw):
-    if all(r.isdigit() for r in raw) and raw:
+    if all(r.isdecimal() for r in raw) and raw:  # exactly the digits int() reads
         ids = np.array([int(r) for r in raw], dtype=np.int64)
         names = [str(i) for i in range(int(ids.max()) + 1)]
         return ids, names

@@ -22,7 +22,7 @@ def build(shorthand="C(4)-C(8)-FC-Sm", t=16, channels=2, classes=3, **kw):
 
 class TestCountFlops:
     def test_single_pointwise_conv_is_one_mac(self):
-        model = build("C(1)-Sm", t=1, channels=1, classes=1,
+        model = build("C(1)-FC-Sm", t=1, channels=1, classes=1,
                       kernel_length=1, condconv_mask=(False,))
         report = analysis.count_flops(model)
         conv = next(c for c in report.per_layer if "conv" in c.name)

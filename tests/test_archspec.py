@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from condcnn import archspec
-from condcnn.archspec import ConvBlock, FullyConnected, SoftmaxHead
 from condcnn.errors import ArchitectureError, ConfigError
 
 BENCHMARK_STRINGS = [
@@ -21,21 +20,27 @@ BENCHMARK_STRINGS = [
 class TestParse:
     def test_three_conv_blocks(self):
         spec = archspec.parse_shorthand("C(64)-C(128)-C(384)-FC-Sm")
-        assert spec.blocks == (
-            ConvBlock(64), ConvBlock(128), ConvBlock(384), FullyConnected(), SoftmaxHead(),
-        )
+        assert spec.filters == (64, 128, 384)
 
-    def test_head_only_degenerate(self):
-        spec = archspec.parse_shorthand("Sm")
-        assert spec.blocks == (SoftmaxHead(),)
+    def test_no_conv_blocks(self):
+        assert archspec.parse_shorthand("FC-Sm").filters == ()
 
     def test_head_not_last_rejected(self):
-        with pytest.raises(ConfigError, match="last"):
+        with pytest.raises(ConfigError, match="must end in FC-Sm"):
             archspec.parse_shorthand("C(64)-Sm-FC")
 
     def test_missing_head_rejected(self):
-        with pytest.raises(ConfigError, match="exactly one Sm"):
+        with pytest.raises(ConfigError, match="must end in FC-Sm"):
             archspec.parse_shorthand("C(64)-FC")
+
+    @pytest.mark.parametrize("text", ["Sm", "C(4)-Sm", "FC-C(4)-Sm", "FC"])
+    def test_text_not_ending_in_fc_sm_rejected(self, text):
+        with pytest.raises(ConfigError, match="must end in FC-Sm"):
+            archspec.parse_shorthand(text)
+
+    def test_fc_among_conv_blocks_rejected(self):
+        with pytest.raises(ConfigError, match="unknown block 'FC' at position 5"):
+            archspec.parse_shorthand("C(4)-FC-FC-Sm")
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
@@ -43,15 +48,19 @@ class TestParse:
 
     def test_unknown_token_reports_position(self):
         with pytest.raises(ConfigError, match="position 6"):
-            archspec.parse_shorthand("C(64)-Q(3)-Sm")
+            archspec.parse_shorthand("C(64)-Q(3)-FC-Sm")
 
     def test_case_insensitive_fc_and_whitespace(self):
         spec = archspec.parse_shorthand(" C(8) - fc - sm ")
-        assert spec.blocks == (ConvBlock(8), FullyConnected(), SoftmaxHead())
+        assert spec.filters == (8,)
 
     def test_zero_filters_rejected(self):
-        with pytest.raises(ConfigError, match="positive"):
-            archspec.parse_shorthand("C(0)-Sm")
+        with pytest.raises(ConfigError, match="filters must be an integer >= 1, got 0"):
+            archspec.parse_shorthand("C(0)-FC-Sm")
+
+    def test_spec_built_directly_checks_its_widths(self):
+        with pytest.raises(ConfigError, match="filters must be an integer >= 1, got 0"):
+            archspec.ModelSpec(filters=(4, 0))
 
 
 class TestRoundTrip:
@@ -63,18 +72,11 @@ class TestRoundTrip:
         # render o parse canonicalizes: "Fc" becomes "FC", idempotently
         assert archspec.render_shorthand(archspec.parse_shorthand(canonical)) == canonical
 
-    def test_single_head(self):
-        assert archspec.render_shorthand(archspec.parse_shorthand("Sm")) == "Sm"
-
     def test_random_specs_round_trip(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            blocks = [ConvBlock(int(rng.integers(1, 512)))
-                      for _ in range(rng.integers(0, 6))]
-            if rng.random() < 0.8:
-                blocks.append(FullyConnected())
-            blocks.append(SoftmaxHead())
-            spec = archspec.ModelSpec(blocks=tuple(blocks))
+            filters = tuple(int(rng.integers(1, 512)) for _ in range(rng.integers(0, 6)))
+            spec = archspec.ModelSpec(filters=filters)
             assert archspec.parse_shorthand(archspec.render_shorthand(spec)) == spec
 
     def test_spec_dict_round_trip(self):
@@ -84,25 +86,16 @@ class TestRoundTrip:
             condconv_mask=(True, False, True, True, True, False, True),
             routing_activation="softmax", dropout_rate=0.25, pin_routing=True,
         )
-        defaults = archspec.ModelSpec(blocks=spec.blocks)
+        defaults = archspec.ModelSpec(filters=spec.filters)
         assert all(getattr(spec, f) != getattr(defaults, f) for f in archspec._RECORDED)
         assert archspec.spec_from_dict(archspec.spec_to_dict(spec)) == spec
 
-    def test_bundled_wisdm_spec_record(self):
-        text = resources.files("condcnn.configs").joinpath("wisdm.json").read_text()
-        spec = archspec.spec_from_dict(json.loads(text)["model"])
-        assert archspec.spec_to_dict(spec) == {
-            "shorthand": "C(64)-C(128)-C(384)-FC-Sm",
-            "convs_per_block": 2,
-            "kernel_length": 5,
-            "pool": [[2, 2], None, None],
-            "n_experts": 8,
-            "condconv_mask": None,
-            "head": "pointwise-condconv",
-            "routing_activation": "sigmoid",
-            "dropout_rate": 0.5,
-            "pin_routing": False,
-        }
+    @pytest.mark.parametrize("name", ["wisdm", "pamap2", "unimib", "opportunity"])
+    def test_bundled_spec_record(self, name):
+        text = resources.files("condcnn.configs").joinpath(f"{name}.json").read_text()
+        model = json.loads(text)["model"]
+        record = archspec.spec_to_dict(archspec.spec_from_dict(model))
+        assert record == dict(model, pin_routing=False)
 
     @pytest.mark.parametrize("record,key", [
         ({"shorthand": "C(8)-FC-Sm", "n_expert": 8}, "n_expert"),
@@ -131,12 +124,6 @@ class TestSpecChecks:
     def test_bad_field_rejected_when_built(self, field, value, match):
         with pytest.raises(ConfigError, match=match):
             archspec.parse_shorthand("C(4)-C(8)-FC-Sm", **{field: value})
-
-    def test_fc_placement_checked_without_a_shape(self):
-        with pytest.raises(ArchitectureError, match="immediately before Sm"):
-            archspec.ModelSpec(blocks=(FullyConnected(), ConvBlock(4), SoftmaxHead()))
-        with pytest.raises(ArchitectureError, match="requires an FC block"):
-            archspec.parse_shorthand("C(4)-Sm", head="pointwise-condconv")
 
 
 class TestBuildModel:
@@ -171,7 +158,7 @@ class TestBuildModel:
 
     def test_temporal_collapse_names_block(self):
         spec = archspec.parse_shorthand(
-            "C(2)-C(2)-C(2)-C(2)-Sm" + "", kernel_length=5, pool=(4, 4), convs_per_block=1,
+            "C(2)-C(2)-C(2)-C(2)-FC-Sm", kernel_length=5, pool=(4, 4), convs_per_block=1,
         )
         with pytest.raises(ArchitectureError, match="block"):
             archspec.build_model(spec, (16, 2), 2, seed=0)
@@ -231,11 +218,3 @@ class TestBuildModel:
         model = archspec.build_model(spec, (16, 2), 3, seed=0)
         kinds = [type(l) for l in model.layers]
         assert CondConv in kinds and TemporalConv in kinds
-
-    def test_head_only_spec_requires_matching_channels(self):
-        spec = archspec.parse_shorthand("Sm")
-        model = archspec.build_model(spec, (10, 4), 4, seed=0).eval()
-        x = np.random.default_rng(4).normal(size=(3, 10, 4))
-        assert model.forward(x).data.shape == (3, 4)
-        with pytest.raises(ArchitectureError):
-            archspec.build_model(spec, (10, 4), 6, seed=0)

@@ -76,6 +76,12 @@ MALFORMED_DATASET = [
     ("dataset", "resample_to_hz", "33.3", "resample_to_hz"),
     ("dataset", "resample_to_hz", 0, "resample_to_hz"),
 ]
+# kept apart so that pytest's index-based ids of the cases after
+# MALFORMED_DATASET stay as they were
+MALFORMED_CSV_PATH = [
+    ("dataset", "canonical_csv", None, "canonical_csv"),
+    ("dataset", "canonical_csv", 5, "canonical_csv"),
+]
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -140,7 +146,7 @@ class TestSegment:
         assert code == 2
         assert "label 3" in caplog.text
 
-    @pytest.mark.parametrize("section,key,value,field", MALFORMED_DATASET)
+    @pytest.mark.parametrize("section,key,value,field", MALFORMED_DATASET + MALFORMED_CSV_PATH)
     def test_malformed_dataset_value_exits_one(self, workspace, caplog,
                                                section, key, value, field):
         tmp_path, config_path = workspace
@@ -194,6 +200,21 @@ class TestSegment:
         assert done.returncode == 1
         assert "step" in done.stderr and "Traceback" not in done.stderr
         assert len(done.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("body", [b'{"dataset": ', b'{"name": "\xff"}', None],
+                             ids=["truncated", "not-utf8", "directory"])
+    def test_unreadable_config_exits_one_with_one_line(self, tmp_path, caplog, body):
+        config_path = tmp_path / "config.json"
+        if body is None:
+            config_path.mkdir()
+        else:
+            config_path.write_bytes(body)
+        out = tmp_path / "s"
+        code = cli.main(["segment", "--config", str(config_path), "--out", str(out)])
+        assert code == 1
+        assert len(caplog.records) == 1 and str(config_path) in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not out.exists()
 
 
 class TestTrain:
@@ -355,6 +376,7 @@ class TestTrain:
         (None, "dataset", 5, "dataset"),
         ("model", "n_expert", 8, "n_expert"),
         ("model", "shorthand", _DELETE, "shorthand"),
+        ("model", "shorthand", "C(4)-C(8)-Sm", "FC-Sm"),
         ("model", "n_experts", 0, "n_experts"),
         ("model", "n_experts", 1.5, "n_experts"),
         ("model", "head", "bogus", "head"),
@@ -362,7 +384,7 @@ class TestTrain:
         ("model", "kernel_length", 0, "kernel_length"),
         ("model", "kernel_length", 33, "kernel length 33"),
         ("model", "convs_per_block", 0, "convs_per_block"),
-    ])
+    ] + MALFORMED_CSV_PATH)
     def test_malformed_config_value_exits_one_before_writing(
             self, workspace, caplog, section, key, value, field):
         tmp_path, config_path = workspace
@@ -554,8 +576,16 @@ class TestAnalyze:
 
 @pytest.mark.parametrize("command", ["train", "segment", "analyze"])
 @pytest.mark.parametrize("below", ["", "sub"])
-def test_out_through_a_regular_file_exits_one_with_one_line(workspace, caplog, command, below):
+def test_out_through_a_regular_file_exits_one_with_one_line(workspace, caplog, monkeypatch,
+                                                            command, below):
     tmp_path, config_path = workspace
+
+    def too_early(*args, **kwargs):
+        raise AssertionError("input read before --out was made")
+
+    # `--out` is made first, so a bad one costs no data or checkpoint load
+    monkeypatch.setattr(dp, "ingest_canonical", too_early)
+    monkeypatch.setattr(training, "load_checkpoint", too_early)
     blocker = tmp_path / "notadir"
     blocker.write_text("a file\n")
     out = blocker / below if below else blocker

@@ -150,6 +150,9 @@ INGEST_CASES = {
         HEAD + "s1,a,2,1.0,2.0\ns1,a,0,3.0,4.0\n",
         stream_of([("s1", "a", 2, [1.0, 2.0]), ("s1", "a", 0, [3.0, 4.0])],
                   ["0", "1", "2"])),
+    "superscript-digit labels are names": (
+        HEAD + "s1,a,\u00b2,1.0,2.0\ns1,a,\u00b2,3.0,4.0\n",
+        stream_of([("s1", "a", 0, [1.0, 2.0]), ("s1", "a", 0, [3.0, 4.0])], ["\u00b2"])),
     "blank lines skipped": (
         HEAD + "\ns1,a,w,1.0,2.0\n\n\ns1,a,w,3.0,4.0\n\n",
         stream_of([("s1", "a", 0, [1.0, 2.0]), ("s1", "a", 0, [3.0, 4.0])], ["w"])),
