@@ -58,7 +58,14 @@ class ModelSpec:
         if not is_number(self.dropout_rate) or not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"model dropout_rate must be a number in [0, 1), "
                               f"got {self.dropout_rate!r}")
+        if not isinstance(self.pin_routing, bool):
+            raise ConfigError(f"model pin_routing must be true or false, "
+                              f"got {self.pin_routing!r}")
         mask = self.condconv_mask
+        if mask is not None and not (isinstance(mask, (list, tuple))
+                                     and all(isinstance(on, bool) for on in mask)):
+            raise ConfigError(f"model condconv_mask must be a list of true/false, "
+                              f"got {mask!r}")
         if mask is not None and len(mask) != self.n_conv_layers():
             raise ConfigError(
                 f"condconv_mask has {len(mask)} entries, model has "
@@ -105,6 +112,8 @@ def parse_shorthand(text, **overrides):
     Keyword overrides set the non-shorthand hyperparameters (kernel_length,
     n_experts, ...).
     """
+    if not isinstance(text, str):
+        raise ConfigError(f"model shorthand must be a string, got {text!r}")
     compact = re.sub(r"\s+", "", text)
     if not compact:
         raise ConfigError("empty architecture string")

@@ -9,9 +9,15 @@ closure has run, its links and gradient are dropped, so intermediates
 are freed during the sweep and only leaves keep their gradients.
 
 Convolution uses the cross-correlation convention (no kernel flip).
+The two conv ops split each batch chunk over the CPUs this process may
+run on (`_workers`); every BLAS call gets the operands the serial walk
+would give it, so results do not depend on the core count.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -531,13 +537,66 @@ def _column_blocks(width):
     return list(zip(los, los[1:] + [width]))
 
 
+# A conv op whose forward pass takes fewer multiply-adds than this runs on
+# the calling thread alone: below it, starting and handing work to threads
+# cost more than they save (about 20 M on a 2-core VM).
+_THREAD_MIN_MACS = 2**24
+
+
+def _workers(macs):
+    """Threads a conv op of `macs` forward multiply-adds splits its work
+    over: one per CPU this process may run on (`taskset` limits them), the
+    calling thread included, or 1 for a small op."""
+    return len(os.sched_getaffinity(0)) if macs >= _THREAD_MIN_MACS else 1
+
+
+@contextmanager
+def _pool(workers):
+    """The `workers - 1` helper threads of one op call, or None for one
+    worker. The threads start on first use and are joined on exit, so none
+    outlives the op."""
+    if workers == 1:
+        yield None
+        return
+    with ThreadPoolExecutor(workers - 1) as pool:
+        yield pool
+
+
+def _run(pool, tasks):
+    """Run the zero-argument `tasks` at once, the first on the calling
+    thread and the rest on `pool`, or one after another without a pool;
+    return when all have finished. A task's exception reaches the caller."""
+    if pool is None:
+        for task in tasks:
+            task()
+        return
+    futures = [pool.submit(task) for task in tasks[1:]]
+    tasks[0]()
+    for future in futures:
+        future.result()
+
+
+def _parts(m, count, least=1):
+    """range(m) as at most `count` contiguous slices of at least `least`
+    items each (one slice if m < 2 * least), sizes differing by at most 1."""
+    count = max(1, min(count, m // least))
+    bounds = [m * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
     """Cross-correlate `x` (batch, T, C_in) with the shared (K, C_in, C_out)
-    `kernel` along its temporal axis: one matmul of the im2col view against
-    the kernel as a (K*C_in, C_out) matrix, the call `condconv_temporal`
-    makes with a chunk's mixed kernels. Backward walks the batch in the same
-    chunks, so no whole-batch window array or window gradient exists. An
-    optional (C_out,) `bias` is added in place to the output.
+    `kernel` along its temporal axis: a matmul of each example's im2col
+    view against the kernel as a (K*C_in, C_out) matrix, the call
+    `condconv_temporal` makes with a chunk's mixed kernels. Backward walks
+    the batch in the same chunks, so no whole-batch window array or window
+    gradient exists; per chunk, the kernel gradient is done before the
+    input pass starts, so the chunk's window copy and window gradient never
+    exist at once. Each pass is split over `_workers`: the forward matmuls
+    and the input pass by examples, the kernel gradient by its rows. Every
+    part of a product has at least 2 rows, as a 1-row product goes to a
+    matrix-vector routine that rounds differently. An optional (C_out,)
+    `bias` is added in place to the output.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
@@ -549,25 +608,44 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
         raise ShapeError(f"kernel expects {kc_in} input channels, input has {c_in}")
     left, t_padded, t_out = _conv_geometry(t_in, k, stride, padding)
     w = kernel.data.reshape(k * c_in, c_out)
-    value = np.matmul(_im2col(x.data, left, t_padded, t_out, k, stride), w)
+    workers = _workers(batch * t_out * w.size)
+
+    def cols(x_part):
+        return _im2col(x_part, left, t_padded, t_out, k, stride)
+
+    def convolve(p):
+        np.matmul(cols(x.data[p]), w, out=value[p])
+
+    value = np.empty((batch, t_out, c_out))
+    with _pool(workers) as pool:
+        _run(pool, [partial(convolve, p) for p in _parts(batch, workers)])
     if bias is not None:
         value += bias.data
+
+    def weight_pass(cols_p, g_c, dw_p):
+        dw_p += cols_p.T @ g_c
+
+    def input_pass(g_p, dx_p):
+        dcols = g_p.reshape(-1, c_out) @ w.T
+        _fold_windows(dcols.reshape(-1, t_out, k, c_in), dx_p, left, stride)
 
     def backward(g):
         if bias is not None:
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
         dw = np.zeros_like(w) if kernel.requires_grad else None
         dx = np.zeros_like(x.data) if x.requires_grad else None
-        for c in _chunks(batch, kernel.data.shape):
-            g_c = g[c].reshape(-1, c_out)
-            if dw is not None:
-                cols = _im2col(x.data[c], left, t_padded, t_out, k, stride)
-                dw += cols.reshape(-1, k * c_in).T @ g_c
-                del cols  # frees the padded chunk before the input pass
-            if dx is not None:
-                dcols = (g_c @ w.T).reshape(-1, t_out, k, c_in)
-                _fold_windows(dcols, dx[c], left, stride)
-                del dcols  # no chunk's buffer outlives its iteration
+        with _pool(workers) as pool:
+            for c in _chunks(batch, kernel.data.shape):
+                g_c = g[c]
+                if dw is not None:
+                    cols_c, g_rows = cols(x.data[c]).reshape(-1, k * c_in), g_c.reshape(-1, c_out)
+                    _run(pool, [partial(weight_pass, cols_c[:, p], g_rows, dw[p])
+                                for p in _parts(k * c_in, workers, least=2)])
+                    del cols_c  # frees the chunk's window copy before the input pass
+                if dx is not None:
+                    dx_c = dx[c]
+                    _run(pool, [partial(input_pass, g_c[p], dx_c[p]) for p in
+                                _parts(c.stop - c.start, workers, least=-(-2 // t_out))])
         if dw is not None:
             _accumulate(kernel, dw.reshape(kernel.data.shape))
         if dx is not None:
@@ -592,6 +670,12 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     gradient rather than keeping them from the forward pass, and folds the
     window gradients straight into the chunk's slice of the input gradient.
     An optional (C_out,) `bias` is added in place to the output.
+
+    Within a chunk the work is split over `_workers`: the per-example
+    matmuls and folds by examples, the mix by rows (at least 2 per part,
+    since a 1-row product goes to a matrix-vector routine that rounds
+    differently), and the experts' gradient by column blocks, beside
+    d_alpha's one matmul.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
@@ -612,20 +696,42 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     flat = experts.data.reshape(n, k * c_in * c_out)
     chunks = _chunks(batch, (k, c_in, c_out))
     rows = chunks[0].stop if chunks else 0  # examples in the largest chunk
+    workers = _workers(batch * t_out * flat.shape[1])
 
-    def cols(c):
-        return _im2col(x.data[c], left, t_padded, t_out, k, stride)
+    def cols(x_part):
+        return _im2col(x_part, left, t_padded, t_out, k, stride)
 
-    def mixed(c, kernels):
+    def mixed(pool, c, kernels):
         """The chunk's kernels, mixed into the front of `kernels`."""
         m = c.stop - c.start
-        np.matmul(alpha.data[c], flat, out=kernels[:m])
-        return kernels[:m].reshape(m, k * c_in, c_out)
+        alpha_c, mixed_c = alpha.data[c], kernels[:m]
+        _run(pool, [partial(np.matmul, alpha_c[p], flat, out=mixed_c[p])
+                    for p in _parts(m, workers, least=2)])
+        return mixed_c.reshape(m, k * c_in, c_out)
+
+    def per_example(pool, c, task, *arrays):
+        """`task` on each part of chunk `c`'s examples, given that part of
+        each of the chunk's `arrays`."""
+        _run(pool, [partial(task, *(a[p] for a in arrays))
+                    for p in _parts(c.stop - c.start, workers)])
+
+    def convolve(x_p, kernels_p, out_p):
+        np.matmul(cols(x_p), kernels_p, out=out_p)
+
+    def kernel_grad(x_p, g_p, out_p):
+        np.matmul(cols(x_p).transpose(0, 2, 1), g_p, out=out_p)
+
+    def window_grad(g_p, kernels_p, out_p):
+        np.matmul(g_p, kernels_p.transpose(0, 2, 1), out=out_p)
+
+    def fold(dwin_p, dx_p):
+        _fold_windows(dwin_p, dx_p, left, stride)
 
     value = np.empty((batch, t_out, c_out))
     kernels = np.empty((rows, flat.shape[1]))  # the call's one workspace
-    for c in chunks:
-        np.matmul(cols(c), mixed(c, kernels), out=value[c])
+    with _pool(workers) as pool:
+        for c in chunks:
+            per_example(pool, c, convolve, x.data[c], mixed(pool, c, kernels), value[c])
     del kernels  # freed before the bias add and the finite check
     if bias is not None:
         value += bias.data
@@ -640,24 +746,36 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
             experts.grad = (np.zeros(experts.data.shape) if experts.grad is None
                             else np.ascontiguousarray(experts.grad))
             d_experts = experts.grad.reshape(n, -1)
+        blocks = _column_blocks(flat.shape[1])
+
+        def add_d_experts(blocks_part, alpha_c, dk):
+            for lo, hi in blocks_part:
+                d_experts[:, lo:hi] += alpha_c.T @ dk[:, lo:hi]
+
+        def parameter_grads(pool, c, dk):
+            """The chunk's kernel gradient into `dk`; then d_alpha's one
+            matmul beside the experts' gradient, split by column blocks."""
+            per_example(pool, c, kernel_grad, x.data[c], g[c],
+                        dk.reshape(-1, k * c_in, c_out))
+            if experts.requires_grad:
+                _run(pool, [partial(add_d_experts, blocks[part], alpha.data[c], dk)
+                            for part in _parts(len(blocks), workers)])
+            if alpha.requires_grad:
+                np.matmul(dk, flat.T, out=d_alpha[c])
+
         kernels = np.empty((rows, flat.shape[1]))
-        for c in chunks:
-            m = c.stop - c.start
-            if experts.requires_grad or alpha.requires_grad:
-                dk = kernels[:m]
-                np.matmul(cols(c).transpose(0, 2, 1), g[c],
-                          out=dk.reshape(m, k * c_in, c_out))
-                if experts.requires_grad:
-                    for lo, hi in _column_blocks(flat.shape[1]):
-                        d_experts[:, lo:hi] += alpha.data[c].T @ dk[:, lo:hi]
-                if alpha.requires_grad:
-                    np.matmul(dk, flat.T, out=d_alpha[c])
-            if dx is not None:
-                dcols = np.matmul(g[c], mixed(c, kernels).transpose(0, 2, 1))
-                if c is chunks[-1]:
-                    kernels = dk = None  # the last fold runs without the workspace
-                _fold_windows(dcols.reshape(m, t_out, k, c_in), dx[c], left, stride)
-                del dcols  # no chunk's buffer outlives its iteration
+        with _pool(workers) as pool:
+            for c in chunks:
+                m = c.stop - c.start
+                if experts.requires_grad or alpha.requires_grad:
+                    parameter_grads(pool, c, kernels[:m])
+                if dx is not None:
+                    dcols = np.empty((m, t_out, k * c_in))
+                    per_example(pool, c, window_grad, g[c], mixed(pool, c, kernels), dcols)
+                    if c is chunks[-1]:
+                        kernels = None  # the last fold runs without the workspace
+                    per_example(pool, c, fold, dcols.reshape(m, t_out, k, c_in), dx[c])
+                    del dcols  # no chunk's buffer outlives its iteration
         if d_alpha is not None:
             _accumulate(alpha, d_alpha)
         if dx is not None:

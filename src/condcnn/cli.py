@@ -6,8 +6,10 @@ failure. All artifacts (configs, datasets, checkpoints, CSVs, reports)
 are byte-deterministic for a fixed config and seed; timestamps appear
 only in log lines on stderr.
 
-The numeric thread count is pinned before numpy loads (default 1, for
-run-to-run determinism); override with CONDCNN_NUM_THREADS.
+BLAS runs one thread: each BLAS variable left unset is pinned to 1 before
+numpy loads, for run-to-run determinism. The conv ops split their work
+over every CPU the process may use (limit them with `taskset`), with
+results that do not depend on the core count.
 """
 
 import argparse
@@ -24,10 +26,9 @@ log = logging.getLogger("condcnn")
 
 
 def _pin_threads():
-    count = os.environ.get("CONDCNN_NUM_THREADS", "1")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, count)
+        os.environ.setdefault(var, "1")
 
 
 def _build_parser():

@@ -108,6 +108,11 @@ class TestRoundTrip:
 
 
 class TestSpecChecks:
+    @pytest.mark.parametrize("text", [5, None, ["C(4)", "FC", "Sm"]])
+    def test_shorthand_that_is_not_a_string_rejected(self, text):
+        with pytest.raises(ConfigError, match="shorthand must be a string"):
+            archspec.parse_shorthand(text)
+
     @pytest.mark.parametrize("field,value,match", [
         ("convs_per_block", 0, "convs_per_block"),
         ("kernel_length", 0, "kernel_length"),
@@ -120,6 +125,10 @@ class TestSpecChecks:
         ("pool", (2, 0), "pool stride"),
         ("pool", ((0, 2), None), "pool size"),
         ("pool", 2, "pair"),
+        ("pin_routing", "yes", "pin_routing"),
+        ("pin_routing", 1, "pin_routing"),
+        ("condconv_mask", 5, "condconv_mask"),
+        ("condconv_mask", (1, 0, 1, 0), "condconv_mask"),
     ])
     def test_bad_field_rejected_when_built(self, field, value, match):
         with pytest.raises(ConfigError, match=match):

@@ -384,7 +384,11 @@ class TestTrain:
         ("model", "kernel_length", 0, "kernel_length"),
         ("model", "kernel_length", 33, "kernel length 33"),
         ("model", "convs_per_block", 0, "convs_per_block"),
-    ] + MALFORMED_CSV_PATH)
+    ] + MALFORMED_CSV_PATH + [
+        ("model", "shorthand", 5, "shorthand"),
+        ("model", "condconv_mask", 5, "condconv_mask"),
+        ("model", "pin_routing", "yes", "pin_routing"),
+    ])
     def test_malformed_config_value_exits_one_before_writing(
             self, workspace, caplog, section, key, value, field):
         tmp_path, config_path = workspace

@@ -1,0 +1,162 @@
+"""Both conv ops split each batch chunk over `autodiff._workers` threads:
+outputs and gradients are bitwise the same for any thread count, a
+worker's exception reaches the caller, and no thread outlives an op. The
+ops here are small, so the tests set the thread count themselves."""
+
+import os
+import threading
+
+import numpy as np
+import pytest
+
+from condcnn import autodiff as ad
+from condcnn.autodiff import Tensor
+
+BATCH, T_IN, C_IN, C_OUT, K = 23, 13, 4, 6, 5
+# (x, alpha or kernel, experts) gradients wanted; experts only for condconv
+GRADS = [(True, True, True), (False, True, True), (True, False, False)]
+
+
+def _set_workers(monkeypatch, workers):
+    monkeypatch.setattr(ad, "_workers", lambda macs: workers)
+
+
+def _run(op, workers, monkeypatch, stride, padding, grads, n=3, t_in=T_IN):
+    """The op's output and gradients at `workers` threads, on fixed inputs."""
+    _set_workers(monkeypatch, workers)
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(BATCH, t_in, C_IN)), requires_grad=grads[0])
+    bias = Tensor(rng.normal(size=C_OUT), requires_grad=True)
+    if op == "condconv":
+        alpha = Tensor(rng.uniform(size=(BATCH, n)), requires_grad=grads[1])
+        experts = Tensor(rng.normal(size=(n, K, C_IN, C_OUT)), requires_grad=grads[2])
+        inputs = (x, alpha, experts, bias)
+        out = ad.condconv_temporal(x, alpha, experts, stride, padding, bias=bias)
+    else:
+        kernel = Tensor(rng.normal(size=(K, C_IN, C_OUT)), requires_grad=grads[1])
+        inputs = (x, kernel, bias)
+        out = ad.conv_temporal(x, kernel, stride, padding, bias=bias)
+    weights = Tensor(rng.normal(size=out.shape))
+    (out * weights).sum().backward()
+    return [out.data] + [t.grad for t in inputs if t.requires_grad]
+
+
+def _chunk_budget(monkeypatch, examples):
+    monkeypatch.setattr(ad, "CONDCONV_CHUNK_BYTES", examples * 8 * K * C_IN * C_OUT)
+
+
+@pytest.mark.parametrize("op", ["condconv", "conv"])
+@pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"),
+                                            (2, "valid")])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 11])
+@pytest.mark.parametrize("grads", GRADS)
+def test_bitwise_equal_for_any_thread_count(monkeypatch, op, stride, padding, chunk, grads):
+    _chunk_budget(monkeypatch, chunk)
+    # 8-column blocks, so the experts' gradient has blocks to deal out
+    monkeypatch.setattr(ad, "_GRAD_COLUMNS", 8)
+    serial = _run(op, 1, monkeypatch, stride, padding, grads)
+    for workers in (2, 3):  # 3 is more threads than a 2-core machine has cores
+        threaded = _run(op, workers, monkeypatch, stride, padding, grads)
+        assert len(threaded) == len(serial)
+        for a, b in zip(serial, threaded):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("op", ["condconv", "conv"])
+@pytest.mark.parametrize("chunk", [2, 3, 11])
+def test_one_window_per_example_bitwise_equal(monkeypatch, op, chunk):
+    # each example's matmuls have one row: parts must still have two
+    _chunk_budget(monkeypatch, chunk)
+    serial = _run(op, 1, monkeypatch, 1, "valid", GRADS[0], t_in=K)
+    for workers in (2, 3):
+        threaded = _run(op, workers, monkeypatch, 1, "valid", GRADS[0], t_in=K)
+        for a, b in zip(serial, threaded):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 11])
+def test_one_expert_bitwise_equal_for_any_thread_count(monkeypatch, chunk):
+    _chunk_budget(monkeypatch, chunk)
+    serial = _run("condconv", 1, monkeypatch, 1, "same", GRADS[0], n=1)
+    for workers in (2, 3):
+        threaded = _run("condconv", workers, monkeypatch, 1, "same", GRADS[0], n=1)
+        for a, b in zip(serial, threaded):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("op", ["condconv", "conv"])
+def test_forward_without_graph_bitwise_equal(monkeypatch, op):
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(BATCH, T_IN, C_IN)))
+    alpha = Tensor(rng.uniform(size=(BATCH, 3)))
+    experts = Tensor(rng.normal(size=(3, K, C_IN, C_OUT)))
+    kernel = Tensor(rng.normal(size=(K, C_IN, C_OUT)))
+    outs = []
+    for workers in (1, 2, 3):
+        _set_workers(monkeypatch, workers)
+        with ad.no_grad():
+            if op == "condconv":
+                outs.append(ad.condconv_temporal(x, alpha, experts).data)
+            else:
+                outs.append(ad.conv_temporal(x, kernel).data)
+    assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+
+
+def _failing_fold(monkeypatch, on_worker):
+    """Patch `_fold_windows` to record the live thread count at each call
+    and, with `on_worker`, to raise on any thread but the caller's."""
+    caller, real, seen = threading.get_ident(), ad._fold_windows, []
+
+    def fold(dwin, dx, left, stride):
+        if threading.get_ident() != caller and on_worker:
+            raise RuntimeError("fold failed on a worker")
+        seen.append(threading.active_count())
+        real(dwin, dx, left, stride)
+
+    monkeypatch.setattr(ad, "_fold_windows", fold)
+    return seen
+
+
+@pytest.mark.parametrize("op", ["condconv", "conv"])
+def test_worker_exception_reaches_caller(monkeypatch, op):
+    _failing_fold(monkeypatch, on_worker=True)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="fold failed on a worker"):
+        _run(op, 2, monkeypatch, 1, "same", GRADS[0])
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("op", ["condconv", "conv"])
+def test_no_thread_outlives_the_op(monkeypatch, op):
+    seen = _failing_fold(monkeypatch, on_worker=False)
+    before = threading.active_count()
+    _run(op, 3, monkeypatch, 1, "same", GRADS[0])
+    assert max(seen) > before  # the backward did run on helper threads
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("op", ["condconv", "conv"])
+def test_one_worker_starts_no_thread(monkeypatch, op):
+    seen = _failing_fold(monkeypatch, on_worker=False)
+    before = threading.active_count()
+    _run(op, 1, monkeypatch, 1, "same", GRADS[0])
+    assert set(seen) == {before}
+
+
+def test_thread_count_follows_the_usable_cpus_above_the_size_floor():
+    assert ad._workers(ad._THREAD_MIN_MACS - 1) == 1
+    assert ad._workers(ad._THREAD_MIN_MACS) == len(os.sched_getaffinity(0))
+
+
+def test_parts_cover_in_order_with_at_least_least_items():
+    for m in range(1, 30):
+        for count in (1, 2, 3, 4):
+            for least in (1, 2):
+                parts = ad._parts(m, count, least)
+                assert parts[0].start == 0 and parts[-1].stop == m
+                assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+                assert len(parts) <= count
+                sizes = [p.stop - p.start for p in parts]
+                assert max(sizes) - min(sizes) <= 1
+                if len(parts) > 1:
+                    assert min(sizes) >= least
