@@ -10,8 +10,10 @@ are freed during the sweep and only leaves keep their gradients.
 
 Convolution uses the cross-correlation convention (no kernel flip).
 The two conv ops split each batch chunk over the CPUs this process may
-run on (`_workers`); every BLAS call gets the operands the serial walk
-would give it, so results do not depend on the core count.
+run on (`_workers`). No split cuts a sum: a per-example matmul keeps its
+operands, and a product split by rows is cut into parts of at least 2
+rows, which BLAS computes as it computes those rows of the whole. So
+results do not depend on the core count.
 """
 
 import os
@@ -539,15 +541,21 @@ def _column_blocks(width):
 
 # A conv op whose forward pass takes fewer multiply-adds than this runs on
 # the calling thread alone: below it, starting and handing work to threads
-# cost more than they save (about 20 M on a 2-core VM).
+# cost more than they save (on a 2-core VM the split op's forward and
+# backward overtake the serial ones between 5 M and 21 M).
 _THREAD_MIN_MACS = 2**24
 
 
 def _workers(macs):
     """Threads a conv op of `macs` forward multiply-adds splits its work
-    over: one per CPU this process may run on (`taskset` limits them), the
+    over: one per CPU this process may run on (`taskset` limits them; a
+    system without affinity masks, such as macOS, counts every CPU), the
     calling thread included, or 1 for a small op."""
-    return len(os.sched_getaffinity(0)) if macs >= _THREAD_MIN_MACS else 1
+    if macs < _THREAD_MIN_MACS:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @contextmanager
@@ -638,7 +646,8 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
             for c in _chunks(batch, kernel.data.shape):
                 g_c = g[c]
                 if dw is not None:
-                    cols_c, g_rows = cols(x.data[c]).reshape(-1, k * c_in), g_c.reshape(-1, c_out)
+                    cols_c = cols(x.data[c]).reshape(-1, k * c_in)
+                    g_rows = g_c.reshape(-1, c_out)
                     _run(pool, [partial(weight_pass, cols_c[:, p], g_rows, dw[p])
                                 for p in _parts(k * c_in, workers, least=2)])
                     del cols_c  # frees the chunk's window copy before the input pass
@@ -674,8 +683,9 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     Within a chunk the work is split over `_workers`: the per-example
     matmuls and folds by examples, the mix by rows (at least 2 per part,
     since a 1-row product goes to a matrix-vector routine that rounds
-    differently), and the experts' gradient by column blocks, beside
-    d_alpha's one matmul.
+    differently), and the experts' gradient by column blocks. d_alpha stays
+    one matmul, run after those blocks: run beside them, it slowed them as
+    much as it saved.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
@@ -753,8 +763,8 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
                 d_experts[:, lo:hi] += alpha_c.T @ dk[:, lo:hi]
 
         def parameter_grads(pool, c, dk):
-            """The chunk's kernel gradient into `dk`; then d_alpha's one
-            matmul beside the experts' gradient, split by column blocks."""
+            """The chunk's kernel gradient into `dk`, then the experts'
+            gradient from it, split by column blocks, then d_alpha."""
             per_example(pool, c, kernel_grad, x.data[c], g[c],
                         dk.reshape(-1, k * c_in, c_out))
             if experts.requires_grad:
