@@ -9,8 +9,12 @@ closure has run, its links and gradient are dropped, so intermediates
 are freed during the sweep and only leaves keep their gradients.
 
 Convolution uses the cross-correlation convention (no kernel flip).
-The two conv ops split each batch chunk over the CPUs this process may
-run on (`_workers`). No split cuts a sum: a per-example matmul keeps its
+The two conv ops share one front end (`_conv_front`: input checks,
+geometry, im2col view) and split each batch chunk over the CPUs this
+process may run on (`_workers`). Every pass over examples uses one
+split, parts of at least 2 examples, and one worker does all of a part's
+per-example work: in the CondConv op it mixes the part's kernels and
+convolves with them. No split cuts a sum: a per-example matmul keeps its
 operands, and a product split by rows is cut into parts of at least 2
 rows, which BLAS computes as it computes those rows of the whole. So
 results do not depend on the core count.
@@ -592,6 +596,25 @@ def _parts(m, count, least=1):
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _conv_front(x, weights, name, layout, stride, padding):
+    """The checks and set-up both conv ops share. `x` must be (batch, T,
+    C_in) and `weights` have the axes `layout` names, ending in (K, C_in,
+    C_out); the ShapeError message names the weights as `name`. Returns
+    (left pad, output length, cols), where cols(x_part) is the im2col view
+    of `x_part`, some of x's examples."""
+    if x.data.ndim != 3:
+        raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
+    if weights.data.ndim != len(layout):
+        raise ShapeError(f"{name} must be ({', '.join(layout)}), got {weights.data.shape}")
+    t_in, c_in = x.data.shape[1:]
+    k, kc_in = weights.data.shape[-3:-1]
+    if kc_in != c_in:
+        raise ShapeError(f"kernel expects {kc_in} input channels, input has {c_in}")
+    left, t_padded, t_out = _conv_geometry(t_in, k, stride, padding)
+    return left, t_out, partial(_im2col, left=left, t_padded=t_padded, t_out=t_out,
+                                k=k, stride=stride)
+
+
 def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
     """Cross-correlate `x` (batch, T, C_in) with the shared (K, C_in, C_out)
     `kernel` along its temporal axis: a matmul of each example's im2col
@@ -601,32 +624,26 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
     gradient exists; per chunk, the kernel gradient is done before the
     input pass starts, so the chunk's window copy and window gradient never
     exist at once. Each pass is split over `_workers`: the forward matmuls
-    and the input pass by examples, the kernel gradient by its rows. Every
-    part of a product has at least 2 rows, as a 1-row product goes to a
-    matrix-vector routine that rounds differently. An optional (C_out,)
-    `bias` is added in place to the output.
+    and the input pass by examples, in parts of at least 2 as in
+    `condconv_temporal`, and the kernel gradient by its rows, at least 2
+    per part. A 1-row product goes to a matrix-vector routine that rounds
+    differently; with one window per example, a part of 1 example would
+    give the input pass such a product. An optional (C_out,) `bias` is
+    added in place to the output.
     """
-    if x.data.ndim != 3:
-        raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
-    if kernel.data.ndim != 3:
-        raise ShapeError(f"kernel must be (K, C_in, C_out), got {kernel.data.shape}")
-    batch, t_in, c_in = x.data.shape
-    k, kc_in, c_out = kernel.data.shape
-    if kc_in != c_in:
-        raise ShapeError(f"kernel expects {kc_in} input channels, input has {c_in}")
-    left, t_padded, t_out = _conv_geometry(t_in, k, stride, padding)
+    left, t_out, cols = _conv_front(x, kernel, "kernel", ("K", "C_in", "C_out"),
+                                    stride, padding)
+    batch = x.data.shape[0]
+    k, c_in, c_out = kernel.data.shape
     w = kernel.data.reshape(k * c_in, c_out)
     workers = _workers(batch * t_out * w.size)
-
-    def cols(x_part):
-        return _im2col(x_part, left, t_padded, t_out, k, stride)
 
     def convolve(p):
         np.matmul(cols(x.data[p]), w, out=value[p])
 
     value = np.empty((batch, t_out, c_out))
     with _pool(workers) as pool:
-        _run(pool, [partial(convolve, p) for p in _parts(batch, workers)])
+        _run(pool, [partial(convolve, p) for p in _parts(batch, workers, least=2)])
     if bias is not None:
         value += bias.data
 
@@ -653,8 +670,8 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
                     del cols_c  # frees the chunk's window copy before the input pass
                 if dx is not None:
                     dx_c = dx[c]
-                    _run(pool, [partial(input_pass, g_c[p], dx_c[p]) for p in
-                                _parts(c.stop - c.start, workers, least=-(-2 // t_out))])
+                    _run(pool, [partial(input_pass, g_c[p], dx_c[p])
+                                for p in _parts(c.stop - c.start, workers, least=2)])
         if dw is not None:
             _accumulate(kernel, dw.reshape(kernel.data.shape))
         if dx is not None:
@@ -669,79 +686,52 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     Example b is cross-correlated with its own kernel, the mix
     sum_i alpha[b, i] * experts[i] of the (n, K, C_in, C_out) experts under
     the (batch, n) routing weights `alpha`. The batch is walked in chunks of
-    `condconv_chunk` examples: each chunk mixes its kernels and convolves
-    them as one batched matmul against an im2col view of the input.
-    Forward and backward each allocate one chunk of per-example kernels and
-    reuse it for every chunk. Backward writes a chunk's kernel gradient
-    `dk` into it and adds alphaᵀ·dk to the experts' gradient
-    `_GRAD_COLUMNS` columns at a time, so no expert-sized temporary exists;
-    then it remixes the chunk's kernels into the same buffer for the input
-    gradient rather than keeping them from the forward pass, and folds the
-    window gradients straight into the chunk's slice of the input gradient.
-    An optional (C_out,) `bias` is added in place to the output.
-
-    Within a chunk the work is split over `_workers`: the per-example
-    matmuls and folds by examples, the mix by rows (at least 2 per part,
-    since a 1-row product goes to a matrix-vector routine that rounds
-    differently), and the experts' gradient by column blocks. d_alpha stays
-    one matmul, run after those blocks: run beside them, it slowed them as
-    much as it saved.
+    `condconv_chunk` examples, each split over `_workers` into parts of at
+    least 2 examples, the one split of every pass over examples. One task
+    per part mixes the part's kernels into its rows of the workspace, then
+    convolves with them as a batched matmul against an im2col view of the
+    input. Forward and backward each allocate one chunk of per-example
+    kernels and reuse it for every chunk. Backward writes a chunk's kernel
+    gradient `dk` into it (per part) and adds alphaᵀ·dk to the experts'
+    gradient `_GRAD_COLUMNS` columns at a time, the column blocks split
+    over the workers, so no expert-sized temporary exists; d_alpha follows
+    as one matmul, since run beside the blocks it slowed them as much as it
+    saved. Then one task per part remixes its kernels into the same rows
+    for the input gradient, rather than keeping them from the forward pass,
+    writes its window gradients into its rows of the chunk's buffer, and
+    folds them straight into its slice of the input gradient. The mix is
+    a product split by rows; a part of 1 row would go to a matrix-vector
+    routine that rounds differently, hence parts of at least 2. An optional
+    (C_out,) `bias` is added in place to the output.
     """
-    if x.data.ndim != 3:
-        raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
-    if experts.data.ndim != 4:
-        raise ShapeError(
-            f"experts must be (n, K, C_in, C_out), got {experts.data.shape}"
-        )
-    batch, t_in, c_in = x.data.shape
-    n, k, kc_in, c_out = experts.data.shape
+    left, t_out, cols = _conv_front(x, experts, "experts", ("n", "K", "C_in", "C_out"),
+                                    stride, padding)
+    batch = x.data.shape[0]
+    n, k, c_in, c_out = experts.data.shape
     if alpha.data.shape != (batch, n):
         raise ShapeError(
             f"alpha shape {alpha.data.shape} does not match batch {batch} "
             f"and {n} experts"
         )
-    if kc_in != c_in:
-        raise ShapeError(f"kernel expects {kc_in} input channels, input has {c_in}")
-    left, t_padded, t_out = _conv_geometry(t_in, k, stride, padding)
     flat = experts.data.reshape(n, k * c_in * c_out)
     chunks = _chunks(batch, (k, c_in, c_out))
     rows = chunks[0].stop if chunks else 0  # examples in the largest chunk
     workers = _workers(batch * t_out * flat.shape[1])
 
-    def cols(x_part):
-        return _im2col(x_part, left, t_padded, t_out, k, stride)
+    def mix(kernels, c, p):
+        """Part `p` of chunk `c`'s kernels, mixed into its rows of `kernels`."""
+        np.matmul(alpha.data[c][p], flat, out=kernels[p])
+        return kernels[p].reshape(-1, k * c_in, c_out)
 
-    def mixed(pool, c, kernels):
-        """The chunk's kernels, mixed into the front of `kernels`."""
-        m = c.stop - c.start
-        alpha_c, mixed_c = alpha.data[c], kernels[:m]
-        _run(pool, [partial(np.matmul, alpha_c[p], flat, out=mixed_c[p])
-                    for p in _parts(m, workers, least=2)])
-        return mixed_c.reshape(m, k * c_in, c_out)
-
-    def per_example(pool, c, task, *arrays):
-        """`task` on each part of chunk `c`'s examples, given that part of
-        each of the chunk's `arrays`."""
-        _run(pool, [partial(task, *(a[p] for a in arrays))
-                    for p in _parts(c.stop - c.start, workers)])
-
-    def convolve(x_p, kernels_p, out_p):
-        np.matmul(cols(x_p), kernels_p, out=out_p)
-
-    def kernel_grad(x_p, g_p, out_p):
-        np.matmul(cols(x_p).transpose(0, 2, 1), g_p, out=out_p)
-
-    def window_grad(g_p, kernels_p, out_p):
-        np.matmul(g_p, kernels_p.transpose(0, 2, 1), out=out_p)
-
-    def fold(dwin_p, dx_p):
-        _fold_windows(dwin_p, dx_p, left, stride)
+    def forward_part(kernels, c, p):
+        np.matmul(cols(x.data[c][p]), mix(kernels, c, p), out=value[c][p])
 
     value = np.empty((batch, t_out, c_out))
     kernels = np.empty((rows, flat.shape[1]))  # the call's one workspace
     with _pool(workers) as pool:
         for c in chunks:
-            per_example(pool, c, convolve, x.data[c], mixed(pool, c, kernels), value[c])
+            _run(pool, [partial(forward_part, kernels, c, p)
+                        for p in _parts(c.stop - c.start, workers, least=2)])
     del kernels  # freed before the bias add and the finite check
     if bias is not None:
         value += bias.data
@@ -758,34 +748,36 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
             d_experts = experts.grad.reshape(n, -1)
         blocks = _column_blocks(flat.shape[1])
 
+        def kernel_grad(kernels, c, p):
+            np.matmul(cols(x.data[c][p]).transpose(0, 2, 1), g[c][p],
+                      out=kernels[p].reshape(-1, k * c_in, c_out))
+
         def add_d_experts(blocks_part, alpha_c, dk):
             for lo, hi in blocks_part:
                 d_experts[:, lo:hi] += alpha_c.T @ dk[:, lo:hi]
 
-        def parameter_grads(pool, c, dk):
-            """The chunk's kernel gradient into `dk`, then the experts'
-            gradient from it, split by column blocks, then d_alpha."""
-            per_example(pool, c, kernel_grad, x.data[c], g[c],
-                        dk.reshape(-1, k * c_in, c_out))
-            if experts.requires_grad:
-                _run(pool, [partial(add_d_experts, blocks[part], alpha.data[c], dk)
-                            for part in _parts(len(blocks), workers)])
-            if alpha.requires_grad:
-                np.matmul(dk, flat.T, out=d_alpha[c])
+        def input_part(kernels, dcols, c, p):
+            np.matmul(g[c][p], mix(kernels, c, p).transpose(0, 2, 1), out=dcols[p])
+            _fold_windows(dcols[p].reshape(-1, t_out, k, c_in), dx[c][p], left, stride)
 
         kernels = np.empty((rows, flat.shape[1]))
         with _pool(workers) as pool:
             for c in chunks:
                 m = c.stop - c.start
+                parts = _parts(m, workers, least=2)
                 if experts.requires_grad or alpha.requires_grad:
-                    parameter_grads(pool, c, kernels[:m])
+                    _run(pool, [partial(kernel_grad, kernels, c, p) for p in parts])
+                    if experts.requires_grad:
+                        _run(pool, [partial(add_d_experts, blocks[part], alpha.data[c],
+                                            kernels[:m])
+                                    for part in _parts(len(blocks), workers)])
+                    if alpha.requires_grad:
+                        np.matmul(kernels[:m], flat.T, out=d_alpha[c])
                 if dx is not None:
                     dcols = np.empty((m, t_out, k * c_in))
-                    per_example(pool, c, window_grad, g[c], mixed(pool, c, kernels), dcols)
-                    if c is chunks[-1]:
-                        kernels = None  # the last fold runs without the workspace
-                    per_example(pool, c, fold, dcols.reshape(m, t_out, k, c_in), dx[c])
+                    _run(pool, [partial(input_part, kernels, dcols, c, p) for p in parts])
                     del dcols  # no chunk's buffer outlives its iteration
+        del kernels  # freed before the gradients are added in
         if d_alpha is not None:
             _accumulate(alpha, d_alpha)
         if dx is not None:

@@ -297,6 +297,12 @@ def cmd_analyze(args):
             f"dataset windows are {(ds.window_len, ds.x.shape[2])}, "
             f"checkpointed model expects {expected}"
         )
+    n_classes = model.meta["n_classes"]
+    if len(ds) and (ds.y.min() < 0 or ds.y.max() >= n_classes):
+        raise DataError(
+            f"{args.dataset}: labels lie in [{ds.y.min()}, {ds.y.max()}], outside the "
+            f"checkpointed model's {n_classes} classes [0, {n_classes})"
+        )
 
     if args.which == "confusion":
         report = analysis.confusion_matrix_report(model, ds)

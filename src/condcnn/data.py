@@ -17,7 +17,8 @@ are expressed as one session per window with exactly window_len samples
 and step == window_len.
 
 A config's `dataset` section maps onto `DatasetProfile` fields plus the
-`canonical_csv` path; an unknown or missing key is a ConfigError.
+`canonical_csv` path; an unknown or missing key, in it or in its `split`,
+is a ConfigError.
 """
 
 import csv
@@ -109,7 +110,7 @@ class WindowedDataset:
         arrays, meta = storage.load_container(path)
         stats = meta.get("normalization_stats")
         try:
-            return cls(
+            ds = cls(
                 x=arrays["x"],
                 y=arrays["y"],
                 window_len=meta["window_len"],
@@ -124,6 +125,17 @@ class WindowedDataset:
             )
         except KeyError as err:
             raise DataError(f"{path}: dataset file is missing {err}") from None
+        x, y = ds.x, ds.y
+        if x.ndim != 3 or x.shape[1] != ds.window_len:
+            raise DataError(f"{path}: x must be (windows, {ds.window_len}, channels), "
+                            f"got shape {x.shape}")
+        if y.shape != (len(x),) or not np.issubdtype(y.dtype, np.integer):
+            raise DataError(f"{path}: y must be {len(x)} integer labels, "
+                            f"got {y.dtype} of shape {y.shape}")
+        if not ds.subject.shape == ds.session.shape == (len(x),):
+            raise DataError(f"{path}: subject and session must have {len(x)} entries, "
+                            f"got shapes {ds.subject.shape} and {ds.session.shape}")
+        return ds
 
 
 @dataclass
@@ -155,16 +167,21 @@ class DatasetProfile:
             raise ConfigError(f"dataset split must be null or a dict whose kind is "
                               f"'random' or 'sessions', got {split!r}")
         if kind == "random":
+            check_keys("dataset split", split, ("kind",), ("train_fraction",))
             frac = self.train_fraction
             if not is_number(frac) or not 0.0 < frac < 1.0:
                 raise ConfigError(f"dataset split train_fraction must be a number "
                                   f"strictly between 0 and 1, got {frac!r}")
-        if kind == "sessions" and not all(
-                isinstance(split.get(part), (list, tuple)) and all(
-                    isinstance(p, (list, tuple)) and len(p) == 2 for p in split[part])
-                for part in ("train", "test")):
-            raise ConfigError(f"dataset split of kind 'sessions' needs train and test "
-                              f"lists of [subject, session] pairs, got {split!r}")
+        if kind == "sessions":
+            check_keys("dataset split", split, ("kind", "train", "test"))
+            # tags are matched as strings, so a pair of other values matches nothing
+            if not all(isinstance(split[part], (list, tuple)) and all(
+                    isinstance(p, (list, tuple)) and len(p) == 2
+                    and all(isinstance(tag, str) for tag in p) for p in split[part])
+                    for part in ("train", "test")):
+                raise ConfigError(f"dataset split of kind 'sessions' needs train and "
+                                  f"test lists of [subject, session] string pairs, "
+                                  f"got {split!r}")
 
     @property
     def train_fraction(self):
@@ -220,6 +237,9 @@ def ingest_canonical(path):
                 rate = float(first.split("=", 1)[1])
             except ValueError:
                 raise DataError(f"{path}: line 1 has a non-numeric rate") from None
+            if not (np.isfinite(rate) and rate > 0):
+                raise DataError(f"{path}: line 1: rate_hz must be a finite number > 0, "
+                                f"got {rate}")
             line = fh.readline()
             if not line:
                 raise DataError(f"{path}: missing header row")

@@ -82,6 +82,13 @@ MALFORMED_CSV_PATH = [
     ("dataset", "canonical_csv", None, "canonical_csv"),
     ("dataset", "canonical_csv", 5, "canonical_csv"),
 ]
+# split sections that, unchecked, would run as a 70/30 split or as a
+# sessions split that matches no window
+MALFORMED_SPLIT = {
+    "misspelt train_fraction": {"kind": "random", "train_frac": 0.9},
+    "integer subject": {"kind": "sessions", "train": [[1, "w0"]],
+                        "test": [["synth", "w1"]]},
+}
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -156,6 +163,16 @@ class TestSegment:
         assert code == 1
         assert field in caplog.text
         assert "Traceback" not in caplog.text
+        assert not (out / "train.ds").exists()
+
+    @pytest.mark.parametrize("split", MALFORMED_SPLIT.values(), ids=MALFORMED_SPLIT)
+    def test_malformed_split_exits_one_with_one_line(self, workspace, caplog, split):
+        tmp_path, config_path = workspace
+        _set_config_value(config_path, "dataset", "split", split)
+        out = tmp_path / "bad-split"
+        code = cli.main(["segment", "--config", str(config_path), "--out", str(out)])
+        assert code == 1
+        assert len(caplog.records) == 1 and "dataset split" in caplog.text
         assert not (out / "train.ds").exists()
 
     @staticmethod
@@ -564,6 +581,26 @@ class TestAnalyze:
         assert code == 2
         assert len(caplog.records) == 1 and "window_len" in caplog.text
         assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize("which", ["confusion", "routing"])
+    def test_labels_beyond_the_model_classes_exit_two_with_one_line(self, trained, caplog,
+                                                                    which):
+        tmp_path, run = trained
+        arrays, meta = storage.load_container(run / "test.ds")
+        arrays["y"][0] = 4  # the model has 4 classes, 0..3
+        bad = tmp_path / "label-4.ds"
+        storage.save_container(bad, arrays, meta)
+        caplog.clear()
+        out = tmp_path / f"out-{which}"
+        code = cli.main([
+            "analyze", "--checkpoint", str(run / "best.ckpt"),
+            "--which", which, "--dataset", str(bad), "--out", str(out),
+        ])
+        assert code == 2
+        assert len(caplog.records) == 1
+        assert str(bad) in caplog.text and "[0, 4]" in caplog.text
+        assert "4 classes" in caplog.text and "Traceback" not in caplog.text
+        assert os.listdir(out) == []
 
     def test_incompatible_dataset_is_data_error(self, trained, tmp_path):
         tmp_path_ws, run = trained

@@ -1,6 +1,7 @@
 """CondConv layer: routing, kernel mixing, and the two equivalent forms."""
 
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -358,14 +359,36 @@ class TestCondConvTemporal:
                 for got, want in zip(run, runs[0]):
                     assert got.tobytes() == want.tobytes(), (examples, columns)
 
-    def test_shape_mismatches_rejected(self):
-        x, alpha, experts = _op_inputs()
-        with pytest.raises(ShapeError, match="alpha"):
-            ad.condconv_temporal(x, Tensor(alpha.data[:, :2]), experts)
-        with pytest.raises(ShapeError, match="experts"):
-            ad.condconv_temporal(x, alpha, Tensor(experts.data[0]))
-        with pytest.raises(ShapeError, match="input channels"):
-            ad.condconv_temporal(Tensor(x.data[:, :, :1]), alpha, experts)
+    @pytest.mark.parametrize("op", ["condconv", "conv"])
+    def test_shape_mismatches_rejected(self, op):
+        """Both conv ops check their inputs in one front end: the same
+        malformed input raises the same message from either."""
+        x, alpha, experts = _op_inputs()  # batch 5, T 11, C_in 2, n 3, K 3, C_out 3
+        if op == "condconv":
+            weights, wrong_rank = experts, Tensor(experts.data[0])
+            rank_message = "experts must be (n, K, C_in, C_out), got (3, 2, 3)"
+
+            def call(x, weights, alpha=alpha):
+                return ad.condconv_temporal(x, alpha, weights)
+        else:
+            weights, wrong_rank = Tensor(experts.data[0]), experts
+            rank_message = "kernel must be (K, C_in, C_out), got (3, 3, 2, 3)"
+
+            def call(x, weights):
+                return ad.conv_temporal(x, weights)
+        cases = [
+            (Tensor(x.data[:, :, 0]), weights,
+             "conv input must be (batch, T, C_in), got (5, 11)"),
+            (x, wrong_rank, rank_message),
+            (Tensor(x.data[:, :, :1]), weights, "kernel expects 2 input channels, input has 1"),
+        ]
+        for bad_x, bad_weights, message in cases:
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                call(bad_x, bad_weights)
+        if op == "condconv":
+            message = "alpha shape (5, 2) does not match batch 5 and 3 experts"
+            with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+                call(x, experts, alpha=Tensor(alpha.data[:, :2]))
 
     def test_condconv_layer_routes_through_the_op(self, monkeypatch):
         layer = make_layer(n=4, seed=33)

@@ -111,6 +111,13 @@ class TestCanonicalCsv:
         with pytest.raises(DataError, match="rate_hz"):
             dp.ingest_canonical(path)
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "0", "-20", "1e400"])
+    def test_rate_must_be_finite_and_positive(self, tmp_path, rate):
+        path = tmp_path / "c.csv"
+        path.write_text(f"# rate_hz={rate}\nsubject,session,label,a\ns,x,w,1.0\n")
+        with pytest.raises(DataError, match=f"{path}: line 1: rate_hz"):
+            dp.ingest_canonical(path)
+
 
 HEAD = "# rate_hz=10\nsubject,session,label,a,b\n"
 
@@ -358,6 +365,20 @@ class TestDatasetProfile:
         with pytest.raises(ConfigError, match=field):
             profile(**{field: value})
 
+    @pytest.mark.parametrize("split,message", [
+        ({"kind": "random", "train_frac": 0.9}, "unknown key.*train_frac"),
+        ({"kind": "random", "train_fraction": 0.7, "test": []}, "unknown key.*test"),
+        ({"kind": "sessions", "train": [["s1", "a"]], "test": [], "seed": 1},
+         "unknown key.*seed"),
+        ({"kind": "sessions", "test": []}, "missing key.*train"),
+        ({"kind": "sessions", "train": [[1, "s"]], "test": []}, "string pairs"),
+        ({"kind": "sessions", "train": [["s1", "a"]], "test": [["s2", None]]},
+         "string pairs"),
+    ])
+    def test_split_keys_and_session_tags_checked(self, split, message):
+        with pytest.raises(ConfigError, match=f"dataset split.*{message}"):
+            profile(split=split)
+
     def test_from_dict_reads_fields_and_allows_csv_path(self):
         d = dict(name="w", canonical_csv="w.csv", window_len=200, step=10, classes=6,
                  normalization="zscore")
@@ -497,6 +518,29 @@ class TestSegmentation:
         (arrays if missing in arrays else meta).pop(missing)
         storage.save_container(path, arrays, meta)
         with pytest.raises(DataError, match=f"{path}.*{missing}"):
+            dp.WindowedDataset.load(path)
+
+    # (array or meta key, replacement built from the saved arrays and meta)
+    MALFORMED_ARTIFACTS = {
+        "2-d x": ("x", lambda a, m: a["x"][:, :, 0]),
+        "x of another window length": ("x", lambda a, m: a["x"][:, :-1]),
+        "2-d y": ("y", lambda a, m: a["y"][:, None]),
+        "float y": ("y", lambda a, m: a["y"].astype(np.float64)),
+        "short y": ("y", lambda a, m: a["y"][1:]),
+        "short subject": ("subject", lambda a, m: m["subject"][1:]),
+        "long session": ("session", lambda a, m: m["session"] + ["extra"]),
+        "session as one string": ("session", lambda a, m: "a"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED_ARTIFACTS)
+    def test_artifact_with_inconsistent_arrays_raises_data_error(self, tmp_path, case):
+        path = tmp_path / "d.ds"
+        dp.segment_windows(make_stream(60, label_fn=lambda i: i % 2), profile()).save(path)
+        arrays, meta = storage.load_container(path)
+        key, replace = self.MALFORMED_ARTIFACTS[case]
+        (arrays if key in arrays else meta)[key] = replace(arrays, meta)
+        storage.save_container(path, arrays, meta)
+        with pytest.raises(DataError, match=f"{path}: {key[0]}"):
             dp.WindowedDataset.load(path)
 
 
