@@ -210,8 +210,6 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
             pool_layer = ly.MaxPool(size, stride, name=f"b{b}.pool")
             model_layers.append(pool_layer)
             t = pool_layer.cost((t, channels))[0][0]
-        if t < 1:
-            raise ArchitectureError(f"block {b}: temporal axis collapsed to {t}")
 
     if spec.head == "pointwise-condconv":
         model_layers.append(ly.Dropout(spec.dropout_rate, name="drop"))

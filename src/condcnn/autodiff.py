@@ -11,13 +11,14 @@ are freed during the sweep and only leaves keep their gradients.
 Convolution uses the cross-correlation convention (no kernel flip).
 The two conv ops share one front end (`_conv_front`: input checks,
 geometry, im2col view) and split each batch chunk over the CPUs this
-process may run on (`_workers`). Every pass over examples uses one
-split, parts of at least 2 examples, and one worker does all of a part's
-per-example work: in the CondConv op it mixes the part's kernels and
-convolves with them. No split cuts a sum: a per-example matmul keeps its
-operands, and a product split by rows is cut into parts of at least 2
-rows, which BLAS computes as it computes those rows of the whole. So
-results do not depend on the core count.
+process may run on (`_workers`). Each parallel pass is one `_split` call,
+whose helper threads start and are joined within that pass. Every pass
+over examples uses one split, parts of at least 2 examples, and one
+worker does all of a part's per-example work: in the CondConv op it
+mixes the part's kernels and convolves with them. No split cuts a sum:
+a per-example matmul keeps its operands, and a product split by rows is
+cut into parts of at least 2 rows, which BLAS computes as it computes
+those rows of the whole. So results do not depend on the core count.
 """
 
 import os
@@ -562,30 +563,21 @@ def _workers(macs):
     return os.cpu_count() or 1
 
 
-@contextmanager
-def _pool(workers):
-    """The `workers - 1` helper threads of one op call, or None for one
-    worker. The threads start on first use and are joined on exit, so none
-    outlives the op."""
-    if workers == 1:
-        yield None
+def _split(workers, task, m, least=2):
+    """Call `task(p)` for each part `p` of `_parts(m, workers, least)`: the
+    first on the calling thread, the others on helper threads that this
+    call starts and joins before it returns, so no thread outlives a pass.
+    One part starts no thread. A task's exception reaches the caller once
+    every helper thread has joined."""
+    first, *rest = _parts(m, workers, least)
+    if not rest:
+        task(first)
         return
-    with ThreadPoolExecutor(workers - 1) as pool:
-        yield pool
-
-
-def _run(pool, tasks):
-    """Run the zero-argument `tasks` at once, the first on the calling
-    thread and the rest on `pool`, or one after another without a pool;
-    return when all have finished. A task's exception reaches the caller."""
-    if pool is None:
-        for task in tasks:
-            task()
-        return
-    futures = [pool.submit(task) for task in tasks[1:]]
-    tasks[0]()
-    for future in futures:
-        future.result()
+    with ThreadPoolExecutor(len(rest)) as pool:
+        futures = [pool.submit(task, p) for p in rest]
+        task(first)
+        for future in futures:
+            future.result()
 
 
 def _parts(m, count, least=1):
@@ -623,8 +615,8 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
     the batch in the same chunks, so no whole-batch window array or window
     gradient exists; per chunk, the kernel gradient is done before the
     input pass starts, so the chunk's window copy and window gradient never
-    exist at once. Each pass is split over `_workers`: the forward matmuls
-    and the input pass by examples, in parts of at least 2 as in
+    exist at once. Each pass is one `_split` over `_workers`: the forward
+    matmuls and the input pass by examples, in parts of at least 2 as in
     `condconv_temporal`, and the kernel gradient by its rows, at least 2
     per part. A 1-row product goes to a matrix-vector routine that rounds
     differently; with one window per example, a part of 1 example would
@@ -642,36 +634,31 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
         np.matmul(cols(x.data[p]), w, out=value[p])
 
     value = np.empty((batch, t_out, c_out))
-    with _pool(workers) as pool:
-        _run(pool, [partial(convolve, p) for p in _parts(batch, workers, least=2)])
+    _split(workers, convolve, batch)
     if bias is not None:
         value += bias.data
 
-    def weight_pass(cols_p, g_c, dw_p):
-        dw_p += cols_p.T @ g_c
+    def weight_pass(cols_c, g_rows, dw, p):
+        dw_p = dw[p]
+        dw_p += cols_c[:, p].T @ g_rows
 
-    def input_pass(g_p, dx_p):
-        dcols = g_p.reshape(-1, c_out) @ w.T
-        _fold_windows(dcols.reshape(-1, t_out, k, c_in), dx_p, left, stride)
+    def input_pass(g_c, dx_c, p):
+        dcols = g_c[p].reshape(-1, c_out) @ w.T
+        _fold_windows(dcols.reshape(-1, t_out, k, c_in), dx_c[p], left, stride)
 
     def backward(g):
         if bias is not None:
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
         dw = np.zeros_like(w) if kernel.requires_grad else None
         dx = np.zeros_like(x.data) if x.requires_grad else None
-        with _pool(workers) as pool:
-            for c in _chunks(batch, kernel.data.shape):
-                g_c = g[c]
-                if dw is not None:
-                    cols_c = cols(x.data[c]).reshape(-1, k * c_in)
-                    g_rows = g_c.reshape(-1, c_out)
-                    _run(pool, [partial(weight_pass, cols_c[:, p], g_rows, dw[p])
-                                for p in _parts(k * c_in, workers, least=2)])
-                    del cols_c  # frees the chunk's window copy before the input pass
-                if dx is not None:
-                    dx_c = dx[c]
-                    _run(pool, [partial(input_pass, g_c[p], dx_c[p])
-                                for p in _parts(c.stop - c.start, workers, least=2)])
+        for c in _chunks(batch, kernel.data.shape):
+            if dw is not None:
+                cols_c = cols(x.data[c]).reshape(-1, k * c_in)
+                _split(workers, partial(weight_pass, cols_c, g[c].reshape(-1, c_out), dw),
+                       k * c_in)
+                del cols_c  # frees the chunk's window copy before the input pass
+            if dx is not None:
+                _split(workers, partial(input_pass, g[c], dx[c]), c.stop - c.start)
         if dw is not None:
             _accumulate(kernel, dw.reshape(kernel.data.shape))
         if dx is not None:
@@ -687,7 +674,8 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     sum_i alpha[b, i] * experts[i] of the (n, K, C_in, C_out) experts under
     the (batch, n) routing weights `alpha`. The batch is walked in chunks of
     `condconv_chunk` examples, each split over `_workers` into parts of at
-    least 2 examples, the one split of every pass over examples. One task
+    least 2 examples, the one split of every pass over examples; each pass
+    is one `_split` call, its threads joined before the next pass. One task
     per part mixes the part's kernels into its rows of the workspace, then
     convolves with them as a batched matmul against an im2col view of the
     input. Forward and backward each allocate one chunk of per-example
@@ -728,10 +716,8 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
 
     value = np.empty((batch, t_out, c_out))
     kernels = np.empty((rows, flat.shape[1]))  # the call's one workspace
-    with _pool(workers) as pool:
-        for c in chunks:
-            _run(pool, [partial(forward_part, kernels, c, p)
-                        for p in _parts(c.stop - c.start, workers, least=2)])
+    for c in chunks:
+        _split(workers, partial(forward_part, kernels, c), c.stop - c.start)
     del kernels  # freed before the bias add and the finite check
     if bias is not None:
         value += bias.data
@@ -752,8 +738,8 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
             np.matmul(cols(x.data[c][p]).transpose(0, 2, 1), g[c][p],
                       out=kernels[p].reshape(-1, k * c_in, c_out))
 
-        def add_d_experts(blocks_part, alpha_c, dk):
-            for lo, hi in blocks_part:
+        def add_d_experts(alpha_c, dk, part):
+            for lo, hi in blocks[part]:
                 d_experts[:, lo:hi] += alpha_c.T @ dk[:, lo:hi]
 
         def input_part(kernels, dcols, c, p):
@@ -761,22 +747,19 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
             _fold_windows(dcols[p].reshape(-1, t_out, k, c_in), dx[c][p], left, stride)
 
         kernels = np.empty((rows, flat.shape[1]))
-        with _pool(workers) as pool:
-            for c in chunks:
-                m = c.stop - c.start
-                parts = _parts(m, workers, least=2)
-                if experts.requires_grad or alpha.requires_grad:
-                    _run(pool, [partial(kernel_grad, kernels, c, p) for p in parts])
-                    if experts.requires_grad:
-                        _run(pool, [partial(add_d_experts, blocks[part], alpha.data[c],
-                                            kernels[:m])
-                                    for part in _parts(len(blocks), workers)])
-                    if alpha.requires_grad:
-                        np.matmul(kernels[:m], flat.T, out=d_alpha[c])
-                if dx is not None:
-                    dcols = np.empty((m, t_out, k * c_in))
-                    _run(pool, [partial(input_part, kernels, dcols, c, p) for p in parts])
-                    del dcols  # no chunk's buffer outlives its iteration
+        for c in chunks:
+            m = c.stop - c.start
+            if experts.requires_grad or alpha.requires_grad:
+                _split(workers, partial(kernel_grad, kernels, c), m)
+                if experts.requires_grad:
+                    _split(workers, partial(add_d_experts, alpha.data[c], kernels[:m]),
+                           len(blocks), least=1)
+                if alpha.requires_grad:
+                    np.matmul(kernels[:m], flat.T, out=d_alpha[c])
+            if dx is not None:
+                dcols = np.empty((m, t_out, k * c_in))
+                _split(workers, partial(input_part, kernels, dcols, c), m)
+                del dcols  # no chunk's buffer outlives its iteration
         del kernels  # freed before the gradients are added in
         if d_alpha is not None:
             _accumulate(alpha, d_alpha)

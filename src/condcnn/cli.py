@@ -66,8 +66,8 @@ def _build_parser():
     return parser
 
 
-def load_run_config(path, seed=None, epochs=None, experts=None):
-    """Read a run config, apply CLI overrides, resolve data paths
+def load_run_config(path, seed=None):
+    """Read a run config, apply a seed override, resolve data paths
     relative to the config file. A missing file raises FileNotFoundError;
     one that cannot be read as UTF-8 JSON is a ConfigError naming it."""
     try:
@@ -92,10 +92,6 @@ def load_run_config(path, seed=None, epochs=None, experts=None):
             dataset["canonical_csv"] = os.path.normpath(os.path.join(base, csv_path))
     if seed is not None:
         config["seed"] = seed
-    if epochs is not None:
-        check_dict("train config", config["train"])["epochs"] = epochs
-    if experts is not None:
-        check_dict("model spec", config["model"])["n_experts"] = experts
     config.setdefault("seed", 0)
     return config
 
@@ -203,11 +199,16 @@ def cmd_segment(args):
 def cmd_train(args):
     from . import analysis, archspec, training
 
-    config = load_run_config(
-        args.config, seed=args.seed, epochs=args.epochs, experts=args.experts
-    )
+    config = load_run_config(args.config, seed=args.seed)
     run_dir = args.out or config.get("output_dir") or "run"
     # the train and model sections are validated before anything is written
+    missing = [key for key in ("train", "model") if key not in config]
+    if missing:
+        raise ConfigError(f"run config is missing key(s): {', '.join(missing)}")
+    if args.epochs is not None:
+        check_dict("train config", config["train"])["epochs"] = args.epochs
+    if args.experts is not None:
+        check_dict("model spec", config["model"])["n_experts"] = args.experts
     train_section = config["train"]
     check_keys("train config", train_section, ("batch_size", "epochs", "lr_schedule"))
     train_cfg = training.TrainConfig(
@@ -219,9 +220,12 @@ def cmd_train(args):
     )
     spec = archspec.spec_from_dict(config["model"])
     with _RunLock(run_dir):
-        # first, so a malformed dataset section or a model that does not fit
-        # the windows leaves nothing written
+        # first, so a malformed dataset section, an empty split or a model
+        # that does not fit the windows leaves nothing written
         train_ds, test_ds = _prepare_datasets(config)
+        for name, ds in (("train", train_ds), ("test", test_ds)):
+            if len(ds) == 0:
+                raise DataError(f"the {name} split holds no window")
         input_shape = (train_ds.window_len, train_ds.x.shape[2])
         model = archspec.build_model(spec, input_shape, config["dataset"]["classes"],
                                      seed=config["seed"])
@@ -270,7 +274,7 @@ def cmd_analyze(args):
         report = analysis.count_flops(model)
         lines = [report.to_text()]
         meta = model.meta
-        if meta.get("spec") and meta["spec"].get("n_experts", 1) != 1:
+        if meta["spec"]["n_experts"] != 1:
             from . import archspec
 
             baseline_spec = archspec.spec_from_dict(dict(meta["spec"], n_experts=1))
@@ -291,8 +295,8 @@ def cmd_analyze(args):
         return 0
 
     ds = dp.WindowedDataset.load(args.dataset)
-    expected = tuple(model.meta.get("input_shape", ()))
-    if expected and (ds.window_len, ds.x.shape[2]) != expected:
+    expected = tuple(model.meta["input_shape"])
+    if (ds.window_len, ds.x.shape[2]) != expected:
         raise ShapeError(
             f"dataset windows are {(ds.window_len, ds.x.shape[2])}, "
             f"checkpointed model expects {expected}"
@@ -352,9 +356,6 @@ def main(argv=None):
         return handler(args)
     except ConfigError as err:  # ArchitectureError included
         log.error("%s", err)
-        return 1
-    except KeyError as err:
-        log.error("config is missing required key %s", err)
         return 1
     except (DataError, ShapeError, FileNotFoundError) as err:
         log.error("%s", err)

@@ -194,7 +194,7 @@ class DatasetProfile:
         fields plus `canonical_csv`, the CSV path the CLI reads."""
         required = [f.name for f in fields(cls) if f.default is MISSING]
         optional = [f.name for f in fields(cls) if f.default is not MISSING]
-        check_keys("dataset config", d, required, optional + ["canonical_csv"])
+        check_keys("dataset config", d, required + ["canonical_csv"], optional)
         return cls(**{k: v for k, v in d.items() if k != "canonical_csv"})
 
 

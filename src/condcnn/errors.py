@@ -15,7 +15,7 @@ class ConfigError(ValueError):
 
 
 class ArchitectureError(ConfigError):
-    """A model cannot be built as specified (e.g. temporal axis collapses)."""
+    """A model cannot be built as specified (e.g. a pool longer than its input)."""
 
 
 class DataError(ValueError):

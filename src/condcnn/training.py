@@ -326,6 +326,8 @@ def train(model, train_ds, test_ds, config, start_state=None):
     """
     if config.epochs > 0 and len(train_ds) == 0:
         raise DataError("cannot train on an empty dataset")
+    if config.epochs > 0 and len(test_ds) == 0:
+        raise DataError("cannot train with an empty test set: no epoch could be scored")
 
     adam = Adam(model.named_params())
     rng = np.random.default_rng([config.seed, _TRAIN_STREAM])

@@ -432,6 +432,44 @@ class TestTrain:
         assert f"{section} " in caplog.text and "must be a dict" in caplog.text
         assert not (run / "train.ds").exists()
 
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_split_exits_two_before_writing(self, workspace, caplog, empty):
+        tmp_path, config_path = workspace
+        pairs = {"train": [["synth", f"w{i}"] for i in range(50)],
+                 "test": [["synth", f"w{i}"] for i in range(50, 100)]}
+        pairs[empty] = [["synth", "nope"]]
+        _set_config_value(config_path, "dataset", "split", {"kind": "sessions", **pairs})
+        run = tmp_path / "empty-split"
+        code = cli.main(["train", "--config", str(config_path), "--out", str(run)])
+        assert code == 2
+        # the split's own warnings come first: the windows it drops, the
+        # classes the empty split lacks
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and f"{empty} split" in errors[0]
+        assert list(run.iterdir()) == []
+
+    # (command, section, key, flags); each key is deleted from the config
+    MISSING_KEYS = [
+        ("train", None, "train", []),
+        ("train", None, "model", []),
+        ("train", None, "train", ["--epochs", "3"]),
+        ("train", None, "model", ["--experts", "3"]),
+        ("segment", "dataset", "canonical_csv", []),
+        ("train", "dataset", "canonical_csv", []),
+    ]
+
+    @pytest.mark.parametrize("command,section,key,flags", MISSING_KEYS)
+    def test_missing_key_exits_one_with_one_line(self, workspace, caplog,
+                                                  command, section, key, flags):
+        tmp_path, config_path = workspace
+        _set_config_value(config_path, section, key, _DELETE)
+        out = tmp_path / "missing-key"
+        code = cli.main([command, "--config", str(config_path), "--out", str(out)] + flags)
+        assert code == 1
+        assert len(caplog.records) == 1
+        assert "missing" in caplog.text and key in caplog.text
+        assert not any(out.glob("*"))
+
     def test_lock_of_a_live_process_is_reported_concurrent(self, workspace, caplog):
         tmp_path, config_path = workspace
         run = tmp_path / "locked"
@@ -543,6 +581,19 @@ class TestAnalyze:
         lines = (out / "divergence.csv").read_text().strip().splitlines()
         assert lines[0] == "layer,divergence"
         assert len(lines) > 1
+
+    def test_key_error_inside_a_command_reaches_the_caller(self, trained, monkeypatch):
+        # a KeyError from a bug is not reported as a config error
+        from condcnn import analysis
+
+        def count_flops(model):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(analysis, "count_flops", count_flops)
+        tmp_path, run = trained
+        with pytest.raises(KeyError, match="bug"):
+            cli.main(["analyze", "--checkpoint", str(run / "best.ckpt"),
+                      "--which", "flops", "--out", str(tmp_path / "flops")])
 
     def test_missing_dataset_flag_is_usage_error(self, trained):
         tmp_path, run = trained

@@ -1,10 +1,12 @@
 """Both conv ops split each batch chunk over `autodiff._workers` threads:
-outputs and gradients are bitwise the same for any thread count, a
-worker's exception reaches the caller, and no thread outlives an op. The
-ops here are small, so the tests set the thread count themselves."""
+outputs and gradients are bitwise the same for any thread count, an
+exception on any thread reaches the caller, and no thread outlives an
+op. The ops here are small, so the tests set the thread count
+themselves."""
 
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -102,14 +104,20 @@ def test_forward_without_graph_bitwise_equal(monkeypatch, op):
     assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
 
-def _failing_fold(monkeypatch, on_worker):
+def _failing_fold(monkeypatch, on_worker, on_caller=False):
     """Patch `_fold_windows` to record the live thread count at each call
-    and, with `on_worker`, to raise on any thread but the caller's."""
+    and, with `on_worker`, to raise on any thread but the caller's, or,
+    with `on_caller`, to raise on the caller's while the others still
+    run."""
     caller, real, seen = threading.get_ident(), ad._fold_windows, []
 
     def fold(dwin, dx, left, stride):
         if threading.get_ident() != caller and on_worker:
             raise RuntimeError("fold failed on a worker")
+        if on_caller:
+            if threading.get_ident() == caller:
+                raise RuntimeError("fold failed on the caller")
+            time.sleep(0.2)  # so the worker is still busy when the caller raises
         seen.append(threading.active_count())
         real(dwin, dx, left, stride)
 
@@ -117,11 +125,14 @@ def _failing_fold(monkeypatch, on_worker):
     return seen
 
 
+@pytest.mark.parametrize("thread", ["worker", "caller"])
 @pytest.mark.parametrize("op", ["condconv", "conv"])
-def test_worker_exception_reaches_caller(monkeypatch, op):
-    _failing_fold(monkeypatch, on_worker=True)
+def test_worker_exception_reaches_caller(monkeypatch, op, thread):
+    # a caller's exception reaches the test only once the helper threads
+    # have joined
+    _failing_fold(monkeypatch, on_worker=thread == "worker", on_caller=thread == "caller")
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="fold failed on a worker"):
+    with pytest.raises(RuntimeError, match=f"fold failed on .* {thread}"):
         _run(op, 2, monkeypatch, 1, "same", GRADS[0])
     assert threading.active_count() == before
 

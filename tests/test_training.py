@@ -230,6 +230,16 @@ class TestTrainLoop:
         for k, v in model.named_params().items():
             np.testing.assert_array_equal(v.data, before[k])
 
+    def test_empty_test_set_rejected_before_any_step(self):
+        ds = make_linear_dataset(n_per_class=10, seed=7)
+        train_ds, _ = split_70_30(ds, classes=2, seed=0)
+        model = tiny_model(seed=4)
+        before = {k: v.data.copy() for k, v in model.named_params().items()}
+        with pytest.raises(DataError, match="empty test set"):
+            training.train(model, train_ds, ds.subset(np.array([], dtype=int)), config())
+        for k, v in model.named_params().items():
+            np.testing.assert_array_equal(v.data, before[k])
+
     def test_non_finite_forward_halts_without_crashing(self):
         ds = make_linear_dataset(n_per_class=10, seed=14)
         train_ds, test_ds = split_70_30(ds, classes=2, seed=0)
