@@ -551,12 +551,13 @@ def _column_blocks(width):
 _THREAD_MIN_MACS = 2**24
 
 
-def _workers(macs):
-    """Threads a conv op of `macs` forward multiply-adds splits its work
-    over: one per CPU this process may run on (`taskset` limits them; a
-    system without affinity masks, such as macOS, counts every CPU), the
-    calling thread included, or 1 for a small op."""
-    if macs < _THREAD_MIN_MACS:
+def _workers(work, least=None):
+    """Threads a pass of `work` units splits over: one per CPU this process
+    may run on (`taskset` limits them; a system without affinity masks,
+    such as macOS, counts every CPU), the calling thread included, or 1
+    when `work` is under `least`. By default `work` is a conv op's forward
+    multiply-adds and `least` is `_THREAD_MIN_MACS`."""
+    if work < (_THREAD_MIN_MACS if least is None else least):
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

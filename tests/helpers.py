@@ -154,15 +154,23 @@ DAMAGED_CHECKPOINTS = {
     "model-without-seed": lambda arrays, meta: meta["model"].pop("seed"),
     "spec-without-shorthand": lambda arrays, meta: meta["model"]["spec"].pop("shorthand"),
     "spec-with-unknown-key": lambda arrays, meta: meta["model"]["spec"].update(n_expert=8),
+    "missing-adam-moment": lambda arrays, meta: arrays.pop("adam.m.b0.bn0.beta"),
+    "extra-adam-moment": lambda arrays, meta: arrays.update({"adam.v.b0.extra": np.zeros(2)}),
+    "adam-moment-of-wrong-shape": lambda arrays, meta: arrays.update(
+        {"adam.v.head.bias": np.zeros(2)}),
+    "negative-adam-t": lambda arrays, meta: meta.update(adam_t=-1),
+    "fractional-adam-t": lambda arrays, meta: meta.update(adam_t=1.5),
+    "boolean-adam-t": lambda arrays, meta: meta.update(adam_t=True),
 }
 
 
 def write_damaged_checkpoint(path, damage):
-    """Save a small two-expert model's checkpoint to `path`, then rewrite
-    it with `damage(arrays, meta)` applied."""
+    """Save a small two-expert model's checkpoint, with its (fresh) Adam
+    state, to `path`, then rewrite it with `damage(arrays, meta)` applied."""
     spec = archspec.parse_shorthand("C(4)-FC-Sm", convs_per_block=1, kernel_length=3,
                                     n_experts=2, head="pointwise-condconv")
-    training.save_checkpoint(path, archspec.build_model(spec, (8, 2), 3, seed=0))
+    model = archspec.build_model(spec, (8, 2), 3, seed=0)
+    training.save_checkpoint(path, model, adam=training.Adam(model.named_params()))
     arrays, meta = storage.load_container(path)
     damage(arrays, meta)
     storage.save_container(path, arrays, meta)

@@ -1,12 +1,19 @@
 """Adam, learning-rate schedules, the training loop, and checkpoints."""
 
+import os
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from condcnn import archspec, storage, training
+from condcnn import autodiff as ad
 from condcnn.autodiff import Tensor
 from condcnn.errors import ConfigError, DataError, NumericError
-from helpers import make_linear_dataset, split_70_30
+from helpers import (DAMAGED_CHECKPOINTS, make_linear_dataset, split_70_30,
+                     write_damaged_checkpoint)
 
 
 def tiny_model(seed=0, n_experts=1, t=16, channels=2, classes=2):
@@ -95,6 +102,113 @@ class TestAdam:
                 assert opt.v[k].tobytes() == ref_v[k].tobytes()
         assert {k: id(a) for k, a in opt.m.items()} == m_ids
         assert {k: id(a) for k, a in opt.v.items()} == v_ids
+
+    # the thread gate, lowered so that small arrays fall on both sides of it
+    GATE = 40
+    # 1-element, odd and 2-D parameters below, at and above the gate; the
+    # last is the largest
+    SHAPES = {"one": (1,), "odd": (7,), "below": (39,), "at": (40,), "above": (41,),
+              "mat": (13, 7), "cube": (3, 5, 7), "last": (257,)}
+
+    @staticmethod
+    def _threads(monkeypatch, workers, splits=None):
+        """`workers` threads for a parameter at or above GATE elements, 1
+        below it; `splits` collects the element count of each split."""
+        monkeypatch.setattr(training, "_THREAD_MIN_ELEMENTS", TestAdam.GATE)
+        monkeypatch.setattr(ad, "_workers",
+                            lambda work, least=None: workers if work >= least else 1)
+        if splits is not None:
+            split = ad._split
+
+            def recording_split(workers, task, m, least=2):
+                splits.append(m)
+                return split(workers, task, m, least)
+
+            monkeypatch.setattr(ad, "_split", recording_split)
+
+    @staticmethod
+    def _steps(steps, seed=3):
+        """Adam over SHAPES after `steps` steps of seeded gradients."""
+        rng = np.random.default_rng(seed)
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True)
+                  for k, s in TestAdam.SHAPES.items()}
+        opt = training.Adam(params)
+        for t in range(1, steps + 1):
+            for k, p in params.items():
+                p.grad[...] = rng.choice([-1.0, 1.0], size=p.shape) * 10.0 ** (
+                    rng.uniform(-6, 2, size=p.shape))
+            opt.step(1e-3 * t)
+        return opt
+
+    def test_threaded_update_is_bitwise_equal_for_any_worker_count(self, monkeypatch):
+        self._threads(monkeypatch, 1)
+        serial = self._steps(5)
+        for workers in (2, 3):  # 3 is more threads than a 2-core machine has cores
+            splits = []
+            self._threads(monkeypatch, workers, splits)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads as often as possible
+            try:
+                threaded = self._steps(5)
+            finally:
+                sys.setswitchinterval(interval)
+            # only the parameters at or above the gate are split
+            big = [s for s in (int(np.prod(s)) for s in self.SHAPES.values()) if s >= self.GATE]
+            assert splits == big * 5
+            assert threaded.t == serial.t == 5
+            for k, p in serial.named_params.items():
+                assert threaded.named_params[k].data.tobytes() == p.data.tobytes()
+                assert threaded.m[k].tobytes() == serial.m[k].tobytes()
+                assert threaded.v[k].tobytes() == serial.v[k].tobytes()
+
+    @pytest.mark.parametrize("bad", ["one", "at", "last"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_gradient_leaves_every_array_unchanged(self, monkeypatch, bad, value):
+        self._threads(monkeypatch, 2)
+        opt = self._steps(2)
+        for p in opt.named_params.values():
+            p.grad[...] = 0.5
+        opt.named_params[bad].grad.reshape(-1)[-1] = value
+        before = [(k, p.data.copy(), opt.m[k].copy(), opt.v[k].copy())
+                  for k, p in opt.named_params.items()]
+        with pytest.raises(NumericError, match=f"'{bad}'"):
+            opt.step(1e-3)
+        assert opt.t == 2
+        for k, data, m, v in before:
+            assert opt.named_params[k].data.tobytes() == data.tobytes()
+            assert opt.m[k].tobytes() == m.tobytes()
+            assert opt.v[k].tobytes() == v.tobytes()
+
+    def test_helper_thread_exception_reaches_the_caller(self, monkeypatch):
+        self._threads(monkeypatch, 2)
+        update, raised = training.Adam._update, []
+
+        def fails_off_the_calling_thread(adam, lr, *arrays):
+            if threading.current_thread() is not threading.main_thread():
+                raised.append(arrays[-1])
+                raise RuntimeError("update failed on a helper thread")
+            return update(adam, lr, *arrays)
+
+        monkeypatch.setattr(training.Adam, "_update", fails_off_the_calling_thread)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper thread"):
+            self._steps(1)
+        assert raised and all(part.start > 0 for part in raised)
+        assert threading.active_count() == threads
+
+    def test_non_contiguous_parameter_is_updated_in_place(self, monkeypatch):
+        self._threads(monkeypatch, 2)
+        rng = np.random.default_rng(5)
+        start, grad = rng.normal(size=(30, 4)), rng.normal(size=(30, 4))
+        fortran = Tensor(np.asfortranarray(start), requires_grad=True)
+        assert not fortran.data.flags.c_contiguous
+        contiguous = Tensor(start.copy(), requires_grad=True)
+        opts = [training.Adam({"p": fortran}), training.Adam({"p": contiguous})]
+        for opt in opts:
+            opt.named_params["p"].grad[...] = grad
+            opt.step(1e-2)
+        assert not np.array_equal(contiguous.data, start)
+        assert np.ascontiguousarray(fortran.data).tobytes() == contiguous.data.tobytes()
 
 
 class TestLrSchedules:
@@ -411,3 +525,56 @@ class TestCheckpoints:
         training.save_checkpoint(a, model)
         training.save_checkpoint(b, model)
         assert a.read_bytes() == b.read_bytes()
+
+    @staticmethod
+    def _run(ckpt_dir, epochs, monkeypatch):
+        """Train for up to 2 epochs with set test accuracies: epoch 0
+        improves, epoch 1 does not."""
+        scores = iter((0.5, 0.25))
+        monkeypatch.setattr(training, "evaluate",
+                            lambda model, ds: training.EvalResult(next(scores), None, None))
+        ds = make_linear_dataset(n_per_class=20, seed=12)
+        train_ds, test_ds = split_70_30(ds, classes=2, seed=0)
+        return training.train(tiny_model(seed=8), train_ds, test_ds,
+                              config(epochs=epochs, seed=3, checkpoint_dir=str(ckpt_dir)))
+
+    def test_best_is_the_last_checkpoint_of_the_best_epoch(self, tmp_path, monkeypatch):
+        one, two = tmp_path / "one", tmp_path / "two"
+        self._run(one, 1, monkeypatch)
+        assert (one / "best.ckpt").read_bytes() == (one / "last.ckpt").read_bytes()
+        assert os.path.samefile(one / "best.ckpt", one / "last.ckpt")
+        history = self._run(two, 2, monkeypatch)
+        assert history.best_epoch == 0
+        assert (two / "best.ckpt").read_bytes() == (one / "last.ckpt").read_bytes()
+        assert (two / "last.ckpt").read_bytes() != (one / "last.ckpt").read_bytes()
+        assert sorted(os.listdir(two)) == ["best.ckpt", "last.ckpt"]
+
+    def test_refused_link_copies_the_bytes(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("links not supported")
+
+        monkeypatch.setattr(os, "link", refuse)
+        (tmp_path / "best.ckpt.tmp").write_bytes(b"left by a killed run")
+        self._run(tmp_path, 1, monkeypatch)
+        assert (tmp_path / "best.ckpt").read_bytes() == (tmp_path / "last.ckpt").read_bytes()
+        assert not os.path.samefile(tmp_path / "best.ckpt", tmp_path / "last.ckpt")
+        assert sorted(os.listdir(tmp_path)) == ["best.ckpt", "last.ckpt"]
+
+    @pytest.mark.parametrize("case", [k for k in DAMAGED_CHECKPOINTS if "adam" in k])
+    def test_damaged_adam_state_is_refused(self, tmp_path, case):
+        path = tmp_path / "damaged.ckpt"
+        write_damaged_checkpoint(path, DAMAGED_CHECKPOINTS[case])
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            training.load_checkpoint(path)
+
+    def test_adam_state_and_model_only_checkpoints_load(self, tmp_path):
+        path = tmp_path / "intact.ckpt"
+        write_damaged_checkpoint(path, lambda arrays, meta: None)  # left intact
+        model, state = training.load_checkpoint(path)
+        assert state["adam_t"] == 0
+        assert sorted(state["adam_arrays"]) == sorted(
+            f"adam.{kind}.{name}" for name in model.named_params() for kind in "mv")
+        model_only = tmp_path / "model.ckpt"
+        training.save_checkpoint(model_only, model)
+        _, state = training.load_checkpoint(model_only)
+        assert state["adam_t"] is None and state["adam_arrays"] == {}
