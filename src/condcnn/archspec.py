@@ -225,7 +225,6 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
     model_layers.append(ly.Softmax(name="sm"))
 
     meta = {
-        "shorthand": render_shorthand(spec),
         "input_shape": (int(input_shape[0]), int(input_shape[1])),
         "n_classes": int(n_classes),
         "seed": int(seed),

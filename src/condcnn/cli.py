@@ -183,8 +183,8 @@ def cmd_segment(args):
         "train_windows": len(train_ds),
         "test_windows": len(test_ds),
         "window_len": train_ds.window_len,
-        "step": train_ds.step,
-        "channels": int(train_ds.x.shape[2]) if len(train_ds) else None,
+        "step": config["dataset"]["step"],
+        "channels": train_ds.n_channels,
         "train_sha256": _sha256(train_path),
         "test_sha256": _sha256(test_path),
         "config": config,
@@ -226,7 +226,7 @@ def cmd_train(args):
         for name, ds in (("train", train_ds), ("test", test_ds)):
             if len(ds) == 0:
                 raise DataError(f"the {name} split holds no window")
-        input_shape = (train_ds.window_len, train_ds.x.shape[2])
+        input_shape = (train_ds.window_len, train_ds.n_channels)
         model = archspec.build_model(spec, input_shape, config["dataset"]["classes"],
                                      seed=config["seed"])
         _write_json(os.path.join(run_dir, "config.json"), config)
@@ -296,9 +296,9 @@ def cmd_analyze(args):
 
     ds = dp.WindowedDataset.load(args.dataset)
     expected = tuple(model.meta["input_shape"])
-    if (ds.window_len, ds.x.shape[2]) != expected:
+    if (ds.window_len, ds.n_channels) != expected:
         raise ShapeError(
-            f"dataset windows are {(ds.window_len, ds.x.shape[2])}, "
+            f"dataset windows are {(ds.window_len, ds.n_channels)}, "
             f"checkpointed model expects {expected}"
         )
     n_classes = model.meta["n_classes"]

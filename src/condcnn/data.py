@@ -64,36 +64,34 @@ class WindowedDataset:
 
     x: np.ndarray             # (N, T, C) float64
     y: np.ndarray             # (N,) int
-    window_len: int
-    step: int
     label_names: list
     subject: np.ndarray       # (N,) str
     session: np.ndarray       # (N,) str
     normalization_stats: tuple | None = None   # (mean[C], std[C])
-    split_tag: str = ""
 
     def __len__(self):
         return self.x.shape[0]
 
     @property
+    def window_len(self):
+        return self.x.shape[1]
+
+    @property
     def n_channels(self):
         return self.x.shape[2]
 
-    def subset(self, indices, split_tag=None):
+    def subset(self, indices):
         return replace(
             self,
             x=self.x[indices],
             y=self.y[indices],
             subject=self.subject[indices],
             session=self.session[indices],
-            split_tag=self.split_tag if split_tag is None else split_tag,
         )
 
     def save(self, path):
         arrays = {"x": self.x, "y": self.y.astype(np.int64)}
         meta = {
-            "window_len": int(self.window_len),
-            "step": int(self.step),
             "label_names": list(self.label_names),
             "subject": [str(s) for s in self.subject],
             "session": [str(s) for s in self.session],
@@ -101,33 +99,30 @@ class WindowedDataset:
                 list(map(float, self.normalization_stats[0])),
                 list(map(float, self.normalization_stats[1])),
             ],
-            "split_tag": self.split_tag,
         }
         storage.save_container(path, arrays, meta)
 
     @classmethod
     def load(cls, path):
+        """Read a dataset file; meta keys other than the fields' are ignored."""
         arrays, meta = storage.load_container(path)
-        stats = meta.get("normalization_stats")
         try:
+            stats = meta["normalization_stats"]
             ds = cls(
                 x=arrays["x"],
                 y=arrays["y"],
-                window_len=meta["window_len"],
-                step=meta["step"],
                 label_names=meta["label_names"],
                 subject=np.array(meta["subject"], dtype=object),
                 session=np.array(meta["session"], dtype=object),
                 normalization_stats=None if stats is None else (
                     np.array(stats[0]), np.array(stats[1])
                 ),
-                split_tag=meta.get("split_tag", ""),
             )
         except KeyError as err:
             raise DataError(f"{path}: dataset file is missing {err}") from None
         x, y = ds.x, ds.y
-        if x.ndim != 3 or x.shape[1] != ds.window_len:
-            raise DataError(f"{path}: x must be (windows, {ds.window_len}, channels), "
+        if x.ndim != 3:
+            raise DataError(f"{path}: x must be (windows, time, channels), "
                             f"got shape {x.shape}")
         if y.shape != (len(x),) or not np.issubdtype(y.dtype, np.integer):
             raise DataError(f"{path}: y must be {len(x)} integer labels, "
@@ -462,7 +457,7 @@ def segment_windows(stream, profile):
         in_window = count[starts + t_w] - count[starts]
         y[in_window > best] = c
         np.maximum(best, in_window, out=best)
-    return WindowedDataset(x, y, t_w, step, stream.label_names,
+    return WindowedDataset(x, y, stream.label_names,
                            subject=stream.subject[starts].astype(object),
                            session=stream.session[starts].astype(object))
 
@@ -511,8 +506,8 @@ def split(ds, profile, seed=0):
     else:
         raise ConfigError(f"unknown split kind {kind!r}")
 
-    train = ds.subset(train_idx, split_tag="train")
-    test = ds.subset(test_idx, split_tag="test")
+    train = ds.subset(train_idx)
+    test = ds.subset(test_idx)
     for tag, part in (("train", train), ("test", test)):
         present = set(np.unique(part.y).tolist())
         missing = [c for c in range(profile.classes) if c not in present]

@@ -233,9 +233,16 @@ class History:
     """Per-epoch training record: (epoch, lr, train_loss, test_acc) rows."""
 
     rows: list = field(default_factory=list)
-    best_epoch: int = -1
-    best_accuracy: float = -1.0
     halted: bool = False
+
+    @property
+    def best_epoch(self):
+        """The first epoch of the highest test accuracy; -1 before any."""
+        return max(self.rows, key=lambda row: row[3])[0] if self.rows else -1
+
+    @property
+    def best_accuracy(self):
+        return max((row[3] for row in self.rows), default=-1.0)
 
     def to_csv(self, path):
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
@@ -270,27 +277,31 @@ def save_checkpoint(path, model, adam=None, rng=None, epoch=0, history=None):
     if rng is not None:
         meta["rng_state"] = json.loads(json.dumps(rng.bit_generator.state))
     if history is not None:
-        meta["history"] = {
-            "rows": [[int(e), float(l), float(t), float(a)] for e, l, t, a in history.rows],
-            "best_epoch": history.best_epoch,
-            "best_accuracy": history.best_accuracy,
-        }
+        rows = [[int(e), float(l), float(t), float(a)] for e, l, t, a in history.rows]
+        meta["history"] = {"rows": rows}
     storage.save_container(path, arrays, meta)
 
 
 def load_checkpoint(path):
     """Rebuild the model a checkpoint describes and return it with the
-    saved training state. A checkpoint that lacks a meta key or an array
-    the model expects, holds a parameter or buffer array the model lacks,
-    or has an array of the wrong shape raises DataError naming the path.
-    One that records an Adam step count `adam_t` must record it as an
-    integer >= 0 and hold exactly the moments `adam.m.<name>` and
-    `adam.v.<name>` of each parameter, in its shape; one that records
-    none (`adam_t` null, a model-only checkpoint) is not checked for them."""
+    saved training state, whose `history` is the saved rows as tuples.
+
+    Every meta key `save_checkpoint` writes is required except `halted`,
+    which only older versions wrote; keys it no longer writes are ignored.
+    A missing meta key, an `epoch` that is not an integer >= 0, a `history`
+    that is neither null nor rows of 4 values, a missing array the model
+    expects, a parameter or buffer array the model lacks,
+    or an array of the wrong shape raises DataError naming the path. One
+    that records an Adam step count `adam_t` must record it as an integer
+    >= 0 and hold exactly the moments `adam.m.<name>` and `adam.v.<name>`
+    of each parameter, in its shape; one that records none (`adam_t` null,
+    a model-only checkpoint) is not checked for them."""
     arrays, meta = storage.load_container(path)
     if meta.get("kind") != "condcnn-checkpoint":
         raise DataError(f"{path}: not a checkpoint container")
     try:
+        epoch, adam_t, rng_state, history = (
+            meta[key] for key in ("epoch", "adam_t", "rng_state", "history"))
         model_meta = meta["model"]
         spec = archspec.spec_from_dict(model_meta["spec"])
         model = archspec.build_model(
@@ -301,9 +312,14 @@ def load_checkpoint(path):
         raise DataError(f"{path}: checkpoint meta is missing key {err}") from None
     except ConfigError as err:
         raise DataError(f"{path}: recorded model is invalid: {err}") from None
-    adam_t = meta.get("adam_t")
-    if adam_t is not None and (type(adam_t) is not int or adam_t < 0):
-        raise DataError(f"{path}: recorded adam_t must be an integer >= 0, got {adam_t!r}")
+    for key, count in (("epoch", epoch), ("adam_t", 0 if adam_t is None else adam_t)):
+        if type(count) is not int or count < 0:
+            raise DataError(f"{path}: recorded {key} must be an integer >= 0, got {count!r}")
+    rows = history["rows"] if isinstance(history, dict) and "rows" in history else None
+    if history is not None and not (isinstance(rows, list) and all(
+            isinstance(row, list) and len(row) == 4 for row in rows)):
+        raise DataError(f"{path}: recorded history must be null or hold rows of "
+                        f"[epoch, lr, train_loss, test_acc]")
     # every parameter is uninitialized until the set and shape checks below
     # pass and its stored array replaces it
     params = model.named_params()
@@ -333,24 +349,14 @@ def load_checkpoint(path):
         if name.startswith("buffer.")
     })
     state = {
-        "epoch": meta.get("epoch", 0),
+        "epoch": epoch,
         "adam_t": adam_t,
         "adam_arrays": {k: v for k, v in arrays.items() if k.startswith("adam.")},
-        "rng_state": meta.get("rng_state"),
-        "history": meta.get("history"),
+        "rng_state": rng_state,
+        "history": None if history is None else [tuple(row) for row in rows],
         "halted": bool(meta.get("halted", False)),
     }
     return model, state
-
-
-def _restore_history(state):
-    history = History()
-    saved = state.get("history")
-    if saved:
-        history.rows = [tuple(row) for row in saved["rows"]]
-        history.best_epoch = saved["best_epoch"]
-        history.best_accuracy = saved["best_accuracy"]
-    return history
 
 
 def train(model, train_ds, test_ds, config, start_state=None):
@@ -364,10 +370,10 @@ def train(model, train_ds, test_ds, config, start_state=None):
     `last.ckpt` holds the last completed epoch.
 
     `start_state` is the state dict from `load_checkpoint` of a previous
-    run's last checkpoint; training then continues bitwise as if it had
-    never stopped. A checkpoint that records `halted: true` (written by
-    an older version after a mid-epoch halt) holds part of an epoch and
-    raises ConfigError.
+    run's last checkpoint, which is left unchanged; training then continues
+    bitwise as if it had never stopped. A checkpoint that records
+    `halted: true` (written by an older version after a mid-epoch halt)
+    holds part of an epoch and raises ConfigError.
     """
     if config.epochs > 0 and len(train_ds) == 0:
         raise DataError("cannot train on an empty dataset")
@@ -379,18 +385,18 @@ def train(model, train_ds, test_ds, config, start_state=None):
     history = History()
     start_epoch = 0
     if start_state is not None:
-        if start_state.get("halted"):
+        start_epoch = start_state["epoch"]
+        if start_state["halted"]:
             raise ConfigError(
                 f"cannot resume from a checkpoint written by a run that halted in "
-                f"epoch {start_state.get('epoch', 0)}: it holds part of that epoch's "
-                f"updates"
+                f"epoch {start_epoch}: it holds part of that epoch's updates"
             )
-        if start_state.get("adam_t") is not None:
+        if start_state["adam_t"] is not None:
             adam.load_state_arrays(start_state["adam_arrays"], start_state["adam_t"])
-        if start_state.get("rng_state") is not None:
+        if start_state["rng_state"] is not None:
             rng.bit_generator.state = start_state["rng_state"]
-        history = _restore_history(start_state)
-        start_epoch = int(start_state.get("epoch", 0))
+        if start_state["history"] is not None:
+            history.rows = list(start_state["history"])
 
     ckpt_dir = config.checkpoint_dir
     if ckpt_dir:
@@ -422,11 +428,8 @@ def train(model, train_ds, test_ds, config, start_state=None):
 
         train_loss = total_loss / max(seen, 1)
         test_acc = evaluate(model, test_ds).accuracy
-        history.rows.append((epoch, lr, train_loss, test_acc))
         improved = test_acc > history.best_accuracy
-        if improved:
-            history.best_accuracy = test_acc
-            history.best_epoch = epoch
+        history.rows.append((epoch, lr, train_loss, test_acc))
         if ckpt_dir:
             last = os.path.join(ckpt_dir, "last.ckpt")
             save_checkpoint(last, model, adam=adam, rng=rng, epoch=epoch + 1, history=history)

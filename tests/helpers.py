@@ -10,13 +10,11 @@ from condcnn.data import DatasetProfile, SensorStream, WindowedDataset, split
 from condcnn.storage import MAGIC
 
 
-def _dataset_from_arrays(x, y, window_len, label_names=None):
+def _dataset_from_arrays(x, y, label_names=None):
     n = len(y)
     return WindowedDataset(
         x=np.asarray(x, dtype=np.float64),
         y=np.asarray(y, dtype=np.int64),
-        window_len=window_len,
-        step=window_len,
         label_names=label_names or [str(i) for i in range(int(np.max(y)) + 1)],
         subject=np.array(["synth"] * n, dtype=object),
         session=np.array(["synth"] * n, dtype=object),
@@ -33,7 +31,7 @@ def make_linear_dataset(n_per_class=40, t=16, channels=2, seed=0):
             xs.append(shift + 0.25 * rng.normal(size=(t, channels)))
             ys.append(label)
     order = rng.permutation(len(ys))
-    return _dataset_from_arrays(np.array(xs)[order], np.array(ys)[order], t)
+    return _dataset_from_arrays(np.array(xs)[order], np.array(ys)[order])
 
 
 def _motif_bank(length):
@@ -78,12 +76,12 @@ def make_motif_dataset(n_per_class=150, t=32, seed=0, noise=0.4,
             xs.append(x)
             ys.append(label)
     order = rng.permutation(len(ys))
-    return _dataset_from_arrays(np.array(xs)[order], np.array(ys)[order], t)
+    return _dataset_from_arrays(np.array(xs)[order], np.array(ys)[order])
 
 
 def split_70_30(ds, classes, seed=0):
     prof = DatasetProfile(
-        name="synth", window_len=ds.window_len, step=ds.step, classes=classes,
+        name="synth", window_len=ds.window_len, step=ds.window_len, classes=classes,
         split={"kind": "random", "train_fraction": 0.7},
     )
     return split(ds, prof, seed=seed)
@@ -161,6 +159,16 @@ DAMAGED_CHECKPOINTS = {
     "negative-adam-t": lambda arrays, meta: meta.update(adam_t=-1),
     "fractional-adam-t": lambda arrays, meta: meta.update(adam_t=1.5),
     "boolean-adam-t": lambda arrays, meta: meta.update(adam_t=True),
+    "meta-without-epoch": lambda arrays, meta: meta.pop("epoch"),
+    "meta-without-adam-t": lambda arrays, meta: meta.pop("adam_t"),
+    "meta-without-rng-state": lambda arrays, meta: meta.pop("rng_state"),
+    "meta-without-history": lambda arrays, meta: meta.pop("history"),
+    "negative-epoch": lambda arrays, meta: meta.update(epoch=-1),
+    "fractional-epoch": lambda arrays, meta: meta.update(epoch=1.5),
+    "boolean-epoch": lambda arrays, meta: meta.update(epoch=True),
+    "history-without-rows": lambda arrays, meta: meta.update(history={}),
+    "history-as-a-list": lambda arrays, meta: meta.update(history=[]),
+    "history-row-of-three": lambda arrays, meta: meta.update(history={"rows": [[0, 1e-3, 0.5]]}),
 }
 
 

@@ -361,12 +361,11 @@ class TestCriterion09Determinism:
         }
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
-        env = dict(os.environ, CONDCNN_NUM_THREADS="1")
         for run in ("r1", "r2"):
             proc = subprocess.run(
                 [sys.executable, "-m", "condcnn.cli", "train",
                  "--config", str(config_path), "--out", str(tmp_path / run)],
-                env=env, capture_output=True, text=True,
+                capture_output=True, text=True,
             )
             assert proc.returncode == 0, proc.stderr
         for name in ("history.csv", "best.ckpt", "last.ckpt", "train.ds", "test.ds"):

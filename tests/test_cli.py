@@ -133,6 +133,19 @@ class TestSegment:
         summary = json.loads((out / "segment-summary.json").read_text())
         assert summary["train_windows"] + summary["test_windows"] == 100
 
+    def test_summary_shape_holds_for_an_empty_train_split(self, workspace):
+        tmp_path, config_path = workspace
+        _set_config_value(config_path, "dataset", "split", {
+            "kind": "sessions", "train": [["synth", "nope"]],
+            "test": [["synth", f"w{i}"] for i in range(100)]})
+        out = tmp_path / "seg"
+        assert cli.main(["segment", "--config", str(config_path), "--out", str(out)]) == 0
+        summary = json.loads((out / "segment-summary.json").read_text())
+        assert summary["train_windows"] == 0
+        assert (summary["window_len"], summary["step"], summary["channels"]) == (32, 32, 3)
+        _, meta = storage.load_container(out / "train.ds")
+        assert sorted(meta) == ["label_names", "normalization_stats", "session", "subject"]
+
     def test_same_config_gives_identical_hashes(self, workspace):
         tmp_path, config_path = workspace
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -621,8 +634,8 @@ class TestAnalyze:
     def test_dataset_without_a_meta_key_exits_two_with_one_line(self, trained, caplog):
         tmp_path, run = trained
         arrays, meta = storage.load_container(run / "test.ds")
-        del meta["window_len"]
-        bad = tmp_path / "no-window-len.ds"
+        del meta["label_names"]
+        bad = tmp_path / "no-label-names.ds"
         storage.save_container(bad, arrays, meta)
         caplog.clear()
         code = cli.main([
@@ -630,7 +643,7 @@ class TestAnalyze:
             "--which", "confusion", "--dataset", str(bad), "--out", str(tmp_path / "z"),
         ])
         assert code == 2
-        assert len(caplog.records) == 1 and "window_len" in caplog.text
+        assert len(caplog.records) == 1 and "label_names" in caplog.text
         assert "Traceback" not in caplog.text
 
     @pytest.mark.parametrize("which", ["confusion", "routing"])

@@ -509,8 +509,33 @@ class TestSegmentation:
         np.testing.assert_array_equal(back.x, ds.x)
         np.testing.assert_array_equal(back.y, ds.y)
         assert back.window_len == ds.window_len
+        assert back.label_names == ds.label_names
+        assert back.subject.tolist() == ds.subject.tolist()
+        assert back.session.tolist() == ds.session.tolist()
+        _, meta = storage.load_container(path)
+        assert sorted(meta) == ["label_names", "normalization_stats", "session", "subject"]
 
-    @pytest.mark.parametrize("missing", ["window_len", "label_names", "x", "y"])
+    def test_artifact_of_the_older_layout_loads(self, tmp_path):
+        """Files that also record the window length, step and split tag load
+        as they did; those keys are ignored."""
+        ds, _ = dp.normalize(dp.segment_windows(
+            make_stream(60, label_fn=lambda i: i % 2), profile()), "zscore")
+        path = tmp_path / "d.ds"
+        ds.save(path)
+        arrays, meta = storage.load_container(path)
+        storage.save_container(path, arrays, dict(meta, window_len=20, step=5,
+                                                  split_tag="train"))
+        back = dp.WindowedDataset.load(path)
+        assert back.x.tobytes() == ds.x.tobytes() and back.y.tolist() == ds.y.tolist()
+        for got, want in zip(back.normalization_stats, ds.normalization_stats):
+            assert got.tobytes() == want.tobytes()
+        resaved = tmp_path / "resaved.ds"
+        back.save(resaved)
+        ds.save(tmp_path / "current.ds")
+        assert resaved.read_bytes() == (tmp_path / "current.ds").read_bytes()
+
+    @pytest.mark.parametrize("missing", ["label_names", "subject", "session",
+                                         "normalization_stats", "x", "y"])
     def test_artifact_without_a_key_raises_data_error(self, tmp_path, missing):
         path = tmp_path / "d.ds"
         dp.segment_windows(make_stream(60, label_fn=lambda i: i % 2), profile()).save(path)
@@ -523,7 +548,6 @@ class TestSegmentation:
     # (array or meta key, replacement built from the saved arrays and meta)
     MALFORMED_ARTIFACTS = {
         "2-d x": ("x", lambda a, m: a["x"][:, :, 0]),
-        "x of another window length": ("x", lambda a, m: a["x"][:, :-1]),
         "2-d y": ("y", lambda a, m: a["y"][:, None]),
         "float y": ("y", lambda a, m: a["y"].astype(np.float64)),
         "short y": ("y", lambda a, m: a["y"][1:]),
@@ -584,7 +608,7 @@ class TestNormalize:
         n = 500
         ds = dp.WindowedDataset(
             x=np.random.default_rng(9).normal(3.0, 2.0, size=(n, 100, 3)),
-            y=np.zeros(n, dtype=np.int64), window_len=100, step=100, label_names=["a"],
+            y=np.zeros(n, dtype=np.int64), label_names=["a"],
             subject=np.array(["s"] * n, dtype=object),
             session=np.array(["e"] * n, dtype=object),
         )

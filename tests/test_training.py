@@ -1,5 +1,6 @@
 """Adam, learning-rate schedules, the training loop, and checkpoints."""
 
+import copy
 import os
 import re
 import sys
@@ -401,6 +402,12 @@ class TestTrainLoop:
         assert history.best_accuracy == max(accs)
         assert accs[history.best_epoch] == history.best_accuracy
 
+    def test_best_epoch_is_the_first_of_tied_epochs(self):
+        history = training.History()
+        assert (history.best_epoch, history.best_accuracy) == (-1, -1.0)
+        history.rows = [(0, 1e-3, 0.9, 0.25), (1, 1e-3, 0.8, 0.5), (2, 1e-3, 0.7, 0.5)]
+        assert (history.best_epoch, history.best_accuracy) == (1, 0.5)
+
 
 class TestCheckpoints:
     def test_round_trip_restores_parameters(self, tmp_path):
@@ -463,6 +470,51 @@ class TestCheckpoints:
         assert tail_history.rows == full_history.rows
         for name, p in straight.named_params().items():
             np.testing.assert_array_equal(p.data, reloaded.named_params()[name].data)
+
+    def test_checkpoints_of_the_older_layout_load_and_resume_bitwise(self, tmp_path):
+        """Checkpoints that also record the best epoch and accuracy and the
+        model's shorthand, as older versions wrote them, load and resume as
+        the current layout does; those keys are ignored."""
+        ds = make_linear_dataset(n_per_class=20, seed=12)
+        train_ds, test_ds = split_70_30(ds, classes=2, seed=0)
+        straight = tiny_model(seed=8)
+        full_history = training.train(straight, train_ds, test_ds, config(epochs=6, seed=3))
+        history = training.train(tiny_model(seed=8), train_ds, test_ds,
+                                 config(epochs=3, seed=3, checkpoint_dir=str(tmp_path)))
+        for name in ("best.ckpt", "last.ckpt"):
+            path = tmp_path / name
+            arrays, meta = storage.load_container(path)
+            assert sorted(meta["history"]) == ["rows"] and "shorthand" not in meta["model"]
+            meta["history"].update(best_epoch=history.best_epoch,
+                                   best_accuracy=history.best_accuracy)
+            meta["model"]["shorthand"] = meta["model"]["spec"]["shorthand"]
+            os.unlink(path)  # best.ckpt is a link to an older last.ckpt
+            storage.save_container(path, arrays, meta)
+
+        _, best = training.load_checkpoint(tmp_path / "best.ckpt")
+        assert training.History(best["history"]).best_epoch == history.best_epoch
+        reloaded, state = training.load_checkpoint(tmp_path / "last.ckpt")
+        tail_history = training.train(
+            reloaded, train_ds, test_ds, config(epochs=6, seed=3), start_state=state,
+        )
+        assert tail_history.rows == full_history.rows
+        for name, p in straight.named_params().items():
+            np.testing.assert_array_equal(p.data, reloaded.named_params()[name].data)
+
+    def test_resume_leaves_the_start_state_unchanged(self, tmp_path):
+        ds = make_linear_dataset(n_per_class=20, seed=12)
+        train_ds, test_ds = split_70_30(ds, classes=2, seed=0)
+        training.train(tiny_model(seed=8), train_ds, test_ds,
+                       config(epochs=2, seed=3, checkpoint_dir=str(tmp_path)))
+        reloaded, state = training.load_checkpoint(tmp_path / "last.ckpt")
+        before = copy.deepcopy(state)
+        training.train(reloaded, train_ds, test_ds, config(epochs=4, seed=3),
+                       start_state=state)
+        arrays, saved = state.pop("adam_arrays"), before.pop("adam_arrays")
+        assert state == before and len(state["history"]) == 2
+        assert sorted(arrays) == sorted(saved)
+        for name, array in arrays.items():
+            assert array.tobytes() == saved[name].tobytes(), name
 
     def test_halt_leaves_the_last_epoch_boundary_checkpoint(self, tmp_path, monkeypatch):
         ds = make_linear_dataset(n_per_class=20, seed=12)
@@ -527,10 +579,10 @@ class TestCheckpoints:
         assert a.read_bytes() == b.read_bytes()
 
     @staticmethod
-    def _run(ckpt_dir, epochs, monkeypatch):
-        """Train for up to 2 epochs with set test accuracies: epoch 0
-        improves, epoch 1 does not."""
-        scores = iter((0.5, 0.25))
+    def _run(ckpt_dir, epochs, monkeypatch, scores=(0.5, 0.25)):
+        """Train for up to 2 epochs with set test accuracies: by default
+        epoch 0 improves and epoch 1 does not."""
+        scores = iter(scores)
         monkeypatch.setattr(training, "evaluate",
                             lambda model, ds: training.EvalResult(next(scores), None, None))
         ds = make_linear_dataset(n_per_class=20, seed=12)
@@ -549,6 +601,15 @@ class TestCheckpoints:
         assert (two / "last.ckpt").read_bytes() != (one / "last.ckpt").read_bytes()
         assert sorted(os.listdir(two)) == ["best.ckpt", "last.ckpt"]
 
+    def test_a_tied_epoch_keeps_the_first_best(self, tmp_path, monkeypatch):
+        one, two = tmp_path / "one", tmp_path / "two"
+        self._run(one, 1, monkeypatch)
+        history = self._run(two, 2, monkeypatch, scores=(0.5, 0.5))
+        assert history.best_epoch == 0
+        assert (two / "best.ckpt").read_bytes() == (one / "last.ckpt").read_bytes()
+        _, state = training.load_checkpoint(two / "best.ckpt")
+        assert training.History(state["history"]).best_epoch == 0
+
     def test_refused_link_copies_the_bytes(self, tmp_path, monkeypatch):
         def refuse(src, dst):
             raise OSError("links not supported")
@@ -565,6 +626,19 @@ class TestCheckpoints:
         path = tmp_path / "damaged.ckpt"
         write_damaged_checkpoint(path, DAMAGED_CHECKPOINTS[case])
         with pytest.raises(DataError, match=re.escape(str(path))):
+            training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("case,key", [
+        ("meta-without-epoch", "epoch"), ("meta-without-adam-t", "adam_t"),
+        ("meta-without-rng-state", "rng_state"), ("meta-without-history", "history"),
+        ("negative-epoch", "epoch"), ("fractional-epoch", "epoch"), ("boolean-epoch", "epoch"),
+        ("history-without-rows", "history"), ("history-as-a-list", "history"),
+        ("history-row-of-three", "history"),
+    ])
+    def test_damaged_training_state_is_refused(self, tmp_path, case, key):
+        path = tmp_path / "damaged.ckpt"
+        write_damaged_checkpoint(path, DAMAGED_CHECKPOINTS[case])
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}: .*{key}"):
             training.load_checkpoint(path)
 
     def test_adam_state_and_model_only_checkpoints_load(self, tmp_path):
