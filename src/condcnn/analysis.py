@@ -15,6 +15,7 @@ import numpy as np
 from .autodiff import Tensor
 from .condconv import CondConv, convolve, route
 from .errors import ConfigError, DataError
+from .storage import write_text
 from .training import evaluate
 
 log = logging.getLogger(__name__)
@@ -41,7 +42,6 @@ class LayerCost:
 class FlopsReport:
     per_layer: list
     n_experts: int
-    counting_convention: str = COUNTING_CONVENTION
 
     @property
     def total_multiply_adds(self):
@@ -64,19 +64,18 @@ class FlopsReport:
             f"{self.total_flops:>14}{self.total_params:>10}"
         )
         lines.append(f"experts: {self.n_experts}")
-        lines.append(f"convention: {self.counting_convention}")
+        lines.append(f"convention: {COUNTING_CONVENTION}")
         return "\n".join(lines)
 
     def to_csv(self, path):
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write(f"# convention: {self.counting_convention}\n")
-            fh.write("layer,multiply_adds,flops,params\n")
-            for c in self.per_layer:
-                fh.write(f"{c.name},{repr(float(c.multiply_adds))},{c.flops},{c.params}\n")
-            fh.write(
-                f"total,{repr(float(self.total_multiply_adds))},"
-                f"{self.total_flops},{self.total_params}\n"
-            )
+        write_text(path, [
+            f"# convention: {COUNTING_CONVENTION}",
+            "layer,multiply_adds,flops,params",
+            *(f"{c.name},{repr(float(c.multiply_adds))},{c.flops},{c.params}"
+              for c in self.per_layer),
+            f"total,{repr(float(self.total_multiply_adds))},"
+            f"{self.total_flops},{self.total_params}",
+        ])
 
 
 def count_flops(model):
@@ -104,7 +103,6 @@ def count_params(model):
 class ConfusionReport:
     matrix: np.ndarray
     accuracy: float
-    per_class_accuracy: np.ndarray
     label_names: list
     ranked_confusions: list  # (true_name, predicted_name, count), descending
 
@@ -122,11 +120,9 @@ class ConfusionReport:
         return "\n".join(lines)
 
     def to_csv(self, path):
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write("true,predicted,count\n")
-            for i, tn in enumerate(self.label_names):
-                for j, pn in enumerate(self.label_names):
-                    fh.write(f"{tn},{pn},{self.matrix[i, j]}\n")
+        write_text(path, ["true,predicted,count"] + [
+            f"{tn},{pn},{self.matrix[i, j]}"
+            for i, tn in enumerate(self.label_names) for j, pn in enumerate(self.label_names)])
 
 
 def confusion_matrix_report(model, ds):
@@ -144,7 +140,6 @@ def confusion_matrix_report(model, ds):
     return ConfusionReport(
         matrix=result.confusion,
         accuracy=result.accuracy,
-        per_class_accuracy=result.per_class_accuracy,
         label_names=names,
         ranked_confusions=ranked,
     )
@@ -197,22 +192,18 @@ class RoutingStats:
 
     def histogram_to_csv(self, path):
         edges = self.bucket_edges()
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write("bucket_left,bucket_right,count\n")
-            for i, count in enumerate(self.histogram):
-                fh.write(f"{repr(float(edges[i]))},{repr(float(edges[i + 1]))},{int(count)}\n")
+        write_text(path, ["bucket_left,bucket_right,count"] + [
+            f"{repr(float(edges[i]))},{repr(float(edges[i + 1]))},{int(count)}"
+            for i, count in enumerate(self.histogram)])
 
     def class_means_to_csv(self, path):
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write("layer,class,expert,mean,std\n")
-            for name, stats in self.per_layer.items():
-                means, stds = stats.class_means(), stats.class_stds()
-                for c in range(stats.n_classes):
-                    for e in range(stats.n_experts):
-                        fh.write(
-                            f"{name},{c},{e},{repr(float(means[c, e]))},"
-                            f"{repr(float(stds[c, e]))}\n"
-                        )
+        lines = ["layer,class,expert,mean,std"]
+        for name, stats in self.per_layer.items():
+            means, stds = stats.class_means(), stats.class_stds()
+            lines.extend(
+                f"{name},{c},{e},{repr(float(means[c, e]))},{repr(float(stds[c, e]))}"
+                for c in range(stats.n_classes) for e in range(stats.n_experts))
+        write_text(path, lines)
 
 
 def routing_stats(model, ds, batch_size=256):

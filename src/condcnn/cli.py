@@ -1,10 +1,10 @@
 """Command-line interface: convert raw data, segment datasets, train
 models, and produce analysis reports from reproducible JSON configs.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
-failure. All artifacts (configs, datasets, checkpoints, CSVs, reports)
-are byte-deterministic for a fixed config and seed; timestamps appear
-only in log lines on stderr.
+Exit codes: 0 success, 1 usage/config error, 2 data error or an input
+that cannot be read, 3 numeric failure. All artifacts (configs,
+datasets, checkpoints, CSVs, reports) are byte-deterministic for a fixed
+config and seed; timestamps appear only in log lines on stderr.
 
 BLAS runs one thread: each BLAS variable left unset is pinned to 1 before
 numpy loads, for run-to-run determinism. The conv ops split their work
@@ -20,7 +20,8 @@ import logging
 import os
 import sys
 
-from .errors import ConfigError, DataError, NumericError, ShapeError, check_dict, check_keys
+from .errors import (ConfigError, DataError, NumericError, ShapeError, check_count, check_dict,
+                     check_keys)
 
 log = logging.getLogger("condcnn")
 
@@ -69,7 +70,8 @@ def _build_parser():
 def load_run_config(path, seed=None):
     """Read a run config, apply a seed override, resolve data paths
     relative to the config file. A missing file raises FileNotFoundError;
-    one that cannot be read as UTF-8 JSON is a ConfigError naming it."""
+    one that cannot be read as UTF-8 JSON is a ConfigError naming it, as is
+    a bad seed, `output_dir` or `canonical_csv`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -83,16 +85,15 @@ def load_run_config(path, seed=None):
                ("name", "model", "train", "seed", "output_dir"))
     base = os.path.dirname(os.path.abspath(path))
     dataset = check_dict("dataset config", config["dataset"])
-    if "canonical_csv" in dataset:
-        csv_path = dataset["canonical_csv"]
-        if not isinstance(csv_path, str) or not csv_path:
-            raise ConfigError(
-                f"dataset canonical_csv must be a non-empty string, got {csv_path!r}")
-        if not os.path.isabs(csv_path):
-            dataset["canonical_csv"] = os.path.normpath(os.path.join(base, csv_path))
     if seed is not None:
         config["seed"] = seed
-    config.setdefault("seed", 0)
+    check_count("seed", config.setdefault("seed", 0), 0)
+    for what, section, key in (("output_dir", config, "output_dir"),
+                               ("dataset canonical_csv", dataset, "canonical_csv")):
+        if key in section and (not isinstance(section[key], str) or not section[key]):
+            raise ConfigError(f"{what} must be a non-empty string, got {section[key]!r}")
+    if "canonical_csv" in dataset and not os.path.isabs(dataset["canonical_csv"]):
+        dataset["canonical_csv"] = os.path.normpath(os.path.join(base, dataset["canonical_csv"]))
     return config
 
 
@@ -105,9 +106,9 @@ def _sha256(path):
 
 
 def _write_json(path, payload):
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    from .storage import write_text
+
+    write_text(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _make_dir(path):
@@ -198,6 +199,7 @@ def cmd_segment(args):
 
 def cmd_train(args):
     from . import analysis, archspec, training
+    from .storage import write_text
 
     config = load_run_config(args.config, seed=args.seed)
     run_dir = args.out or config.get("output_dir") or "run"
@@ -252,11 +254,9 @@ def cmd_train(args):
             f"halted: {history.halted}",
             f"parameters: {analysis.count_params(model)}",
             f"flops per example: {flops.total_flops}",
-            f"flops convention: {flops.counting_convention}",
+            f"flops convention: {analysis.COUNTING_CONVENTION}",
         ]
-        with open(os.path.join(run_dir, "report.txt"), "w", newline="\n",
-                  encoding="utf-8") as fh:
-            fh.write("\n".join(report_lines) + "\n")
+        write_text(os.path.join(run_dir, "report.txt"), report_lines)
         print(f"{outcome} -> {run_dir}")
     return 3 if history.halted else 0  # a numeric halt, after writing the run
 
@@ -264,6 +264,7 @@ def cmd_train(args):
 def cmd_analyze(args):
     from . import analysis, training
     from . import data as dp
+    from .storage import write_text
 
     if args.which != "flops" and args.dataset is None:
         raise ConfigError(f"--which {args.which} needs --dataset")
@@ -287,11 +288,8 @@ def cmd_analyze(args):
                 f"flops ratio vs 1 expert: {report.total_flops / base_total:.4f}"
             )
         report.to_csv(os.path.join(args.out, "flops.csv"))
-        text = "\n".join(lines)
-        with open(os.path.join(args.out, "flops.txt"), "w", newline="\n",
-                  encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(text)
+        write_text(os.path.join(args.out, "flops.txt"), lines)
+        print("\n".join(lines))
         return 0
 
     ds = dp.WindowedDataset.load(args.dataset)
@@ -311,9 +309,7 @@ def cmd_analyze(args):
     if args.which == "confusion":
         report = analysis.confusion_matrix_report(model, ds)
         report.to_csv(os.path.join(args.out, "confusion.csv"))
-        with open(os.path.join(args.out, "confusion.txt"), "w", newline="\n",
-                  encoding="utf-8") as fh:
-            fh.write(report.to_text() + "\n")
+        write_text(os.path.join(args.out, "confusion.txt"), [report.to_text()])
         print(report.to_text())
     elif args.which == "routing":
         stats = analysis.routing_stats(model, ds)
@@ -324,11 +320,8 @@ def cmd_analyze(args):
     else:  # divergence
         stats = analysis.routing_stats(model, ds)
         scores = analysis.depth_divergence(stats)
-        with open(os.path.join(args.out, "divergence.csv"), "w", newline="\n",
-                  encoding="utf-8") as fh:
-            fh.write("layer,divergence\n")
-            for name, score in scores.items():
-                fh.write(f"{name},{repr(float(score))}\n")
+        write_text(os.path.join(args.out, "divergence.csv"), ["layer,divergence"] + [
+            f"{name},{repr(float(score))}" for name, score in scores.items()])
         for name, score in scores.items():
             print(f"{name}: {score:.6f}")
     return 0
@@ -357,7 +350,7 @@ def main(argv=None):
     except ConfigError as err:  # ArchitectureError included
         log.error("%s", err)
         return 1
-    except (DataError, ShapeError, FileNotFoundError) as err:
+    except (DataError, ShapeError, OSError) as err:  # OSError: an unreadable input
         log.error("%s", err)
         return 2
     except NumericError as err:

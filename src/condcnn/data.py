@@ -25,6 +25,8 @@ import csv
 import logging
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -203,15 +205,14 @@ def window_count(length, window_len, step):
 # -- canonical CSV --------------------------------------------------------------
 
 def write_canonical(path, stream):
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(f"# rate_hz={stream.sample_rate_hz}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject", "session", "label"] + list(stream.channel_names))
-        for i in range(len(stream)):
-            writer.writerow(
-                [stream.subject[i], stream.session[i], stream.label_names[stream.labels[i]]]
-                + [repr(float(v)) for v in stream.data[i]]
-            )
+    # with `str` as its file's `write`, `writerow` returns the row as csv
+    # quotes it, LF included
+    row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    header = ["subject", "session", "label"] + list(stream.channel_names)
+    storage.write_text(path, chain(
+        [f"# rate_hz={stream.sample_rate_hz}", row(header)[:-1]],
+        (row([stream.subject[i], stream.session[i], stream.label_names[stream.labels[i]]]
+             + [repr(float(v)) for v in stream.data[i]])[:-1] for i in range(len(stream)))))
 
 
 def ingest_canonical(path):

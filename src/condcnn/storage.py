@@ -3,8 +3,9 @@
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
 (sorted keys), then raw C-order array payloads in the order the header
 lists them (sorted by name). Identical content always produces identical
-bytes: no timestamps, no compression, no platform-dependent fields. Writes
-are atomic (temp file + rename).
+bytes: no timestamps, no compression, no platform-dependent fields. Every
+file condcnn writes, text (UTF-8, LF) included, is written here atomically:
+to a temporary file beside it that is renamed over it.
 
 Array bytes move once: a save writes each payload from the array's own
 memory and a load reads it into a fresh array, with no staging copy. A
@@ -14,8 +15,10 @@ file that breaks the layout raises DataError naming the path.
 import json
 import math
 import os
+import shutil
 import struct
 import tempfile
+from contextlib import suppress
 
 import numpy as np
 
@@ -45,19 +48,52 @@ def save_container(path, arrays, meta=None):
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
 
+    def write(fh):
+        fh.write(MAGIC)
+        fh.write(struct.pack("<Q", len(header)))
+        fh.write(header)
+        for arr in contiguous:
+            fh.write(arr.reshape(-1).view(np.uint8))
+    _replace(path, write)
+
+
+def write_text(path, lines):
+    """Write each string of `lines` to `path` as UTF-8, followed by one LF."""
+    _replace(path, lambda fh: fh.writelines(f"{line}\n".encode("utf-8") for line in lines))
+
+
+def _replace(path, write):
+    """Give `path` the bytes `write(fh)` writes to a binary file, through
+    one rename of a temporary file beside it; make its directories first."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(header)))
-            fh.write(header)
-            for arr in contiguous:
-                fh.write(arr.reshape(-1).view(np.uint8))
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def copy_file(src, dst):
+    """Give `dst` the bytes of `src` through one rename: a hard link to a
+    temporary name beside `dst`, or a copy where the filesystem refuses
+    links. Every save replaces its file with a fresh one, so a later save
+    of `src` leaves the linked `dst` as it is."""
+    tmp = dst + ".tmp"
+    with suppress(FileNotFoundError):
+        os.unlink(tmp)  # left by a run killed here
+    try:
+        try:
+            os.link(src, tmp)
+        except OSError:
+            shutil.copy(src, tmp)  # with its mode bits, as a link has
+        os.replace(tmp, dst)
+    except BaseException:
+        with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
 

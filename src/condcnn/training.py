@@ -11,8 +11,6 @@ from the last checkpoint continues a run bitwise.
 import json
 import logging
 import os
-import shutil
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -200,12 +198,11 @@ class Adam:
 @dataclass
 class EvalResult:
     accuracy: float
-    per_class_accuracy: np.ndarray
     confusion: np.ndarray  # confusion[i, j] = count(true i, predicted j)
 
 
 def evaluate(model, ds, batch_size=256):
-    """Accuracy, per-class accuracy, and confusion matrix in eval mode.
+    """Accuracy and confusion matrix in eval mode.
 
     Side-effect-free: the model's mode flags are restored afterwards and
     no statistics are updated. The forward passes record no graph.
@@ -221,11 +218,8 @@ def evaluate(model, ds, batch_size=256):
             logits = model.logits(Tensor(xb))
             pred = logits.data.argmax(axis=1)
             np.add.at(confusion, (yb, pred), 1)
-    totals = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        per_class = np.where(totals > 0, np.diag(confusion) / np.maximum(totals, 1), np.nan)
     accuracy = float(np.diag(confusion).sum() / confusion.sum())
-    return EvalResult(accuracy, per_class, confusion)
+    return EvalResult(accuracy, confusion)
 
 
 @dataclass
@@ -245,10 +239,9 @@ class History:
         return max((row[3] for row in self.rows), default=-1.0)
 
     def to_csv(self, path):
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write("epoch,lr,train_loss,test_acc\n")
-            for epoch, lr, loss, acc in self.rows:
-                fh.write(f"{epoch},{repr(float(lr))},{repr(float(loss))},{repr(float(acc))}\n")
+        storage.write_text(path, ["epoch,lr,train_loss,test_acc"] + [
+            f"{epoch},{repr(float(lr))},{repr(float(loss))},{repr(float(acc))}"
+            for epoch, lr, loss, acc in self.rows])
 
 
 def save_checkpoint(path, model, adam=None, rng=None, epoch=0, history=None):
@@ -289,7 +282,8 @@ def load_checkpoint(path):
     Every meta key `save_checkpoint` writes is required except `halted`,
     which only older versions wrote; keys it no longer writes are ignored.
     A missing meta key, an `epoch` that is not an integer >= 0, a `history`
-    that is neither null nor rows of 4 values, a missing array the model
+    that is neither null nor rows of 4 values, an `rng_state` that is
+    neither null nor a PCG64 generator state, a missing array the model
     expects, a parameter or buffer array the model lacks,
     or an array of the wrong shape raises DataError naming the path. One
     that records an Adam step count `adam_t` must record it as an integer
@@ -315,6 +309,11 @@ def load_checkpoint(path):
     for key, count in (("epoch", epoch), ("adam_t", 0 if adam_t is None else adam_t)):
         if type(count) is not int or count < 0:
             raise DataError(f"{path}: recorded {key} must be an integer >= 0, got {count!r}")
+    if rng_state is not None:
+        try:
+            np.random.PCG64().state = rng_state
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            raise DataError(f"{path}: recorded rng_state is not a PCG64 state: {err!r}") from None
     rows = history["rows"] if isinstance(history, dict) and "rows" in history else None
     if history is not None and not (isinstance(rows, list) and all(
             isinstance(row, list) and len(row) == 4 for row in rows)):
@@ -399,9 +398,6 @@ def train(model, train_ds, test_ds, config, start_state=None):
             history.rows = list(start_state["history"])
 
     ckpt_dir = config.checkpoint_dir
-    if ckpt_dir:
-        os.makedirs(ckpt_dir, exist_ok=True)
-
     model.train()
     for epoch in range(start_epoch, config.epochs):
         lr = lr_at(config, epoch)
@@ -434,25 +430,6 @@ def train(model, train_ds, test_ds, config, start_state=None):
             last = os.path.join(ckpt_dir, "last.ckpt")
             save_checkpoint(last, model, adam=adam, rng=rng, epoch=epoch + 1, history=history)
             if improved:
-                _copy_file(last, os.path.join(ckpt_dir, "best.ckpt"))
+                storage.copy_file(last, os.path.join(ckpt_dir, "best.ckpt"))
     return history
 
-
-def _copy_file(src, dst):
-    """Give `dst` the bytes of `src` through one rename: a hard link to a
-    temporary name beside `dst`, or a copy where the filesystem refuses
-    links. Every save replaces its file with a fresh one, so a later save
-    of `src` leaves the linked `dst` as it is."""
-    tmp = dst + ".tmp"
-    with suppress(FileNotFoundError):
-        os.unlink(tmp)  # left by a run killed here
-    try:
-        try:
-            os.link(src, tmp)
-        except OSError:
-            shutil.copy(src, tmp)  # with its mode bits, as a link has
-        os.replace(tmp, dst)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise

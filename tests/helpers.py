@@ -169,6 +169,11 @@ DAMAGED_CHECKPOINTS = {
     "history-without-rows": lambda arrays, meta: meta.update(history={}),
     "history-as-a-list": lambda arrays, meta: meta.update(history=[]),
     "history-row-of-three": lambda arrays, meta: meta.update(history={"rows": [[0, 1e-3, 0.5]]}),
+    "rng-state-without-state": lambda arrays, meta: meta.update(
+        rng_state={"bit_generator": "PCG64"}),
+    "rng-state-as-a-list": lambda arrays, meta: meta.update(rng_state=[1, 2]),
+    "rng-state-of-mt19937": lambda arrays, meta: meta.update(rng_state=json.loads(
+        json.dumps(np.random.MT19937(0).state, default=np.ndarray.tolist))),
 }
 
 

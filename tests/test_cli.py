@@ -418,6 +418,11 @@ class TestTrain:
         ("model", "shorthand", 5, "shorthand"),
         ("model", "condconv_mask", 5, "condconv_mask"),
         ("model", "pin_routing", "yes", "pin_routing"),
+        (None, "seed", -1, "seed"),
+        (None, "seed", 1.5, "seed"),
+        (None, "seed", "a", "seed"),
+        (None, "seed", True, "seed"),
+        (None, "output_dir", 5, "output_dir"),
     ])
     def test_malformed_config_value_exits_one_before_writing(
             self, workspace, caplog, section, key, value, field):
@@ -708,6 +713,45 @@ def test_out_through_a_regular_file_exits_one_with_one_line(workspace, caplog, m
     assert "Traceback" not in caplog.text
     assert sorted(tmp_path.rglob("*")) == before
     assert blocker.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("command", ["train", "segment"])
+def test_negative_seed_flag_exits_one_before_any_read(workspace, caplog, monkeypatch,
+                                                      command):
+    tmp_path, config_path = workspace
+
+    def too_early(*args, **kwargs):
+        raise AssertionError("data read before the seed was checked")
+
+    monkeypatch.setattr(dp, "ingest_canonical", too_early)
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", str(config_path), "--out", str(out), "--seed", "-1"])
+    assert code == 1
+    assert len(caplog.records) == 1 and "seed" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["analyze --checkpoint", "analyze --dataset",
+                                   "segment canonical_csv"])
+def test_input_that_is_a_directory_exits_two_with_one_line(workspace, caplog, where):
+    tmp_path, config_path = workspace
+    folder = tmp_path / "a-directory"
+    folder.mkdir()
+    ckpt = tmp_path / "model.ckpt"
+    write_damaged_checkpoint(ckpt, lambda arrays, meta: None)  # left intact
+    if where == "analyze --checkpoint":
+        argv = ["analyze", "--checkpoint", str(folder), "--which", "flops"]
+    elif where == "analyze --dataset":
+        argv = ["analyze", "--checkpoint", str(ckpt), "--which", "confusion",
+                "--dataset", str(folder)]
+    else:
+        _set_config_value(config_path, "dataset", "canonical_csv", str(folder))
+        argv = ["segment", "--config", str(config_path)]
+    caplog.clear()
+    code = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert len(caplog.records) == 1 and str(folder) in caplog.text
+    assert "Traceback" not in caplog.text
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

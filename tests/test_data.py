@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import os
 import struct
 import tracemalloc
 import warnings
@@ -676,6 +677,31 @@ class TestSplit:
 
 
 class TestStorageContainer:
+    @pytest.mark.parametrize("writer", ["save_container", "write_text", "write_canonical"])
+    def test_a_write_cut_short_leaves_the_previous_file(self, tmp_path, writer):
+        def lines():
+            yield "a line"
+            raise RuntimeError("cut short")
+
+        # label id 1 has no name: the second row fails after the first is written
+        stream = dp.SensorStream(
+            data=np.zeros((2, 1)), channel_names=["c"], sample_rate_hz=1.0,
+            labels=np.array([0, 1]), label_names=["only"],
+            subject=np.array(["s", "s"]), session=np.array(["a", "a"]))
+        write = {
+            # an object array has no raw bytes: it fails after the header and "a"
+            "save_container": lambda path: storage.save_container(
+                path, {"a": np.zeros(2), "b": np.array([None])}),
+            "write_text": lambda path: storage.write_text(path, lines()),
+            "write_canonical": lambda path: dp.write_canonical(path, stream),
+        }[writer]
+        path = tmp_path / "file"
+        path.write_bytes(b"previous bytes")
+        with pytest.raises((TypeError, RuntimeError, IndexError)):
+            write(path)
+        assert path.read_bytes() == b"previous bytes"
+        assert os.listdir(tmp_path) == ["file"]
+
     def test_round_trip_and_determinism(self, tmp_path):
         arrays = {
             "b": np.arange(6, dtype=np.float64).reshape(2, 3),

@@ -584,7 +584,7 @@ class TestCheckpoints:
         epoch 0 improves and epoch 1 does not."""
         scores = iter(scores)
         monkeypatch.setattr(training, "evaluate",
-                            lambda model, ds: training.EvalResult(next(scores), None, None))
+                            lambda model, ds: training.EvalResult(next(scores), None))
         ds = make_linear_dataset(n_per_class=20, seed=12)
         train_ds, test_ds = split_70_30(ds, classes=2, seed=0)
         return training.train(tiny_model(seed=8), train_ds, test_ds,
@@ -633,7 +633,8 @@ class TestCheckpoints:
         ("meta-without-rng-state", "rng_state"), ("meta-without-history", "history"),
         ("negative-epoch", "epoch"), ("fractional-epoch", "epoch"), ("boolean-epoch", "epoch"),
         ("history-without-rows", "history"), ("history-as-a-list", "history"),
-        ("history-row-of-three", "history"),
+        ("history-row-of-three", "history"), ("rng-state-without-state", "rng_state"),
+        ("rng-state-as-a-list", "rng_state"), ("rng-state-of-mt19937", "rng_state"),
     ])
     def test_damaged_training_state_is_refused(self, tmp_path, case, key):
         path = tmp_path / "damaged.ckpt"
