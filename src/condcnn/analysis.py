@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import Tensor
 from .condconv import CondConv, convolve, route
 from .errors import ConfigError, DataError
-from .storage import write_text
+from .storage import csv_line, write_text
 from .training import evaluate
 
 log = logging.getLogger(__name__)
@@ -45,7 +45,7 @@ class FlopsReport:
 
     @property
     def total_multiply_adds(self):
-        return sum(c.multiply_adds for c in self.per_layer)
+        return sum((c.multiply_adds for c in self.per_layer), 0.0)
 
     @property
     def total_flops(self):
@@ -71,10 +71,8 @@ class FlopsReport:
         write_text(path, [
             f"# convention: {COUNTING_CONVENTION}",
             "layer,multiply_adds,flops,params",
-            *(f"{c.name},{repr(float(c.multiply_adds))},{c.flops},{c.params}"
-              for c in self.per_layer),
-            f"total,{repr(float(self.total_multiply_adds))},"
-            f"{self.total_flops},{self.total_params}",
+            *(csv_line([c.name, c.multiply_adds, c.flops, c.params]) for c in self.per_layer),
+            csv_line(["total", self.total_multiply_adds, self.total_flops, self.total_params]),
         ])
 
 
@@ -121,7 +119,7 @@ class ConfusionReport:
 
     def to_csv(self, path):
         write_text(path, ["true,predicted,count"] + [
-            f"{tn},{pn},{self.matrix[i, j]}"
+            csv_line([tn, pn, self.matrix[i, j]])
             for i, tn in enumerate(self.label_names) for j, pn in enumerate(self.label_names)])
 
 
@@ -193,16 +191,14 @@ class RoutingStats:
     def histogram_to_csv(self, path):
         edges = self.bucket_edges()
         write_text(path, ["bucket_left,bucket_right,count"] + [
-            f"{repr(float(edges[i]))},{repr(float(edges[i + 1]))},{int(count)}"
-            for i, count in enumerate(self.histogram)])
+            csv_line([edges[i], edges[i + 1], count]) for i, count in enumerate(self.histogram)])
 
     def class_means_to_csv(self, path):
         lines = ["layer,class,expert,mean,std"]
         for name, stats in self.per_layer.items():
             means, stds = stats.class_means(), stats.class_stds()
-            lines.extend(
-                f"{name},{c},{e},{repr(float(means[c, e]))},{repr(float(stds[c, e]))}"
-                for c in range(stats.n_classes) for e in range(stats.n_experts))
+            lines.extend(csv_line([name, c, e, means[c, e], stds[c, e]])
+                         for c in range(stats.n_classes) for e in range(stats.n_experts))
         write_text(path, lines)
 
 

@@ -69,16 +69,12 @@ def _build_parser():
 
 def load_run_config(path, seed=None):
     """Read a run config, apply a seed override, resolve data paths
-    relative to the config file. A missing file raises FileNotFoundError;
-    one that cannot be read as UTF-8 JSON is a ConfigError naming it, as is
-    a bad seed, `output_dir` or `canonical_csv`."""
+    relative to the config file. A file that cannot be opened or read
+    raises its OSError; one that is not UTF-8 JSON is a ConfigError naming
+    it, as is a bad seed, `output_dir` or `canonical_csv`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except FileNotFoundError:
-        raise
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err.strerror}") from None
     except ValueError as err:  # malformed JSON or not UTF-8
         raise ConfigError(f"cannot read config {path}: {err}") from None
     check_keys("run config", config, ("dataset",),
@@ -264,7 +260,7 @@ def cmd_train(args):
 def cmd_analyze(args):
     from . import analysis, training
     from . import data as dp
-    from .storage import write_text
+    from .storage import csv_line, write_text
 
     if args.which != "flops" and args.dataset is None:
         raise ConfigError(f"--which {args.which} needs --dataset")
@@ -321,7 +317,7 @@ def cmd_analyze(args):
         stats = analysis.routing_stats(model, ds)
         scores = analysis.depth_divergence(stats)
         write_text(os.path.join(args.out, "divergence.csv"), ["layer,divergence"] + [
-            f"{name},{repr(float(score))}" for name, score in scores.items()])
+            csv_line([name, score]) for name, score in scores.items()])
         for name, score in scores.items():
             print(f"{name}: {score:.6f}")
     return 0

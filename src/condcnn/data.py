@@ -26,7 +26,6 @@ import logging
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 from itertools import chain
-from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -205,14 +204,12 @@ def window_count(length, window_len, step):
 # -- canonical CSV --------------------------------------------------------------
 
 def write_canonical(path, stream):
-    # with `str` as its file's `write`, `writerow` returns the row as csv
-    # quotes it, LF included
-    row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     header = ["subject", "session", "label"] + list(stream.channel_names)
     storage.write_text(path, chain(
-        [f"# rate_hz={stream.sample_rate_hz}", row(header)[:-1]],
-        (row([stream.subject[i], stream.session[i], stream.label_names[stream.labels[i]]]
-             + [repr(float(v)) for v in stream.data[i]])[:-1] for i in range(len(stream)))))
+        [f"# rate_hz={stream.sample_rate_hz}", storage.csv_line(header)],
+        (storage.csv_line([stream.subject[i], stream.session[i],
+                           stream.label_names[stream.labels[i]], *stream.data[i]])
+         for i in range(len(stream)))))
 
 
 def ingest_canonical(path):
@@ -533,9 +530,8 @@ def _stratified_indices(y, train_fraction, seed):
     for _, c in sorted(remainders):
         if leftover <= 0:
             break
-        if base[c] < int((y == c).sum()):
-            base[c] += 1
-            leftover -= 1
+        base[c] += 1
+        leftover -= 1
 
     train_parts, test_parts = [], []
     for c in classes:

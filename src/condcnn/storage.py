@@ -5,13 +5,15 @@ Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON header
 lists them (sorted by name). Identical content always produces identical
 bytes: no timestamps, no compression, no platform-dependent fields. Every
 file condcnn writes, text (UTF-8, LF) included, is written here atomically:
-to a temporary file beside it that is renamed over it.
+to a temporary file beside it that is renamed over it; `csv_line` formats
+every CSV line.
 
 Array bytes move once: a save writes each payload from the array's own
 memory and a load reads it into a fresh array, with no staging copy. A
 file that breaks the layout raises DataError naming the path.
 """
 
+import csv
 import json
 import math
 import os
@@ -19,6 +21,7 @@ import shutil
 import struct
 import tempfile
 from contextlib import suppress
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,6 +29,8 @@ from .errors import DataError
 
 MAGIC = b"CCNNAR01"
 _ENTRY_KEYS = ("name", "dtype", "shape", "offset", "nbytes")
+# with `str` as its file's `write`, `writerow` returns the quoted row and its LF
+_csv_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
 def save_container(path, arrays, meta=None):
@@ -60,6 +65,13 @@ def save_container(path, arrays, meta=None):
 def write_text(path, lines):
     """Write each string of `lines` to `path` as UTF-8, followed by one LF."""
     _replace(path, lambda fh: fh.writelines(f"{line}\n".encode("utf-8") for line in lines))
+
+
+def csv_line(cells):
+    """One CSV line, without its LF: a float cell (Python or numpy) as
+    `repr(float(v))`, any other as `str`, quoted as Python's `csv` quotes it."""
+    return _csv_row([repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                     for v in cells])[:-1]
 
 
 def _replace(path, write):

@@ -239,9 +239,9 @@ class History:
         return max((row[3] for row in self.rows), default=-1.0)
 
     def to_csv(self, path):
+        # a schedule's lr may be an int; the loss and accuracy are floats
         storage.write_text(path, ["epoch,lr,train_loss,test_acc"] + [
-            f"{epoch},{repr(float(lr))},{repr(float(loss))},{repr(float(acc))}"
-            for epoch, lr, loss, acc in self.rows])
+            storage.csv_line([epoch, float(lr), loss, acc]) for epoch, lr, loss, acc in self.rows])
 
 
 def save_checkpoint(path, model, adam=None, rng=None, epoch=0, history=None):

@@ -189,11 +189,13 @@ class TestConvTemporal:
         for got, want in zip(again, split):
             np.testing.assert_array_equal(got, want)
 
-    def test_backward_keeps_no_whole_batch_windows(self):
+    def test_backward_keeps_no_whole_batch_windows(self, monkeypatch):
         """One 384->384, K=5 TemporalConv at T=8, forward and backward: going
         from 2 to 4 chunks may add what scales with the batch (the output,
         its gradient and the input gradient), but not K inputs' worth of
-        windows or window gradients per added example."""
+        windows or window gradients per added example. One worker thread,
+        since the peak of two depends on whether their products overlap."""
+        monkeypatch.setattr(ad, "_workers", lambda macs: 1)
         layer = TemporalConv(384, 384, 5, np.random.default_rng(76))
         chunk = ad.condconv_chunk(layer.kernel.data.shape)
         rng = np.random.default_rng(77)

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
+import csv
 import json
 import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,14 +233,11 @@ class TestSegment:
         assert "step" in done.stderr and "Traceback" not in done.stderr
         assert len(done.stderr.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("body", [b'{"dataset": ', b'{"name": "\xff"}', None],
-                             ids=["truncated", "not-utf8", "directory"])
+    @pytest.mark.parametrize("body", [b'{"dataset": ', b'{"name": "\xff"}'],
+                             ids=["truncated", "not-utf8"])
     def test_unreadable_config_exits_one_with_one_line(self, tmp_path, caplog, body):
         config_path = tmp_path / "config.json"
-        if body is None:
-            config_path.mkdir()
-        else:
-            config_path.write_bytes(body)
+        config_path.write_bytes(body)
         out = tmp_path / "s"
         code = cli.main(["segment", "--config", str(config_path), "--out", str(out)])
         assert code == 1
@@ -575,6 +574,27 @@ class TestAnalyze:
         report = (out / "confusion.txt").read_text()
         assert f"accuracy: {best_acc:.4f}" in report
 
+    def test_confusion_csv_quotes_label_names(self, workspace):
+        """Label names with a comma or a double quote reach confusion.csv
+        quoted: csv.reader reads three cells a row, naming them exactly."""
+        tmp_path, config_path = workspace
+        names = ['say "hi"', "sit", "walk", "walk, fast"]
+        stream = stream_from_dataset(make_motif_dataset(n_per_class=25, t=32, seed=0))
+        dp.write_canonical(tmp_path / "synth.csv", replace(stream, label_names=names))
+        run, out = tmp_path / "run", tmp_path / "conf"
+        assert cli.main(["train", "--config", str(config_path), "--epochs", "1"]) == 0
+        code = cli.main([
+            "analyze", "--checkpoint", str(run / "best.ckpt"),
+            "--which", "confusion", "--dataset", str(run / "test.ds"),
+            "--out", str(out),
+        ])
+        assert code == 0
+        with open(out / "confusion.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["true", "predicted", "count"]
+        assert all(len(row) == 3 for row in rows)
+        assert [row[:2] for row in rows[1:]] == [[t, p] for t in names for p in names]
+
     def test_routing_reports_written(self, trained):
         tmp_path, run = trained
         out = tmp_path / "routing"
@@ -732,8 +752,11 @@ def test_negative_seed_flag_exits_one_before_any_read(workspace, caplog, monkeyp
 
 
 @pytest.mark.parametrize("where", ["analyze --checkpoint", "analyze --dataset",
-                                   "segment canonical_csv"])
+                                   "segment canonical_csv", "train --config",
+                                   "segment --config"])
 def test_input_that_is_a_directory_exits_two_with_one_line(workspace, caplog, where):
+    """An input path that exists but cannot be read as a file is an OSError:
+    exit 2, with one log line that names it."""
     tmp_path, config_path = workspace
     folder = tmp_path / "a-directory"
     folder.mkdir()
@@ -744,6 +767,8 @@ def test_input_that_is_a_directory_exits_two_with_one_line(workspace, caplog, wh
     elif where == "analyze --dataset":
         argv = ["analyze", "--checkpoint", str(ckpt), "--which", "confusion",
                 "--dataset", str(folder)]
+    elif where.endswith("--config"):
+        argv = [where.split()[0], "--config", str(folder)]
     else:
         _set_config_value(config_path, "dataset", "canonical_csv", str(folder))
         argv = ["segment", "--config", str(config_path)]
@@ -752,6 +777,8 @@ def test_input_that_is_a_directory_exits_two_with_one_line(workspace, caplog, wh
     assert code == 2
     assert len(caplog.records) == 1 and str(folder) in caplog.text
     assert "Traceback" not in caplog.text
+    if where.endswith("--config"):  # read before anything is written
+        assert not (tmp_path / "out").exists()
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

@@ -6,6 +6,7 @@ import os
 import struct
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,13 @@ def profile(**kw):
 
 
 class TestCanonicalCsv:
-    def test_round_trip(self, tmp_path):
-        stream = make_stream(10, label_fn=lambda i: i % 2)
+    @pytest.mark.parametrize("tag", ["", 'say "hi", '], ids=["plain", "quoted"])
+    def test_round_trip(self, tmp_path, tag):
+        """Every name, prefixed by `tag`, comes back as written: a comma or a
+        double quote in it is quoted on the way out and read back."""
+        stream = make_stream(10, label_fn=lambda i: i % 2, subject=tag + "s1", session=tag + "a")
+        stream = replace(stream, label_names=[tag + n for n in stream.label_names],
+                         channel_names=[tag + n for n in stream.channel_names])
         path = tmp_path / "c.csv"
         dp.write_canonical(path, stream)
         back = dp.ingest_canonical(path)
@@ -48,6 +54,10 @@ class TestCanonicalCsv:
         np.testing.assert_allclose(back.data, stream.data, atol=0)
         np.testing.assert_array_equal(back.labels, stream.labels)
         assert back.sample_rate_hz == 20.0
+        assert list(back.label_names) == stream.label_names
+        assert list(back.channel_names) == stream.channel_names
+        assert list(back.subject) == list(stream.subject)
+        assert list(back.session) == list(stream.session)
 
     def test_nan_rows_dropped_by_default(self, tmp_path):
         path = tmp_path / "c.csv"
