@@ -19,6 +19,11 @@ mixes the part's kernels and convolves with them. No split cuts a sum:
 a per-example matmul keeps its operands, and a product split by rows is
 cut into parts of at least 2 rows, which BLAS computes as it computes
 those rows of the whole. So results do not depend on the core count.
+
+Batch norm splits its elementwise passes by examples the same way, and
+keeps each reduction over (batch, T) one numpy call on the whole array.
+Max-pool takes a running maximum over its strided taps and keeps an
+argmax only for a node that records a graph, so inference holds none.
 """
 
 import os
@@ -399,47 +404,86 @@ def batch_norm(x, gamma, beta, epsilon, stats=None, relu=False):
     `relu(batch_norm(...))` in one node. The clamped output carries the
     ReLU's mask (`max(a, 0) > 0` exactly when `a > 0`), so backward masks
     `g` by it first and keeps no array of its own.
+
+    Each elementwise pass is one `_split` by examples over `_workers`
+    (gated by `_THREAD_MIN_ELEMENTS`); passes with no reduction between
+    them share it. Each reduction over (batch, T) is one numpy call on the
+    whole array, so results do not depend on the thread count.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"batch norm input must be (batch, T, C), got {x.data.shape}")
     if x.data.shape[2] != gamma.data.shape[0]:
         raise ShapeError(f"batch norm built for {gamma.data.shape[0]} channels, "
                          f"input has {x.data.shape[2]}")
-    count = x.data.shape[0] * x.data.shape[1]
+    batch = x.data.shape[0]
+    count = batch * x.data.shape[1]
     if stats is None and count < 2:
         raise ConfigError("batch norm needs at least 2 samples per channel in train mode")
+    split = partial(_split, _workers(x.data.size, _THREAD_MIN_ELEMENTS), m=batch, least=1)
+    value = np.empty_like(x.data)
+
+    def center(p):
+        np.subtract(x.data[p], mu, out=value[p])
+
+    def center_and_square(p):
+        center(p)
+        np.multiply(value[p], value[p], out=squares[p])
+
+    def normalize(p):
+        if stats is not None:
+            center(p)
+        v = value[p]
+        v *= scale
+        v += beta.data
+        if relu:
+            np.maximum(v, 0.0, out=v)
+
     if stats is None:
         mu = x.data.mean(axis=(0, 1))
-        value = x.data - mu
-        var = (value * value).mean(axis=(0, 1))
+        squares = np.empty_like(x.data)
+        split(task=center_and_square)
+        var = squares.mean(axis=(0, 1))
+        del squares
     else:
         mu, var = stats
-        value = x.data - mu
     std = np.sqrt(var + epsilon)
     scale = gamma.data / std
-    value *= scale
-    value += beta.data
-    if relu:
-        np.maximum(value, 0.0, out=value)
+    split(task=normalize)
 
     def backward(g):
-        if relu:
-            g = g * (value > 0)
-        x_hat = x.data - mu
-        x_hat /= std
-        g_sum = g.sum(axis=(0, 1))
-        gx_sum = (g * x_hat).sum(axis=(0, 1))
+        masked = np.empty_like(g) if relu else g
+        x_hat, gx = np.empty_like(x.data), np.empty_like(x.data)
+
+        def prepare(p):
+            if relu:  # g * (value > 0) bit for bit, with no boolean temporary
+                np.greater(value[p], 0.0, out=masked[p])
+                masked[p] *= g[p]
+            np.subtract(x.data[p], mu, out=x_hat[p])
+            x_hat[p] /= std
+            np.multiply(masked[p], x_hat[p], out=gx[p])
+
+        split(task=prepare)
+        g_sum, gx_sum = masked.sum(axis=(0, 1)), gx.sum(axis=(0, 1))
         _accumulate(beta, g_sum)
         _accumulate(gamma, gx_sum)
-        if x.requires_grad and stats is not None:
-            _accumulate(x, g * scale)
-        elif x.requires_grad:
-            dx = g - g_sum / count
-            x_hat *= gx_sum / count
-            dx -= x_hat
-            del x_hat  # freed before x's gradient is allocated
+        if not x.requires_grad:
+            return
+        g_mean, gx_mean = g_sum / count, gx_sum / count
+
+        def input_grad(p):  # into gx, whose values the sum has used
+            dx = gx[p]
+            if stats is not None:
+                np.multiply(masked[p], scale, out=dx)
+                return
+            np.subtract(masked[p], g_mean, out=dx)
+            x_hat_p = x_hat[p]
+            x_hat_p *= gx_mean
+            dx -= x_hat_p
             dx *= scale
-            _accumulate(x, dx)
+
+        split(task=input_grad)
+        del x_hat, masked  # freed before x's gradient is allocated
+        _accumulate(x, gx)
 
     return _result(value, (x, gamma, beta), backward, "batch_norm"), mu, var
 
@@ -543,6 +587,13 @@ def _column_blocks(width):
         los.pop()
     return list(zip(los, los[1:] + [width]))
 
+
+# An elementwise pass (Adam's update, batch norm's passes) over fewer
+# elements than this runs on the calling thread alone: below it, starting a
+# helper thread costs more than the split saves (on a 2-core VM two threads
+# ran Adam's update 0.93-1.01x as fast as one at 2^16 elements, and
+# 1.18-1.30x at 2^17).
+_THREAD_MIN_ELEMENTS = 2**17
 
 # A conv op whose forward pass takes fewer multiply-adds than this runs on
 # the calling thread alone: below it, starting and handing work to threads
@@ -772,7 +823,14 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
 
 
 def max_pool_temporal(x, size, stride):
-    """Per-channel max over temporal windows of `size`, advanced by `stride`."""
+    """Per-channel max over temporal windows of `size`, advanced by `stride`.
+
+    The forward is a running `np.maximum` over the `size` strided taps
+    x[:, j::stride], one output buffer. Only a node that records a graph
+    tracks the argmax: a tap takes it where it is strictly greater, so
+    ties keep the earliest tap, as `np.argmax` does. Backward scatters `g`
+    onto it with `np.add.at`, which adds overlapping windows' terms in
+    order."""
     if x.data.ndim != 3:
         raise ShapeError(f"pool input must be (batch, T, C), got {x.data.shape}")
     batch, t_in, channels = x.data.shape
@@ -781,10 +839,15 @@ def max_pool_temporal(x, size, stride):
     if size < 1 or stride < 1:
         raise ConfigError("pool size and stride must be >= 1")
 
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, size, axis=1)[:, ::stride]
-    value = windows.max(axis=-1)
-    argmax = windows.argmax(axis=-1)
-    t_out = value.shape[1]
+    t_out = (t_in - size) // stride + 1
+    span = (t_out - 1) * stride + 1  # steps from a window's first tap to the last's
+    value = x.data[:, :span:stride].copy()
+    argmax = np.zeros(value.shape, dtype=np.intp) if _GRAD_ENABLED and x.requires_grad else None
+    for j in range(1, size):
+        tap = x.data[:, j:j + span:stride]
+        if argmax is not None:
+            np.copyto(argmax, j, where=tap > value)
+        np.maximum(value, tap, out=value)
 
     def backward(g):
         dx = np.zeros_like(x.data)

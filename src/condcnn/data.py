@@ -222,7 +222,9 @@ def ingest_canonical(path):
     raise, with the offending line number, as do bytes that are not UTF-8.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # untranslated line ends, so that a quoted CR or CR LF in a cell
+        # stays as written; `csv` and `np.loadtxt` still end rows at CR LF
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             first = fh.readline().strip()
             if not first.startswith("# rate_hz="):
                 raise DataError(f"{path}: line 1 must be '# rate_hz=<float>', got {first!r}")
@@ -233,10 +235,11 @@ def ingest_canonical(path):
             if not (np.isfinite(rate) and rate > 0):
                 raise DataError(f"{path}: line 1: rate_hz must be a finite number > 0, "
                                 f"got {rate}")
-            line = fh.readline()
-            if not line:
+            # one record, which a quoted line break in a name carries on to
+            # the next line; read by `readline`, so that `tell` still works
+            header = next(csv.reader(iter(fh.readline, "")), None)
+            if header is None:
                 raise DataError(f"{path}: missing header row")
-            header = next(csv.reader([line]))
             if header[:3] != ["subject", "session", "label"] or len(header) < 4:
                 raise DataError(
                     f"{path}: line 2 must start 'subject,session,label' and "

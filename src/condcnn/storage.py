@@ -29,8 +29,10 @@ from .errors import DataError
 
 MAGIC = b"CCNNAR01"
 _ENTRY_KEYS = ("name", "dtype", "shape", "offset", "nbytes")
-# with `str` as its file's `write`, `writerow` returns the quoted row and its LF
-_csv_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+# with `str` as its file's `write`, `writerow` returns the quoted row and its
+# line terminator. `csv` quotes a cell that holds a character of the
+# terminator, so a CR LF one quotes cells with a CR as well as with a LF.
+_csv_row = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
 
 
 def save_container(path, arrays, meta=None):
@@ -68,10 +70,11 @@ def write_text(path, lines):
 
 
 def csv_line(cells):
-    """One CSV line, without its LF: a float cell (Python or numpy) as
-    `repr(float(v))`, any other as `str`, quoted as Python's `csv` quotes it."""
+    """One CSV line, without a line end: a float cell (Python or numpy) as
+    `repr(float(v))`, any other as `str`, quoted as Python's `csv` quotes
+    it; a cell holding a CR or a LF is quoted."""
     return _csv_row([repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                     for v in cells])[:-1]
+                     for v in cells])[:-2]
 
 
 def _replace(path, write):

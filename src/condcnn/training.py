@@ -110,13 +110,6 @@ def lr_at(config, epoch):
     raise ConfigError(f"unknown schedule {type(sched).__name__}")
 
 
-# A parameter of fewer elements than this is updated on the calling thread
-# alone: below it, starting a helper thread costs more than the split saves
-# (on a 2-core VM two threads ran 0.93-1.01x as fast as one at 2^16
-# elements, and 1.18-1.30x at 2^17).
-_THREAD_MIN_ELEMENTS = 2**17
-
-
 class Adam:
     """Bias-corrected Adam with the canonical constants.
 
@@ -150,7 +143,7 @@ class Adam:
             # split: that order sets the step's peak memory.
             tmp = np.empty_like(p.data)
             step = np.empty_like(p.data)
-            workers = ad._workers(p.data.size, _THREAD_MIN_ELEMENTS)
+            workers = ad._workers(p.data.size, ad._THREAD_MIN_ELEMENTS)
             # flattening a non-contiguous array would copy it and lose the update
             if workers > 1 and all(a.flags.c_contiguous for a in arrays):
                 flat = (a.reshape(-1) for a in (*arrays, tmp, step))

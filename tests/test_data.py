@@ -40,10 +40,12 @@ def profile(**kw):
 
 
 class TestCanonicalCsv:
-    @pytest.mark.parametrize("tag", ["", 'say "hi", '], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("tag", ["", 'say "hi", ', "\r", "\n", "\r\n"],
+                             ids=["plain", "quoted", "cr", "lf", "crlf"])
     def test_round_trip(self, tmp_path, tag):
-        """Every name, prefixed by `tag`, comes back as written: a comma or a
-        double quote in it is quoted on the way out and read back."""
+        """Every name, prefixed by `tag`, comes back as written: a comma, a
+        double quote, a CR or a LF in it is quoted on the way out and read
+        back, a CR LF included."""
         stream = make_stream(10, label_fn=lambda i: i % 2, subject=tag + "s1", session=tag + "a")
         stream = replace(stream, label_names=[tag + n for n in stream.label_names],
                          channel_names=[tag + n for n in stream.channel_names])

@@ -115,7 +115,7 @@ class TestAdam:
     def _threads(monkeypatch, workers, splits=None):
         """`workers` threads for a parameter at or above GATE elements, 1
         below it; `splits` collects the element count of each split."""
-        monkeypatch.setattr(training, "_THREAD_MIN_ELEMENTS", TestAdam.GATE)
+        monkeypatch.setattr(ad, "_THREAD_MIN_ELEMENTS", TestAdam.GATE)
         monkeypatch.setattr(ad, "_workers",
                             lambda work, least=None: workers if work >= least else 1)
         if splits is not None:
