@@ -7,18 +7,15 @@ statistics aggregate the per-example expert weights a trained (or
 untrained) model produces over a dataset, per layer and per class.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import training
 from .autodiff import Tensor
 from .condconv import CondConv, convolve, route
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .storage import csv_line, write_text
-from .training import evaluate
-
-log = logging.getLogger(__name__)
 
 COUNTING_CONVENTION = (
     "per example (batch=1); dot-product multiply-adds (conv, dense, routing, "
@@ -125,7 +122,7 @@ class ConfusionReport:
 
 def confusion_matrix_report(model, ds):
     """Confusion matrix plus the misclassified pairs ranked by count."""
-    result = evaluate(model, ds)
+    result = training.evaluate(model, ds)
     names = list(ds.label_names)
     while len(names) < result.confusion.shape[0]:
         names.append(f"class{len(names)}")
@@ -202,24 +199,25 @@ class RoutingStats:
         write_text(path, lines)
 
 
-def routing_stats(model, ds, batch_size=256):
+def routing_stats(model, ds):
     """Collect per-example routing weights over a dataset, per CondConv
     layer, with per-class means/deviations and a pooled histogram. Each
-    batch routes every CondConv layer once, convolves with the weights it
-    records, and stops at the last one; no graph is recorded."""
-    if len(ds) == 0:
-        raise DataError("cannot collect routing statistics on an empty dataset")
+    batch of `training.EVAL_BATCH` windows routes every CondConv layer
+    once, convolves with the weights it records, and stops at the last
+    one; no graph is recorded. By `training.check_dataset`, an empty `ds`
+    or a label outside the model's classes raises DataError, and windows
+    of another shape ShapeError; a model without CondConv raises ConfigError."""
+    n_classes = training.check_dataset(model, ds, "dataset")
     cond_layers = [l for l in model.layers if isinstance(l, CondConv)]
     if not cond_layers:
         raise ConfigError("model has no CondConv layers")
 
-    n_classes = model.meta.get("n_classes") or int(ds.y.max()) + 1
     collected = {layer.name: [] for layer in cond_layers}
     last = cond_layers[-1]
     before_last = model.layers[:model.layers.index(last)]
     with model.inference():
-        for start in range(0, len(ds), batch_size):
-            x = Tensor(ds.x[start:start + batch_size])
+        for start in range(0, len(ds), training.EVAL_BATCH):
+            x = Tensor(ds.x[start:start + training.EVAL_BATCH])
             for layer in before_last:
                 if isinstance(layer, CondConv):
                     alpha = route(x, layer)

@@ -11,14 +11,16 @@ are freed during the sweep and only leaves keep their gradients.
 Convolution uses the cross-correlation convention (no kernel flip).
 The two conv ops share one front end (`_conv_front`: input checks,
 geometry, im2col view) and split each batch chunk over the CPUs this
-process may run on (`_workers`). Each parallel pass is one `_split` call,
-whose helper threads start and are joined within that pass. Every pass
-over examples uses one split, parts of at least 2 examples, and one
-worker does all of a part's per-example work: in the CondConv op it
-mixes the part's kernels and convolves with them. No split cuts a sum:
-a per-example matmul keeps its operands, and a product split by rows is
-cut into parts of at least 2 rows, which BLAS computes as it computes
-those rows of the whole. So results do not depend on the core count.
+process may run on (`_workers`), one `_split` call per parallel pass,
+whose helper threads are joined within it. Every pass over examples uses
+parts of at least 2 examples, and one worker does all of a part's
+per-example work: in the CondConv op it mixes the part's kernels and
+convolves with them. No split cuts a sum: a per-example matmul keeps its
+operands, and a product split by rows is cut into parts of at least 2
+rows. So results do not depend on the core count wherever BLAS computes
+such a part as it computes those rows of the whole product. It does not
+always: at batch 5, T 200, C_in 113 -> 64, K 5, `conv_temporal`'s input
+gradient differs by about 1e-14 between 1 and 2 workers (ROADMAP item 12).
 
 Batch norm splits its elementwise passes by examples the same way, and
 keeps each reduction over (batch, T) one numpy call on the whole array.
@@ -133,9 +135,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_lift(other), self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __pow__(self, exponent):
         return power(self, exponent)
 
@@ -247,13 +246,6 @@ def div(a, b):
     with np.errstate(divide="ignore", invalid="ignore"):
         value = a.data / b.data
     return _result(value, (a, b), backward, "div")
-
-
-def neg(a):
-    def backward(g):
-        _accumulate(a, -g)
-
-    return _result(-a.data, (a,), backward, "neg")
 
 
 def power(a, exponent):

@@ -221,12 +221,11 @@ def cmd_train(args):
         # first, so a malformed dataset section, an empty split or a model
         # that does not fit the windows leaves nothing written
         train_ds, test_ds = _prepare_datasets(config)
-        for name, ds in (("train", train_ds), ("test", test_ds)):
-            if len(ds) == 0:
-                raise DataError(f"the {name} split holds no window")
         input_shape = (train_ds.window_len, train_ds.n_channels)
         model = archspec.build_model(spec, input_shape, config["dataset"]["classes"],
                                      seed=config["seed"])
+        for name, ds in (("train", train_ds), ("test", test_ds)):
+            training.check_dataset(model, ds, f"{name} split")
         _write_json(os.path.join(run_dir, "config.json"), config)
         train_ds.save(os.path.join(run_dir, "train.ds"))
         test_ds.save(os.path.join(run_dir, "test.ds"))
@@ -289,18 +288,7 @@ def cmd_analyze(args):
         return 0
 
     ds = dp.WindowedDataset.load(args.dataset)
-    expected = tuple(model.meta["input_shape"])
-    if (ds.window_len, ds.n_channels) != expected:
-        raise ShapeError(
-            f"dataset windows are {(ds.window_len, ds.n_channels)}, "
-            f"checkpointed model expects {expected}"
-        )
-    n_classes = model.meta["n_classes"]
-    if len(ds) and (ds.y.min() < 0 or ds.y.max() >= n_classes):
-        raise DataError(
-            f"{args.dataset}: labels lie in [{ds.y.min()}, {ds.y.max()}], outside the "
-            f"checkpointed model's {n_classes} classes [0, {n_classes})"
-        )
+    training.check_dataset(model, ds, args.dataset)
 
     if args.which == "confusion":
         report = analysis.confusion_matrix_report(model, ds)

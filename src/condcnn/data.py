@@ -237,7 +237,8 @@ def ingest_canonical(path):
                                 f"got {rate}")
             # one record, which a quoted line break in a name carries on to
             # the next line; read by `readline`, so that `tell` still works
-            header = next(csv.reader(iter(fh.readline, "")), None)
+            header_reader = csv.reader(iter(fh.readline, ""))
+            header = next(header_reader, None)
             if header is None:
                 raise DataError(f"{path}: missing header row")
             if header[:3] != ["subject", "session", "label"] or len(header) < 4:
@@ -258,7 +259,7 @@ def ingest_canonical(path):
                                        quotechar='"', ndmin=1)
             except ValueError as err:
                 fh.seek(body)
-                _raise_first_bad_row(path, fh, len(header))
+                _raise_first_bad_row(path, fh, len(header), 2 + header_reader.line_num)
                 raise DataError(f"{path}: unparseable body: {err}") from None
     except UnicodeDecodeError:  # from any read, the body rescan's included
         with open(path, "rb") as fh:  # a line is UTF-8 if it survives a round trip
@@ -282,11 +283,13 @@ def ingest_canonical(path):
     )
 
 
-def _raise_first_bad_row(path, fh, n_cols):
-    """Raise a DataError naming the line of the first ragged row or
-    non-numeric channel cell that `csv.reader` finds from `fh` onwards,
-    counting the first body line as line 3. Return if there is none."""
-    for line_no, row in enumerate(csv.reader(fh), start=3):
+def _raise_first_bad_row(path, fh, n_cols, first_line):
+    """Raise a DataError naming the file line, counting `fh`'s first as
+    `first_line`, on which the first ragged row or non-numeric channel cell
+    that `csv.reader` finds from `fh` onwards starts. Return if none."""
+    reader, next_line = csv.reader(fh), first_line
+    for row in reader:  # a quoted line break carries a row on to the next line
+        line_no, next_line = next_line, first_line + reader.line_num
         if not row:
             continue
         if len(row) != n_cols:

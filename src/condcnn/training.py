@@ -20,8 +20,8 @@ from . import archspec
 from . import autodiff as ad
 from . import storage
 from .autodiff import Tensor
-from .errors import (ConfigError, DataError, NumericError, check_count, check_keys,
-                     is_number)
+from .errors import (ConfigError, DataError, NumericError, ShapeError, check_count,
+                     check_keys, is_number)
 
 log = logging.getLogger(__name__)
 
@@ -194,23 +194,40 @@ class EvalResult:
     confusion: np.ndarray  # confusion[i, j] = count(true i, predicted j)
 
 
-def evaluate(model, ds, batch_size=256):
-    """Accuracy and confusion matrix in eval mode.
+EVAL_BATCH = 256  # windows per forward pass of `evaluate` and `analysis.routing_stats`
 
+
+def check_dataset(model, ds, what):
+    """Return the model's class count if it can score `ds`, named `what` in
+    errors: DataError if `ds` is empty or has a label outside [0, n_classes),
+    ShapeError if its windows are not the model's recorded (T, C)."""
+    if len(ds) == 0:
+        raise DataError(f"empty {what}: it holds no window")
+    expected = tuple(model.meta["input_shape"])
+    if ds.x.shape[1:] != expected:
+        raise ShapeError(f"{what}: windows are {ds.x.shape[1:]}, the model expects {expected}")
+    n_classes = model.meta["n_classes"]
+    low, high = int(ds.y.min()), int(ds.y.max())
+    if low < 0 or high >= n_classes:
+        raise DataError(f"{what}: labels lie in [{low}, {high}], outside the model's "
+                        f"{n_classes} classes [0, {n_classes})")
+    return n_classes
+
+
+def evaluate(model, ds):
+    """Accuracy and confusion matrix in eval mode, `EVAL_BATCH` windows per
+    forward pass. By `check_dataset`, an empty `ds` or a label outside the
+    model's classes raises DataError, and windows of another shape ShapeError.
     Side-effect-free: the model's mode flags are restored afterwards and
     no statistics are updated. The forward passes record no graph.
     """
-    if len(ds) == 0:
-        raise DataError("cannot evaluate on an empty dataset")
-    n_classes = model.meta.get("n_classes") or int(ds.y.max()) + 1
+    n_classes = check_dataset(model, ds, "dataset")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     with model.inference():
-        for start in range(0, len(ds), batch_size):
-            xb = ds.x[start:start + batch_size]
-            yb = ds.y[start:start + batch_size]
-            logits = model.logits(Tensor(xb))
-            pred = logits.data.argmax(axis=1)
-            np.add.at(confusion, (yb, pred), 1)
+        for start in range(0, len(ds), EVAL_BATCH):
+            part = slice(start, start + EVAL_BATCH)
+            pred = model.logits(Tensor(ds.x[part])).data.argmax(axis=1)
+            np.add.at(confusion, (ds.y[part], pred), 1)
     accuracy = float(np.diag(confusion).sum() / confusion.sum())
     return EvalResult(accuracy, confusion)
 
@@ -365,12 +382,13 @@ def train(model, train_ds, test_ds, config, start_state=None):
     run's last checkpoint, which is left unchanged; training then continues
     bitwise as if it had never stopped. A checkpoint that records
     `halted: true` (written by an older version after a mid-epoch halt)
-    holds part of an epoch and raises ConfigError.
+    holds part of an epoch and raises ConfigError. With `config.epochs > 0`,
+    `check_dataset` refuses before any step an empty set or a label outside
+    the model's classes (DataError) and windows of another shape (ShapeError).
     """
-    if config.epochs > 0 and len(train_ds) == 0:
-        raise DataError("cannot train on an empty dataset")
-    if config.epochs > 0 and len(test_ds) == 0:
-        raise DataError("cannot train with an empty test set: no epoch could be scored")
+    if config.epochs > 0:
+        check_dataset(model, train_ds, "train set")
+        check_dataset(model, test_ds, "test set")
 
     adam = Adam(model.named_params())
     rng = np.random.default_rng([config.seed, _TRAIN_STREAM])

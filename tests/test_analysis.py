@@ -183,11 +183,12 @@ class TestRoutingStats:
         for layer_stats in stats.per_layer.values():
             assert (layer_stats.alphas > 0).all() and (layer_stats.alphas < 1).all()
 
-    def test_batching_does_not_change_weights(self):
+    def test_batching_does_not_change_weights(self, monkeypatch):
         ds = make_motif_dataset(n_per_class=2, seed=9)  # 8 examples: 3 + 3 + 2
         model = self._model()
         whole = analysis.routing_stats(model, ds)
-        batched = analysis.routing_stats(model, ds, batch_size=3)
+        monkeypatch.setattr(training, "EVAL_BATCH", 3)
+        batched = analysis.routing_stats(model, ds)
         assert list(batched.per_layer) == list(whole.per_layer)
         for name, stats in whole.per_layer.items():
             np.testing.assert_array_equal(batched.per_layer[name].alphas, stats.alphas)
@@ -224,7 +225,8 @@ class TestRoutingStats:
         for layer in after:
             monkeypatch.setattr(layer, "forward",
                                 lambda x, rng=None, name=layer.name: late.append(name))
-        analysis.routing_stats(model, ds, batch_size=3)
+        monkeypatch.setattr(training, "EVAL_BATCH", 3)
+        analysis.routing_stats(model, ds)
         assert routes == [l.name for l in routed] * 3
         assert late == []
 

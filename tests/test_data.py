@@ -188,6 +188,18 @@ INGEST_CASES = {
     "extra cell": (HEAD + "s1,a,w,1.0,2.0\ns1,a,w,1.0,2.0,3.0\n",
                    "line 4: expected 5 columns, got 6"),
     "underscore literal": (HEAD + "s1,a,w,1_0,2.0\n", "c.csv: .*'1_0'"),
+    # a quoted line break makes a record span two file lines: the error
+    # names the file line on which the bad row starts
+    "line break in a channel name": (
+        '# rate_hz=20\nsubject,session,label,a,"b\nc"\ns1,a,w,1.0,2.0\ns1,a,w,x,2.0\n',
+        "line 5: non-numeric"),
+    "line break in a channel name, crlf": (
+        '# rate_hz=20\r\nsubject,session,label,a,"b\r\nc"\r\ns1,a,w,1.0,2.0\r\n'
+        's1,a,w,x,2.0\r\n', "line 5: non-numeric"),
+    "line break in a subject": (HEAD + '"s\n1",a,w,1.0,2.0\ns1,a,w,x,2.0\n',
+                                "line 5: non-numeric"),
+    "ragged row after a line break in a subject": (
+        HEAD + '"s\n1",a,w,1.0,2.0\n"s\n2",a,w,1.0\n', "line 5: expected 5 columns, got 4"),
 }
 
 

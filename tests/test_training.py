@@ -5,14 +5,15 @@ import os
 import re
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from condcnn import archspec, storage, training
+from condcnn import analysis, archspec, storage, training
 from condcnn import autodiff as ad
 from condcnn.autodiff import Tensor
-from condcnn.errors import ConfigError, DataError, NumericError
+from condcnn.errors import ConfigError, DataError, NumericError, ShapeError
 from helpers import (DAMAGED_CHECKPOINTS, make_linear_dataset, split_70_30,
                      write_damaged_checkpoint)
 
@@ -325,6 +326,67 @@ class TestEvaluate:
         ds = make_linear_dataset(n_per_class=4, seed=5).subset(np.array([], dtype=int))
         with pytest.raises(DataError):
             training.evaluate(tiny_model(), ds)
+
+    def test_eval_batch_does_not_change_the_confusion(self, monkeypatch):
+        ds = make_linear_dataset(n_per_class=4, seed=9)  # 8 examples: 3 + 3 + 2
+        model = tiny_model(seed=5, n_experts=4)
+        whole = training.evaluate(model, ds)
+        monkeypatch.setattr(training, "EVAL_BATCH", 3)
+        batched = training.evaluate(model, ds)
+        np.testing.assert_array_equal(batched.confusion, whole.confusion)
+        assert batched.accuracy == whole.accuracy
+
+
+def relabeled(ds, label):
+    y = ds.y.copy()
+    y[1] = label
+    return replace(ds, y=y)
+
+
+# datasets a 2-class tiny_model (16-sample, 2-channel windows) cannot score:
+# (make the set from a scorable one, the error, its message pattern)
+UNSCORABLE = {
+    "label -1": (lambda ds: relabeled(ds, -1), DataError,
+                 r"labels lie in \[-1, 1\], outside the model's 2 classes \[0, 2\)"),
+    "label n_classes": (lambda ds: relabeled(ds, 2), DataError,
+                        r"labels lie in \[0, 2\], outside the model's 2 classes \[0, 2\)"),
+    "shorter windows": (lambda ds: replace(ds, x=ds.x[:, :8]), ShapeError,
+                        r"windows are \(8, 2\), the model expects \(16, 2\)"),
+    "empty": (lambda ds: ds.subset(np.array([], dtype=int)), DataError, "holds no window"),
+}
+
+
+class TestUnscorableDatasets:
+    """`evaluate`, `analysis.routing_stats` and `train` refuse, by
+    `check_dataset`, a dataset the model cannot score."""
+
+    @pytest.mark.parametrize("case", UNSCORABLE)
+    @pytest.mark.parametrize("score", [training.evaluate, analysis.routing_stats],
+                             ids=["evaluate", "routing_stats"])
+    def test_scoring_refuses(self, case, score):
+        make, error, message = UNSCORABLE[case]
+        ds = make(make_linear_dataset(n_per_class=5, seed=10))
+        with pytest.raises(error, match="^dataset: |^empty dataset: ") as info:
+            score(tiny_model(seed=6), ds)
+        assert re.search(message, str(info.value))
+
+    @pytest.mark.parametrize("case", UNSCORABLE)
+    @pytest.mark.parametrize("which", ["train", "test"])
+    def test_train_refuses_before_any_step(self, case, which):
+        make, error, message = UNSCORABLE[case]
+        sets = dict(zip(("train", "test"),
+                        split_70_30(make_linear_dataset(n_per_class=10, seed=7), classes=2)))
+        sets[which] = make(sets[which])
+        model = tiny_model(seed=4)
+        before = {k: v.data.copy() for k, v in model.named_params().items()}
+        buffers = {k: v.copy() for k, v in model.named_buffers().items()}
+        with pytest.raises(error, match=f"{which} set") as info:
+            training.train(model, sets["train"], sets["test"], config(epochs=2))
+        assert re.search(message, str(info.value))
+        for k, v in model.named_params().items():
+            np.testing.assert_array_equal(v.data, before[k])
+        for k, v in model.named_buffers().items():  # no forward ran in train mode
+            np.testing.assert_array_equal(v, buffers[k])
 
 
 class TestTrainLoop:
