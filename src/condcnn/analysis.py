@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import training
+from . import condconv, training
 from .autodiff import Tensor
-from .condconv import CondConv, convolve, route
 from .errors import ConfigError
 from .storage import csv_line, write_text
 
@@ -208,7 +207,7 @@ def routing_stats(model, ds):
     or a label outside the model's classes raises DataError, and windows
     of another shape ShapeError; a model without CondConv raises ConfigError."""
     n_classes = training.check_dataset(model, ds, "dataset")
-    cond_layers = [l for l in model.layers if isinstance(l, CondConv)]
+    cond_layers = [l for l in model.layers if isinstance(l, condconv.CondConv)]
     if not cond_layers:
         raise ConfigError("model has no CondConv layers")
 
@@ -219,13 +218,13 @@ def routing_stats(model, ds):
         for start in range(0, len(ds), training.EVAL_BATCH):
             x = Tensor(ds.x[start:start + training.EVAL_BATCH])
             for layer in before_last:
-                if isinstance(layer, CondConv):
-                    alpha = route(x, layer)
+                if isinstance(layer, condconv.CondConv):
+                    alpha = condconv.route(x, layer)
                     collected[layer.name].append(alpha.data)
-                    x = convolve(x, alpha, layer)
+                    x = condconv.convolve(x, alpha, layer)
                 else:
                     x = layer.forward(x)
-            collected[last.name].append(route(x, last).data)
+            collected[last.name].append(condconv.route(x, last).data)
 
     per_layer = {}
     for layer in cond_layers:

@@ -10,6 +10,11 @@ BLAS runs one thread: each BLAS variable left unset is pinned to 1 before
 numpy loads, for run-to-run determinism. The conv ops split their work
 over every CPU the process may use (limit them with `taskset`), with
 results that do not depend on the core count.
+
+`train` and `analyze` import the engine (`autodiff`), which raises
+glibc's mmap and trim thresholds so that a step's arrays are reused from
+the heap; `segment` and `convert` never import it and keep glibc's
+defaults.
 """
 
 import argparse

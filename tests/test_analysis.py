@@ -197,7 +197,7 @@ class TestRoutingStats:
         ds = make_motif_dataset(n_per_class=2, seed=10)
         model = self._model()
         alphas = []
-        monkeypatch.setattr(analysis, "route",
+        monkeypatch.setattr(condconv, "route",
                             lambda x, layer: alphas.append(route(x, layer)) or alphas[-1])
         stats = analysis.routing_stats(model, ds)
         assert alphas and not any(a.requires_grad for a in alphas)
@@ -220,7 +220,6 @@ class TestRoutingStats:
         def counting(x, layer):
             routes.append(layer.name)
             return route(x, layer)
-        monkeypatch.setattr(analysis, "route", counting)
         monkeypatch.setattr(condconv, "route", counting)
         for layer in after:
             monkeypatch.setattr(layer, "forward",

@@ -1,6 +1,11 @@
 """Tensor engine tests: forward oracles and gradient checks."""
 
+import ctypes
 import gc
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -602,3 +607,45 @@ class TestFiniteGuards:
     def test_division_by_zero_raises(self):
         with pytest.raises(NumericError):
             Tensor([1.0]) / Tensor([0.0])
+
+
+# Runs in a fresh process, whose heap no earlier test has laid out.
+_HEAP_PROBE = """
+import ctypes, json, resource
+import numpy as np
+from condcnn import autodiff as ad
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+n = ad.CONDCONV_CHUNK_BYTES // 8
+mapped = mallinfo2().hblkhd
+a = np.empty(n)
+a.fill(1.0)
+grown = mallinfo2().hblkhd - mapped
+del a
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+a = np.empty(n)
+a.fill(2.0)
+print(json.dumps([grown, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults]))
+"""
+
+
+class TestHeapPolicy:
+    def test_chunk_sized_array_is_reused_from_the_heap(self):
+        libc = ctypes.CDLL(None)
+        if not (hasattr(libc, "mallopt") and hasattr(libc, "mallinfo2")):
+            pytest.skip("needs glibc's mallopt and mallinfo2")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run([sys.executable, "-c", _HEAP_PROBE], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        grown, refaults = json.loads(done.stdout)
+        # glibc's default maps the array (hblkhd grows by its size) and
+        # unmaps it on free, so touching it again faults every page back in
+        assert grown < ad.CONDCONV_CHUNK_BYTES // 2, grown
+        assert refaults < ad.CONDCONV_CHUNK_BYTES // os.sysconf("SC_PAGE_SIZE") // 100, refaults

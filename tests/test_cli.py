@@ -791,6 +791,18 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert done.stdout == "False\n"
 
 
+def test_data_preparation_leaves_the_engine_unloaded():
+    # importing `autodiff` raises glibc's mmap and trim thresholds; `segment`
+    # and `convert` run on these modules alone and keep glibc's defaults
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, condcnn.cli, condcnn.data; print('condcnn.autodiff' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 class TestBundledConfigs:
     def test_all_four_parse_and_build(self):
         import importlib.resources as resources
