@@ -14,13 +14,15 @@ geometry, im2col view) and split each batch chunk over the CPUs this
 process may run on (`_workers`), one `_split` call per parallel pass,
 whose helper threads are joined within it. Every pass over examples uses
 parts of at least 2 examples, and one worker does all of a part's
-per-example work: in the CondConv op it mixes the part's kernels and
-convolves with them. No split cuts a sum: a per-example matmul keeps its
-operands, and a product split by rows is cut into parts of at least 2
-rows. So results do not depend on the core count wherever BLAS computes
-such a part as it computes those rows of the whole product. It does not
-always: at batch 5, T 200, C_in 113 -> 64, K 5, `conv_temporal`'s input
-gradient differs by about 1e-14 between 1 and 2 workers (ROADMAP item 12).
+per-example work. The CondConv op walks kernel columns only in the fixed
+blocks of `_column_blocks`, dealt whole to the workers: its kernel mix,
+the experts' gradient, d_alpha and the remix. A sum over blocks (d_alpha)
+is taken after the split, in block order. So every BLAS call the
+CondConv op makes is the same call whatever the worker count, and so are
+its bits. `conv_temporal` still splits its kernel gradient by rows and
+its input pass by examples, whose BLAS calls change with the part sizes:
+at batch 5, T 200, C_in 113 -> 64, K 5, its input gradient differs by
+about 1e-14 between 1 and 2 workers (ROADMAP item 12).
 
 Batch norm splits its elementwise passes by examples the same way, and
 keeps each reduction over (batch, T) one numpy call on the whole array.
@@ -590,10 +592,13 @@ def _chunks(batch, kernel_shape):
     return [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
 
 
-# Columns of the experts' gradient that `condconv_temporal`'s backward
-# computes per matmul before adding them in. Which columns share a matmul
-# does not change the result; with one expert (a vector-matrix product)
-# that holds for blocks of a multiple of 4 columns, so keep it one.
+# Columns per block of every walk `condconv_temporal` makes over kernel
+# columns: the mix, the experts' gradient, d_alpha's slots and the remix.
+# Which columns share a matmul does not change the mix or the experts'
+# gradient, but a one-example chunk's mix and a one-expert gradient are
+# vector-matrix products, for which that holds only when every block starts
+# on a multiple of 4 columns: keep it a multiple of 4. d_alpha is a sum
+# over the blocks, so changing it changes d_alpha's rounding.
 _GRAD_COLUMNS = 4096
 
 
@@ -744,23 +749,25 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     Example b is cross-correlated with its own kernel, the mix
     sum_i alpha[b, i] * experts[i] of the (n, K, C_in, C_out) experts under
     the (batch, n) routing weights `alpha`. The batch is walked in chunks of
-    `condconv_chunk` examples, each split over `_workers` into parts of at
-    least 2 examples, the one split of every pass over examples; each pass
-    is one `_split` call, its threads joined before the next pass. One task
-    per part mixes the part's kernels into its rows of the workspace, then
-    convolves with them as a batched matmul against an im2col view of the
-    input. Forward and backward each allocate one chunk of per-example
-    kernels and reuse it for every chunk. Backward writes a chunk's kernel
-    gradient `dk` into it (per part) and adds alphaᵀ·dk to the experts'
-    gradient `_GRAD_COLUMNS` columns at a time, the column blocks split
-    over the workers, so no expert-sized temporary exists; d_alpha follows
-    as one matmul, since run beside the blocks it slowed them as much as it
-    saved. Then one task per part remixes its kernels into the same rows
-    for the input gradient, rather than keeping them from the forward pass,
-    writes its window gradients into its rows of the chunk's buffer, and
-    folds them straight into its slice of the input gradient. The mix is
-    a product split by rows; a part of 1 row would go to a matrix-vector
-    routine that rounds differently, hence parts of at least 2. An optional
+    `condconv_chunk` examples. Each pass over a chunk is one `_split` call,
+    its threads joined before the next pass, and takes one of two fixed
+    splits: kernel columns by the `_column_blocks`, dealt whole to the
+    workers, or examples in parts of at least 2, each example's product a
+    call of its own in a batched matmul. So no BLAS call depends on the
+    worker count. Forward and backward each allocate one chunk of
+    per-example kernels and reuse it for every chunk.
+
+    Forward mixes a chunk's kernels into the workspace block by block, then
+    convolves each part's examples with them as a batched matmul against an
+    im2col view of the input. Backward writes the chunk's kernel gradient
+    `dk` into the workspace, per part, then walks the blocks once. Each
+    block adds alphaᵀ·dk to the experts' gradient, writes dk·expertsᵀ into
+    its own slot of a (blocks, chunk, n) array, and remixes the chunk's
+    kernels into itself for the input gradient, rather than keeping them
+    from the forward pass. d_alpha is the slots' sum, in block order, so no
+    expert-sized temporary exists and the sum's order is fixed. Last, each
+    part writes its window gradients into its rows of the chunk's buffer and
+    folds them straight into its slice of the input gradient. An optional
     (C_out,) `bias` is added in place to the output.
     """
     left, t_out, cols = _conv_front(x, experts, "experts", ("n", "K", "C_in", "C_out"),
@@ -777,18 +784,23 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     rows = chunks[0].stop if chunks else 0  # examples in the largest chunk
     workers = _workers(batch * t_out * flat.shape[1])
 
-    def mix(kernels, c, p):
-        """Part `p` of chunk `c`'s kernels, mixed into its rows of `kernels`."""
-        np.matmul(alpha.data[c][p], flat, out=kernels[p])
-        return kernels[p].reshape(-1, k * c_in, c_out)
+    blocks = _column_blocks(flat.shape[1])
+
+    def mix(alpha_c, kernels, part):
+        """Columns `blocks[part]` of the kernels `alpha_c` mixes, into `kernels`."""
+        for lo, hi in blocks[part]:
+            np.matmul(alpha_c, flat[:, lo:hi], out=kernels[:, lo:hi])
 
     def forward_part(kernels, c, p):
-        np.matmul(cols(x.data[c][p]), mix(kernels, c, p), out=value[c][p])
+        np.matmul(cols(x.data[c][p]), kernels[p], out=value[c][p])
 
     value = np.empty((batch, t_out, c_out))
-    kernels = np.empty((rows, flat.shape[1]))  # the call's one workspace
+    kernels = np.empty((rows, k * c_in, c_out))  # the call's one workspace
     for c in chunks:
-        _split(workers, partial(forward_part, kernels, c), c.stop - c.start)
+        m = c.stop - c.start
+        _split(workers, partial(mix, alpha.data[c], kernels[:m].reshape(m, -1)),
+               len(blocks), least=1)
+        _split(workers, partial(forward_part, kernels, c), m)
     del kernels  # freed before the bias add and the finite check
     if bias is not None:
         value += bias.data
@@ -803,30 +815,37 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
             experts.grad = (np.zeros(experts.data.shape) if experts.grad is None
                             else np.ascontiguousarray(experts.grad))
             d_experts = experts.grad.reshape(n, -1)
-        blocks = _column_blocks(flat.shape[1])
+        # block i's share of a chunk's d_alpha, summed in block order
+        slots = np.empty((len(blocks), rows, n)) if alpha.requires_grad else None
 
         def kernel_grad(kernels, c, p):
-            np.matmul(cols(x.data[c][p]).transpose(0, 2, 1), g[c][p],
-                      out=kernels[p].reshape(-1, k * c_in, c_out))
+            np.matmul(cols(x.data[c][p]).transpose(0, 2, 1), g[c][p], out=kernels[p])
 
-        def add_d_experts(alpha_c, dk, part):
-            for lo, hi in blocks[part]:
-                d_experts[:, lo:hi] += alpha_c.T @ dk[:, lo:hi]
+        def column_walk(alpha_c, dk, part):
+            """Takes each block of `dk` into the experts' gradient and
+            d_alpha's slots, then remixes the kernels into it for dx."""
+            for i in range(len(blocks))[part]:
+                lo, hi = blocks[i]
+                if experts.requires_grad:
+                    d_experts[:, lo:hi] += alpha_c.T @ dk[:, lo:hi]
+                if slots is not None:
+                    np.matmul(dk[:, lo:hi], flat[:, lo:hi].T, out=slots[i, :len(dk)])
+                if dx is not None:
+                    np.matmul(alpha_c, flat[:, lo:hi], out=dk[:, lo:hi])
 
         def input_part(kernels, dcols, c, p):
-            np.matmul(g[c][p], mix(kernels, c, p).transpose(0, 2, 1), out=dcols[p])
+            np.matmul(g[c][p], kernels[p].transpose(0, 2, 1), out=dcols[p])
             _fold_windows(dcols[p].reshape(-1, t_out, k, c_in), dx[c][p], left, stride)
 
-        kernels = np.empty((rows, flat.shape[1]))
+        kernels = np.empty((rows, k * c_in, c_out))
         for c in chunks:
             m = c.stop - c.start
             if experts.requires_grad or alpha.requires_grad:
                 _split(workers, partial(kernel_grad, kernels, c), m)
-                if experts.requires_grad:
-                    _split(workers, partial(add_d_experts, alpha.data[c], kernels[:m]),
-                           len(blocks), least=1)
-                if alpha.requires_grad:
-                    np.matmul(kernels[:m], flat.T, out=d_alpha[c])
+            _split(workers, partial(column_walk, alpha.data[c], kernels[:m].reshape(m, -1)),
+                   len(blocks), least=1)
+            if slots is not None:
+                np.add.reduce(slots[:, :m], axis=0, out=d_alpha[c])
             if dx is not None:
                 dcols = np.empty((m, t_out, k * c_in))
                 _split(workers, partial(input_part, kernels, dcols, c), m)

@@ -334,12 +334,16 @@ class TestCondConvTemporal:
     @pytest.mark.parametrize("kernel_shape", [(1, 5, 5), (3, 3, 3)])
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_gradients_do_not_depend_on_the_column_block(self, monkeypatch, kernel_shape, n):
-        """Output and gradients are bitwise those of one whole-width block
-        (the default at these shapes) when tiny column blocks add the experts'
-        gradient, under every chunk split. 25 columns leave one-column tails,
-        which join the block before; 27 leave tails of one to three. With one
-        expert the product is a matrix-vector one, checked at blocks of
-        multiples of 4 columns, as the default is."""
+        """The op mixes kernels and walks the experts' gradient, d_alpha and
+        the remix by `_GRAD_COLUMNS`-column blocks. Under every chunk split,
+        blocks of a multiple of 4 columns, as the default is, give the output,
+        the input gradient and the experts' gradient bitwise as one
+        whole-width block (the default at these shapes) does: a one-example
+        chunk's mix is a vector-matrix product, which needs them. The
+        experts' gradient does not depend on the mix, so it holds at 2 and 3
+        columns too. d_alpha is a sum over the blocks, so it only matches
+        within rounding. 25 columns leave one-column tails, which join the
+        block before; 27 leave tails of one to three."""
         whole = ad._GRAD_COLUMNS
         assert whole >= 27 and whole % 4 == 0
         rng = np.random.default_rng(40)
@@ -355,9 +359,15 @@ class TestCondConvTemporal:
                 tensors = [Tensor(a, requires_grad=True) for a in arrays]
                 y, grads = _run_op(ad.condconv_temporal, *tensors)
                 runs.append([y, *grads])
-            for columns, run in zip(blocks, runs[1:]):
-                for got, want in zip(run, runs[0]):
-                    assert got.tobytes() == want.tobytes(), (examples, columns)
+            for columns, (y, dx, d_alpha, d_experts) in zip(blocks, runs[1:]):
+                want_y, want_dx, want_d_alpha, want_d_experts = runs[0]
+                where = (examples, columns)
+                assert d_experts.tobytes() == want_d_experts.tobytes(), where
+                np.testing.assert_allclose(d_alpha, want_d_alpha, rtol=1e-12, atol=0,
+                                           err_msg=str(where))
+                if columns % 4 == 0:
+                    assert y.tobytes() == want_y.tobytes(), where
+                    assert dx.tobytes() == want_dx.tobytes(), where
 
     @pytest.mark.parametrize("op", ["condconv", "conv"])
     def test_shape_mismatches_rejected(self, op):

@@ -2,17 +2,22 @@
 outputs and gradients are bitwise the same for any thread count, an
 exception on any thread reaches the caller, and no thread outlives an
 op. The ops here are small, so the tests set the thread count
-themselves."""
+themselves; at the recipes' CondConv layer shapes, the parts of the
+CondConv op's passes run serially instead, up to 64 of them."""
 
+import json
 import os
 import threading
 import time
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from condcnn import archspec
 from condcnn import autodiff as ad
 from condcnn.autodiff import Tensor
+from condcnn.condconv import CondConv
 
 BATCH, T_IN, C_IN, C_OUT, K = 23, 13, 4, 6, 5
 # (x, alpha or kernel, experts) gradients wanted; experts only for condconv
@@ -23,19 +28,20 @@ def _set_workers(monkeypatch, workers):
     monkeypatch.setattr(ad, "_workers", lambda macs: workers)
 
 
-def _run(op, workers, monkeypatch, stride, padding, grads, n=3, t_in=T_IN):
+def _run(op, workers, monkeypatch, stride, padding, grads, n=3, t_in=T_IN, batch=BATCH,
+         kernel_shape=(K, C_IN, C_OUT)):
     """The op's output and gradients at `workers` threads, on fixed inputs."""
     _set_workers(monkeypatch, workers)
     rng = np.random.default_rng(7)
-    x = Tensor(rng.normal(size=(BATCH, t_in, C_IN)), requires_grad=grads[0])
-    bias = Tensor(rng.normal(size=C_OUT), requires_grad=True)
+    x = Tensor(rng.normal(size=(batch, t_in, kernel_shape[1])), requires_grad=grads[0])
+    bias = Tensor(rng.normal(size=kernel_shape[2]), requires_grad=True)
     if op == "condconv":
-        alpha = Tensor(rng.uniform(size=(BATCH, n)), requires_grad=grads[1])
-        experts = Tensor(rng.normal(size=(n, K, C_IN, C_OUT)), requires_grad=grads[2])
+        alpha = Tensor(rng.uniform(size=(batch, n)), requires_grad=grads[1])
+        experts = Tensor(rng.normal(size=(n, *kernel_shape)), requires_grad=grads[2])
         inputs = (x, alpha, experts, bias)
         out = ad.condconv_temporal(x, alpha, experts, stride, padding, bias=bias)
     else:
-        kernel = Tensor(rng.normal(size=(K, C_IN, C_OUT)), requires_grad=grads[1])
+        kernel = Tensor(rng.normal(size=kernel_shape), requires_grad=grads[1])
         inputs = (x, kernel, bias)
         out = ad.conv_temporal(x, kernel, stride, padding, bias=bias)
     weights = Tensor(rng.normal(size=out.shape))
@@ -84,6 +90,48 @@ def test_one_expert_bitwise_equal_for_any_thread_count(monkeypatch, chunk):
         threaded = _run("condconv", workers, monkeypatch, 1, "same", GRADS[0], n=1)
         for a, b in zip(serial, threaded):
             assert a.tobytes() == b.tobytes()
+
+
+def _recipe_condconv_shapes():
+    """(experts shape, stride, padding) of every CondConv layer of the
+    bundled recipes, each recipe built for its data's channel count."""
+    shapes = set()
+    for recipe, channels in {"wisdm": 3, "pamap2": 27, "unimib": 3, "opportunity": 113}.items():
+        config = json.loads(
+            resources.files("condcnn.configs").joinpath(f"{recipe}.json").read_text())
+        spec = archspec.spec_from_dict(config["model"])
+        model = archspec.build_model(spec, (32, channels), config["dataset"]["classes"],
+                                     draw_init=False)
+        shapes.update((layer.experts.data.shape, layer.stride, layer.padding)
+                      for layer in model.layers if isinstance(layer, CondConv))
+    return sorted(shapes)
+
+
+def _serial_split(workers, task, m, least=2):
+    """`_split` with every part run in turn on the calling thread."""
+    for part in ad._parts(m, workers, least):
+        task(part)
+
+
+@pytest.mark.parametrize("shape,stride,padding", _recipe_condconv_shapes(),
+                         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_condconv_bitwise_equal_for_any_part_count(monkeypatch, shape, stride, padding):
+    """At every recipe's CondConv layer shapes, the CondConv op hands BLAS
+    the same calls however many parts its passes are cut into, as on a
+    machine with that many CPUs. The parts run serially, so no thread
+    starts; batch 13 of the largest layers walks a chunk of 11 examples
+    and one of 2."""
+    monkeypatch.setattr(ad, "_split", _serial_split)
+    n, *kernel_shape = shape
+    before = threading.active_count()
+    for batch in (2, 5, 13):
+        runs = [_run("condconv", parts, monkeypatch, stride, padding, GRADS[0], n=n, t_in=6,
+                     batch=batch, kernel_shape=tuple(kernel_shape))
+                for parts in (1, 2, 3, 16, 32, 64)]
+        for parts, run in zip((2, 3, 16, 32, 64), runs[1:]):
+            for a, b in zip(runs[0], run):
+                assert a.tobytes() == b.tobytes(), (batch, parts)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("op", ["condconv", "conv"])
