@@ -12,17 +12,15 @@ Convolution uses the cross-correlation convention (no kernel flip).
 The two conv ops share one front end (`_conv_front`: input checks,
 geometry, im2col view) and split each batch chunk over the CPUs this
 process may run on (`_workers`), one `_split` call per parallel pass,
-whose helper threads are joined within it. Every pass over examples uses
-parts of at least 2 examples, and one worker does all of a part's
-per-example work. The CondConv op walks kernel columns only in the fixed
-blocks of `_column_blocks`, dealt whole to the workers: its kernel mix,
-the experts' gradient, d_alpha and the remix. A sum over blocks (d_alpha)
-is taken after the split, in block order. So every BLAS call the
-CondConv op makes is the same call whatever the worker count, and so are
-its bits. `conv_temporal` still splits its kernel gradient by rows and
-its input pass by examples, whose BLAS calls change with the part sizes:
-at batch 5, T 200, C_in 113 -> 64, K 5, its input gradient differs by
-about 1e-14 between 1 and 2 workers (ROADMAP item 12).
+whose helper threads are joined within it. Every split follows one rule,
+each BLAS call is the same call on any core count, so neither op's bits
+depend on the worker count. A pass over examples makes each example's
+product a call of its own in a batched matmul, one worker doing all of a
+part's per-example work. A walk over kernel rows or columns goes by the
+fixed blocks of `_column_blocks`, dealt whole to the workers:
+`conv_temporal`'s kernel gradient, and the CondConv op's kernel mix,
+experts' gradient, d_alpha and remix; d_alpha, a sum over the blocks, is
+taken after the split, in block order.
 
 Batch norm splits its elementwise passes by examples the same way, and
 keeps each reduction over (batch, T) one numpy call on the whole array.
@@ -421,7 +419,7 @@ def batch_norm(x, gamma, beta, epsilon, stats=None, relu=False):
     count = batch * x.data.shape[1]
     if stats is None and count < 2:
         raise ConfigError("batch norm needs at least 2 samples per channel in train mode")
-    split = partial(_split, _workers(x.data.size, _THREAD_MIN_ELEMENTS), m=batch, least=1)
+    split = partial(_split, _workers(x.data.size, _THREAD_MIN_ELEMENTS), m=batch)
     value = np.empty_like(x.data)
 
     def center(p):
@@ -601,12 +599,17 @@ def _chunks(batch, kernel_shape):
 # over the blocks, so changing it changes d_alpha's rounding.
 _GRAD_COLUMNS = 4096
 
+# Most kernel rows (of K*C_in) per block of `conv_temporal`'s kernel gradient; under
+# twice as many make 2 blocks, the first a multiple of 4 rows. Each call packs all of
+# `g`: on a 2-core VM, 960 rows at 384 -> 384 took 9-11% longer in 160-row blocks, 1-3% in 320.
+_GRAD_ROWS = 320
 
-def _column_blocks(width):
-    """[lo, hi) ranges of `_GRAD_COLUMNS` columns that cover `width`. A last
-    range of one column joins the one before: numpy hands a one-column
-    product to a matrix-vector routine, which rounds differently."""
-    los = list(range(0, width, _GRAD_COLUMNS))
+
+def _column_blocks(width, size):
+    """[lo, hi) ranges of `size` columns that cover `width`. A last range of
+    one column joins the one before: numpy hands a one-column product to a
+    matrix-vector routine, which rounds differently."""
+    los = list(range(0, width, size))
     if len(los) > 1 and width - los[-1] == 1:
         los.pop()
     return list(zip(los, los[1:] + [width]))
@@ -626,26 +629,25 @@ _THREAD_MIN_ELEMENTS = 2**17
 _THREAD_MIN_MACS = 2**24
 
 
-def _workers(work, least=None):
+def _workers(work, least=_THREAD_MIN_MACS):
     """Threads a pass of `work` units splits over: one per CPU this process
     may run on (`taskset` limits them; a system without affinity masks,
     such as macOS, counts every CPU), the calling thread included, or 1
-    when `work` is under `least`. By default `work` is a conv op's forward
-    multiply-adds and `least` is `_THREAD_MIN_MACS`."""
-    if work < (_THREAD_MIN_MACS if least is None else least):
+    when `work` is under `least`, by default a conv op's forward gate."""
+    if work < least:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _split(workers, task, m, least=2):
-    """Call `task(p)` for each part `p` of `_parts(m, workers, least)`: the
-    first on the calling thread, the others on helper threads that this
-    call starts and joins before it returns, so no thread outlives a pass.
-    One part starts no thread. A task's exception reaches the caller once
+def _split(workers, task, m):
+    """Call `task(p)` for each part `p` of `_parts(m, workers)`: the first
+    on the calling thread, the others on helper threads that this call
+    starts and joins before it returns, so no thread outlives a pass. One
+    part starts no thread. A task's exception reaches the caller once
     every helper thread has joined."""
-    first, *rest = _parts(m, workers, least)
+    first, *rest = _parts(m, workers)
     if not rest:
         task(first)
         return
@@ -656,10 +658,10 @@ def _split(workers, task, m, least=2):
             future.result()
 
 
-def _parts(m, count, least=1):
-    """range(m) as at most `count` contiguous slices of at least `least`
-    items each (one slice if m < 2 * least), sizes differing by at most 1."""
-    count = max(1, min(count, m // least))
+def _parts(m, count):
+    """range(m) as at most `count` contiguous nonempty slices, sizes
+    differing by at most 1."""
+    count = max(1, min(count, m))
     bounds = [m * i // count for i in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
@@ -692,12 +694,8 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
     gradient exists; per chunk, the kernel gradient is done before the
     input pass starts, so the chunk's window copy and window gradient never
     exist at once. Each pass is one `_split` over `_workers`: the forward
-    matmuls and the input pass by examples, in parts of at least 2 as in
-    `condconv_temporal`, and the kernel gradient by its rows, at least 2
-    per part. A 1-row product goes to a matrix-vector routine that rounds
-    differently; with one window per example, a part of 1 example would
-    give the input pass such a product. An optional (C_out,) `bias` is
-    added in place to the output.
+    and the input pass by examples, the kernel gradient by its row blocks.
+    An optional (C_out,) `bias` is added in place to the output.
     """
     left, t_out, cols = _conv_front(x, kernel, "kernel", ("K", "C_in", "C_out"),
                                     stride, padding)
@@ -705,6 +703,7 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
     k, c_in, c_out = kernel.data.shape
     w = kernel.data.reshape(k * c_in, c_out)
     workers = _workers(batch * t_out * w.size)
+    blocks = _column_blocks(k * c_in, min(_GRAD_ROWS, 4 * -(-k * c_in // 8)))
 
     def convolve(p):
         np.matmul(cols(x.data[p]), w, out=value[p])
@@ -714,13 +713,15 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
     if bias is not None:
         value += bias.data
 
-    def weight_pass(cols_c, g_rows, dw, p):
-        dw_p = dw[p]
-        dw_p += cols_c[:, p].T @ g_rows
+    def weight_pass(cols_c, g_rows, dw, part):
+        lo, hi = blocks[part][0][0], blocks[part][-1][1]
+        grad = np.empty((hi - lo, c_out))  # one per part, as large as a row split's
+        for b_lo, b_hi in blocks[part]:
+            np.matmul(cols_c[:, b_lo:b_hi].T, g_rows, out=grad[b_lo - lo:b_hi - lo])
+        dw[lo:hi] += grad
 
     def input_pass(g_c, dx_c, p):
-        dcols = g_c[p].reshape(-1, c_out) @ w.T
-        _fold_windows(dcols.reshape(-1, t_out, k, c_in), dx_c[p], left, stride)
+        _fold_windows(np.matmul(g_c[p], w.T).reshape(-1, t_out, k, c_in), dx_c[p], left, stride)
 
     def backward(g):
         if bias is not None:
@@ -731,7 +732,7 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
             if dw is not None:
                 cols_c = cols(x.data[c]).reshape(-1, k * c_in)
                 _split(workers, partial(weight_pass, cols_c, g[c].reshape(-1, c_out), dw),
-                       k * c_in)
+                       len(blocks))
                 del cols_c  # frees the chunk's window copy before the input pass
             if dx is not None:
                 _split(workers, partial(input_pass, g[c], dx[c]), c.stop - c.start)
@@ -750,12 +751,9 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     sum_i alpha[b, i] * experts[i] of the (n, K, C_in, C_out) experts under
     the (batch, n) routing weights `alpha`. The batch is walked in chunks of
     `condconv_chunk` examples. Each pass over a chunk is one `_split` call,
-    its threads joined before the next pass, and takes one of two fixed
-    splits: kernel columns by the `_column_blocks`, dealt whole to the
-    workers, or examples in parts of at least 2, each example's product a
-    call of its own in a batched matmul. So no BLAS call depends on the
-    worker count. Forward and backward each allocate one chunk of
-    per-example kernels and reuse it for every chunk.
+    its threads joined before the next pass, by examples or by the kernels'
+    `_GRAD_COLUMNS`-column blocks. Forward and backward each allocate one
+    chunk of per-example kernels and reuse it for every chunk.
 
     Forward mixes a chunk's kernels into the workspace block by block, then
     convolves each part's examples with them as a batched matmul against an
@@ -784,7 +782,7 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     rows = chunks[0].stop if chunks else 0  # examples in the largest chunk
     workers = _workers(batch * t_out * flat.shape[1])
 
-    blocks = _column_blocks(flat.shape[1])
+    blocks = _column_blocks(flat.shape[1], _GRAD_COLUMNS)
 
     def mix(alpha_c, kernels, part):
         """Columns `blocks[part]` of the kernels `alpha_c` mixes, into `kernels`."""
@@ -798,8 +796,7 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     kernels = np.empty((rows, k * c_in, c_out))  # the call's one workspace
     for c in chunks:
         m = c.stop - c.start
-        _split(workers, partial(mix, alpha.data[c], kernels[:m].reshape(m, -1)),
-               len(blocks), least=1)
+        _split(workers, partial(mix, alpha.data[c], kernels[:m].reshape(m, -1)), len(blocks))
         _split(workers, partial(forward_part, kernels, c), m)
     del kernels  # freed before the bias add and the finite check
     if bias is not None:
@@ -843,7 +840,7 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
             if experts.requires_grad or alpha.requires_grad:
                 _split(workers, partial(kernel_grad, kernels, c), m)
             _split(workers, partial(column_walk, alpha.data[c], kernels[:m].reshape(m, -1)),
-                   len(blocks), least=1)
+                   len(blocks))
             if slots is not None:
                 np.add.reduce(slots[:, :m], axis=0, out=d_alpha[c])
             if dx is not None:

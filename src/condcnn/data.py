@@ -121,7 +121,9 @@ class WindowedDataset:
             )
         except KeyError as err:
             raise DataError(f"{path}: dataset file is missing {err}") from None
-        x, y = ds.x, ds.y
+        x, y, names = ds.x, ds.y, ds.label_names
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise DataError(f"{path}: label_names must be a list of strings, got {names!r}")
         if x.ndim != 3:
             raise DataError(f"{path}: x must be (windows, time, channels), "
                             f"got shape {x.shape}")

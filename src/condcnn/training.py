@@ -147,7 +147,7 @@ class Adam:
             # flattening a non-contiguous array would copy it and lose the update
             if workers > 1 and all(a.flags.c_contiguous for a in arrays):
                 flat = (a.reshape(-1) for a in (*arrays, tmp, step))
-                ad._split(workers, partial(self._update, lr, *flat), p.data.size, least=1)
+                ad._split(workers, partial(self._update, lr, *flat), p.data.size)
             else:
                 self._update(lr, *arrays, tmp, step, ...)
 
@@ -292,9 +292,9 @@ def load_checkpoint(path):
     Every meta key `save_checkpoint` writes is required except `halted`,
     which only older versions wrote; keys it no longer writes are ignored.
     A missing meta key, an `epoch` that is not an integer >= 0, a `history`
-    that is neither null nor rows of 4 values, an `rng_state` that is
-    neither null nor a PCG64 generator state, a missing array the model
-    expects, a parameter or buffer array the model lacks,
+    that is neither null nor rows of such an epoch and 3 numbers, an
+    `rng_state` that is neither null nor a PCG64 generator state, a missing
+    array the model expects, a parameter or buffer array the model lacks,
     or an array of the wrong shape raises DataError naming the path. One
     that records an Adam step count `adam_t` must record it as an integer
     >= 0 and hold exactly the moments `adam.m.<name>` and `adam.v.<name>`
@@ -326,9 +326,10 @@ def load_checkpoint(path):
             raise DataError(f"{path}: recorded rng_state is not a PCG64 state: {err!r}") from None
     rows = history["rows"] if isinstance(history, dict) and "rows" in history else None
     if history is not None and not (isinstance(rows, list) and all(
-            isinstance(row, list) and len(row) == 4 for row in rows)):
+            isinstance(row, list) and len(row) == 4 and type(row[0]) is int and row[0] >= 0
+            and all(map(is_number, row[1:])) for row in rows)):
         raise DataError(f"{path}: recorded history must be null or hold rows of "
-                        f"[epoch, lr, train_loss, test_acc]")
+                        f"[epoch, lr, train_loss, test_acc], an integer >= 0 and three numbers")
     # every parameter is uninitialized until the set and shape checks below
     # pass and its stored array replaces it
     params = model.named_params()

@@ -1,4 +1,11 @@
-"""Shared pytest wiring: per-criterion summary lines for the acceptance suite."""
+"""Shared pytest wiring: BLAS pinned to one thread, and per-criterion
+summary lines for the acceptance suite."""
+
+from condcnn import cli
+
+# as `condcnn.cli.main` does, before any test module imports numpy, which
+# reads the thread variables when it loads; a variable already set stays
+cli._pin_threads()
 
 _acceptance_results = {}
 

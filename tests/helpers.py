@@ -169,6 +169,14 @@ DAMAGED_CHECKPOINTS = {
     "history-without-rows": lambda arrays, meta: meta.update(history={}),
     "history-as-a-list": lambda arrays, meta: meta.update(history=[]),
     "history-row-of-three": lambda arrays, meta: meta.update(history={"rows": [[0, 1e-3, 0.5]]}),
+    "history-with-a-text-cell": lambda arrays, meta: meta.update(
+        history={"rows": [[0, 0.1, 1.0, "x"]]}),
+    "history-with-a-boolean-cell": lambda arrays, meta: meta.update(
+        history={"rows": [[0, 0.1, True, 0.5]]}),
+    "history-with-a-negative-epoch": lambda arrays, meta: meta.update(
+        history={"rows": [[-1, 0.1, 1.0, 0.5]]}),
+    "history-with-a-fractional-epoch": lambda arrays, meta: meta.update(
+        history={"rows": [[0.5, 0.1, 1.0, 0.5]]}),
     "rng-state-without-state": lambda arrays, meta: meta.update(
         rng_state={"bit_generator": "PCG64"}),
     "rng-state-as-a-list": lambda arrays, meta: meta.update(rng_state=[1, 2]),

@@ -671,6 +671,23 @@ class TestAnalyze:
         assert len(caplog.records) == 1 and "label_names" in caplog.text
         assert "Traceback" not in caplog.text
 
+    @pytest.mark.parametrize("names", [5, None], ids=["number", "null"])
+    def test_dataset_with_malformed_label_names_exits_two_with_one_line(self, trained, caplog,
+                                                                        names):
+        tmp_path, run = trained
+        arrays, meta = storage.load_container(run / "test.ds")
+        bad = tmp_path / "bad-label-names.ds"
+        storage.save_container(bad, arrays, dict(meta, label_names=names))
+        caplog.clear()
+        code = cli.main([
+            "analyze", "--checkpoint", str(run / "best.ckpt"),
+            "--which", "confusion", "--dataset", str(bad), "--out", str(tmp_path / "z"),
+        ])
+        assert code == 2
+        assert len(caplog.records) == 1
+        assert str(bad) in caplog.text and "label_names" in caplog.text
+        assert "Traceback" not in caplog.text
+
     @pytest.mark.parametrize("which", ["confusion", "routing"])
     def test_labels_beyond_the_model_classes_exit_two_with_one_line(self, trained, caplog,
                                                                     which):
@@ -789,6 +806,22 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS")
+
+
+def test_the_test_process_pins_blas_threads():
+    # tests/conftest.py pins them before any test imports numpy, as `main` does
+    assert all(os.environ.get(var) for var in BLAS_THREAD_VARS)
+
+
+def test_pinning_keeps_a_thread_count_the_caller_set(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cli._pin_threads()
+    assert (os.environ["OPENBLAS_NUM_THREADS"], os.environ["MKL_NUM_THREADS"]) == ("3", "1")
 
 
 def test_data_preparation_leaves_the_engine_unloaded():

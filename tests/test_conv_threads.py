@@ -2,8 +2,9 @@
 outputs and gradients are bitwise the same for any thread count, an
 exception on any thread reaches the caller, and no thread outlives an
 op. The ops here are small, so the tests set the thread count
-themselves; at the recipes' CondConv layer shapes, the parts of the
-CondConv op's passes run serially instead, up to 64 of them."""
+themselves; at the recipes' conv layer shapes, the parts of both ops'
+passes run serially instead, up to 64 of them, so that each BLAS call is
+checked to be the same call on any core count."""
 
 import json
 import os
@@ -60,8 +61,9 @@ def _chunk_budget(monkeypatch, examples):
 @pytest.mark.parametrize("grads", GRADS)
 def test_bitwise_equal_for_any_thread_count(monkeypatch, op, stride, padding, chunk, grads):
     _chunk_budget(monkeypatch, chunk)
-    # 8-column blocks, so the experts' gradient has blocks to deal out
+    # 8-column and 8-row blocks, so both kernel gradients have blocks to deal out
     monkeypatch.setattr(ad, "_GRAD_COLUMNS", 8)
+    monkeypatch.setattr(ad, "_GRAD_ROWS", 8)
     serial = _run(op, 1, monkeypatch, stride, padding, grads)
     for workers in (2, 3):  # 3 is more threads than a 2-core machine has cores
         threaded = _run(op, workers, monkeypatch, stride, padding, grads)
@@ -73,7 +75,7 @@ def test_bitwise_equal_for_any_thread_count(monkeypatch, op, stride, padding, ch
 @pytest.mark.parametrize("op", ["condconv", "conv"])
 @pytest.mark.parametrize("chunk", [2, 3, 11])
 def test_one_window_per_example_bitwise_equal(monkeypatch, op, chunk):
-    # each example's matmuls have one row: parts must still have two
+    # each example's matmuls have one row, so they are vector-matrix products
     _chunk_budget(monkeypatch, chunk)
     serial = _run(op, 1, monkeypatch, 1, "valid", GRADS[0], t_in=K)
     for workers in (2, 3):
@@ -92,14 +94,15 @@ def test_one_expert_bitwise_equal_for_any_thread_count(monkeypatch, chunk):
             assert a.tobytes() == b.tobytes()
 
 
-def _recipe_condconv_shapes():
+def _recipe_conv_shapes(**overrides):
     """(experts shape, stride, padding) of every CondConv layer of the
-    bundled recipes, each recipe built for its data's channel count."""
+    bundled recipes, each recipe built for its data's channel count with
+    the model fields `overrides` sets."""
     shapes = set()
     for recipe, channels in {"wisdm": 3, "pamap2": 27, "unimib": 3, "opportunity": 113}.items():
         config = json.loads(
             resources.files("condcnn.configs").joinpath(f"{recipe}.json").read_text())
-        spec = archspec.spec_from_dict(config["model"])
+        spec = archspec.spec_from_dict({**config["model"], **overrides})
         model = archspec.build_model(spec, (32, channels), config["dataset"]["classes"],
                                      draw_init=False)
         shapes.update((layer.experts.data.shape, layer.stride, layer.padding)
@@ -107,30 +110,53 @@ def _recipe_condconv_shapes():
     return sorted(shapes)
 
 
-def _serial_split(workers, task, m, least=2):
+def _part_count_cases():
+    """The CondConv op at every recipe's CondConv layer shapes, and
+    `conv_temporal` at every recipe's layer shapes as the pinned one-expert
+    model, the CNN baseline, builds them (OPPORTUNITY's first is 113 -> 64
+    channels). A CondConv case's id is `{shape}-{stride}-{padding}`, a
+    conv case's the same after `conv-`."""
+    def case(op, shape, stride, padding):
+        shape_id = "x".join(map(str, shape))
+        prefix = "" if op == "condconv" else f"{op}-"
+        return pytest.param(op, shape, stride, padding,
+                            id=f"{prefix}{shape_id}-{stride}-{padding}")
+
+    return ([case("condconv", *layer) for layer in _recipe_conv_shapes()]
+            + [case("conv", shape[1:], stride, padding) for shape, stride, padding
+               in _recipe_conv_shapes(n_experts=1, pin_routing=True)])
+
+
+# (batch, T) of each run per op: batch 13 of the largest CondConv layers
+# walks a chunk of 11 examples and one of 2; for the conv op, an epoch's
+# last batch can be 2 to 8 WISDM windows, and batch 16 at T 64 is
+# OPPORTUNITY's
+PART_COUNT_BATCHES = {"condconv": [(2, 6), (5, 6), (13, 6)],
+                      "conv": [(batch, 200) for batch in range(2, 9)] + [(16, 64)]}
+
+
+def _serial_split(workers, task, m):
     """`_split` with every part run in turn on the calling thread."""
-    for part in ad._parts(m, workers, least):
+    for part in ad._parts(m, workers):
         task(part)
 
 
-@pytest.mark.parametrize("shape,stride,padding", _recipe_condconv_shapes(),
-                         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else None)
-def test_condconv_bitwise_equal_for_any_part_count(monkeypatch, shape, stride, padding):
-    """At every recipe's CondConv layer shapes, the CondConv op hands BLAS
-    the same calls however many parts its passes are cut into, as on a
-    machine with that many CPUs. The parts run serially, so no thread
-    starts; batch 13 of the largest layers walks a chunk of 11 examples
-    and one of 2."""
+@pytest.mark.parametrize("op,shape,stride,padding", _part_count_cases())
+def test_condconv_bitwise_equal_for_any_part_count(monkeypatch, op, shape, stride, padding):
+    """At every recipe's layer shapes, each conv op hands BLAS the same
+    calls however many parts its passes are cut into, as on a machine with
+    that many CPUs: the output and every gradient are bitwise those of one
+    part. The parts run serially, so no thread starts."""
     monkeypatch.setattr(ad, "_split", _serial_split)
-    n, *kernel_shape = shape
+    n, kernel_shape = (shape[0], shape[1:]) if op == "condconv" else (1, shape)
     before = threading.active_count()
-    for batch in (2, 5, 13):
-        runs = [_run("condconv", parts, monkeypatch, stride, padding, GRADS[0], n=n, t_in=6,
-                     batch=batch, kernel_shape=tuple(kernel_shape))
+    for batch, t_in in PART_COUNT_BATCHES[op]:
+        runs = [_run(op, parts, monkeypatch, stride, padding, GRADS[0], n=n, t_in=t_in,
+                     batch=batch, kernel_shape=kernel_shape)
                 for parts in (1, 2, 3, 16, 32, 64)]
         for parts, run in zip((2, 3, 16, 32, 64), runs[1:]):
             for a, b in zip(runs[0], run):
-                assert a.tobytes() == b.tobytes(), (batch, parts)
+                assert a.tobytes() == b.tobytes(), (batch, t_in, parts)
     assert threading.active_count() == before
 
 
@@ -207,15 +233,12 @@ def test_thread_count_follows_the_usable_cpus_above_the_size_floor():
     assert ad._workers(ad._THREAD_MIN_MACS) == len(os.sched_getaffinity(0))
 
 
-def test_parts_cover_in_order_with_at_least_least_items():
+def test_parts_cover_in_order_in_sizes_differing_by_at_most_one():
     for m in range(1, 30):
         for count in (1, 2, 3, 4):
-            for least in (1, 2):
-                parts = ad._parts(m, count, least)
-                assert parts[0].start == 0 and parts[-1].stop == m
-                assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
-                assert len(parts) <= count
-                sizes = [p.stop - p.start for p in parts]
-                assert max(sizes) - min(sizes) <= 1
-                if len(parts) > 1:
-                    assert min(sizes) >= least
+            parts = ad._parts(m, count)
+            assert parts[0].start == 0 and parts[-1].stop == m
+            assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+            assert len(parts) == min(m, count)
+            sizes = [p.stop - p.start for p in parts]
+            assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1

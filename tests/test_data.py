@@ -579,6 +579,9 @@ class TestSegmentation:
         "short subject": ("subject", lambda a, m: m["subject"][1:]),
         "long session": ("session", lambda a, m: m["session"] + ["extra"]),
         "session as one string": ("session", lambda a, m: "a"),
+        "label_names as a number": ("label_names", lambda a, m: 5),
+        "null label_names": ("label_names", lambda a, m: None),
+        "label_names with a number": ("label_names", lambda a, m: m["label_names"][:1] + [1]),
     }
 
     @pytest.mark.parametrize("case", MALFORMED_ARTIFACTS)

@@ -28,10 +28,10 @@ def _batch_norm(monkeypatch, workers, batch, training, relu, x_grad, calls=None)
 
     split = ad._split
 
-    def recording_split(workers, task, m, least=2):
+    def recording_split(workers, task, m):
         if calls is not None:
-            calls.append(("split", m, least))
-        return split(workers, task, m, least)
+            calls.append(("split", m))
+        return split(workers, task, m)
 
     monkeypatch.setattr(ad, "_workers", count_workers)
     monkeypatch.setattr(ad, "_split", recording_split)
@@ -76,7 +76,7 @@ def test_batch_norm_splits_each_pass_by_examples(monkeypatch, training, x_grad):
     _batch_norm(monkeypatch, 2, 7, training, True, x_grad, calls)
     splits = (2 if training else 1) + (2 if x_grad else 1)
     assert calls == ([("workers", 7 * T * C, ad._THREAD_MIN_ELEMENTS)]
-                     + [("split", 7, 1)] * splits)
+                     + [("split", 7)] * splits)
 
 
 def _reference_pool(x, size, stride, g):

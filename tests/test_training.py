@@ -122,9 +122,9 @@ class TestAdam:
         if splits is not None:
             split = ad._split
 
-            def recording_split(workers, task, m, least=2):
+            def recording_split(workers, task, m):
                 splits.append(m)
-                return split(workers, task, m, least)
+                return split(workers, task, m)
 
             monkeypatch.setattr(ad, "_split", recording_split)
 
@@ -695,7 +695,9 @@ class TestCheckpoints:
         ("meta-without-rng-state", "rng_state"), ("meta-without-history", "history"),
         ("negative-epoch", "epoch"), ("fractional-epoch", "epoch"), ("boolean-epoch", "epoch"),
         ("history-without-rows", "history"), ("history-as-a-list", "history"),
-        ("history-row-of-three", "history"), ("rng-state-without-state", "rng_state"),
+        ("history-row-of-three", "history"), ("history-with-a-text-cell", "history"),
+        ("history-with-a-boolean-cell", "history"), ("history-with-a-negative-epoch", "history"),
+        ("history-with-a-fractional-epoch", "history"), ("rng-state-without-state", "rng_state"),
         ("rng-state-as-a-list", "rng_state"), ("rng-state-of-mt19937", "rng_state"),
     ])
     def test_damaged_training_state_is_refused(self, tmp_path, case, key):
