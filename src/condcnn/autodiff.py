@@ -10,17 +10,17 @@ are freed during the sweep and only leaves keep their gradients.
 
 Convolution uses the cross-correlation convention (no kernel flip).
 The two conv ops share one front end (`_conv_front`: input checks,
-geometry, im2col view) and split each batch chunk over the CPUs this
-process may run on (`_workers`), one `_split` call per parallel pass,
-whose helper threads are joined within it. Every split follows one rule,
-each BLAS call is the same call on any core count, so neither op's bits
-depend on the worker count. A pass over examples makes each example's
-product a call of its own in a batched matmul, one worker doing all of a
-part's per-example work. A walk over kernel rows or columns goes by the
-fixed blocks of `_column_blocks`, dealt whole to the workers:
-`conv_temporal`'s kernel gradient, and the CondConv op's kernel mix,
-experts' gradient, d_alpha and remix; d_alpha, a sum over the blocks, is
-taken after the split, in block order.
+geometry, im2col view, thread count and input pass) and split each batch
+chunk over the CPUs this process may run on (`_workers`), one `_split`
+call per parallel pass, whose helper threads are joined within it. Every
+split follows one rule, each BLAS call is the same call on any core
+count, so neither op's bits depend on the worker count. A pass over
+examples makes each example's product a call of its own in a batched
+matmul, one worker doing all of a part's per-example work. A walk over
+kernel rows or columns goes by the fixed blocks of `_column_blocks`,
+dealt whole to the workers: `conv_temporal`'s kernel gradient, and the
+CondConv op's kernel mix, experts' gradient, d_alpha and remix; d_alpha,
+a sum over the blocks, is taken after the split, in block order.
 
 Batch norm splits its elementwise passes by examples the same way, and
 keeps each reduction over (batch, T) one numpy call on the whole array.
@@ -667,22 +667,34 @@ def _parts(m, count):
 
 
 def _conv_front(x, weights, name, layout, stride, padding):
-    """The checks and set-up both conv ops share. `x` must be (batch, T,
-    C_in) and `weights` have the axes `layout` names, ending in (K, C_in,
-    C_out); the ShapeError message names the weights as `name`. Returns
-    (left pad, output length, cols), where cols(x_part) is the im2col view
-    of `x_part`, some of x's examples."""
+    """The checks, set-up and input pass both conv ops share. `x` must be
+    (batch, T, C_in) and `weights` have the axes `layout` names, ending in
+    (K, C_in, C_out); the ShapeError message names the weights as `name`.
+    Returns (output length, workers, cols, input_pass): the op's thread
+    count, from its multiply-adds; cols(x_part), the im2col view of some of
+    x's examples; input_pass(g_c, dx_c, kernels), one `_split` by examples
+    folding each example's window gradients g_b·K_bᵀ onto its rows of `dx_c`,
+    K_b the shared (K*C_in, C_out) `kernels` or, if 3-d, its b-th matrix."""
     if x.data.ndim != 3:
         raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
     if weights.data.ndim != len(layout):
         raise ShapeError(f"{name} must be ({', '.join(layout)}), got {weights.data.shape}")
-    t_in, c_in = x.data.shape[1:]
-    k, kc_in = weights.data.shape[-3:-1]
+    batch, t_in, c_in = x.data.shape
+    k, kc_in, c_out = weights.data.shape[-3:]
     if kc_in != c_in:
         raise ShapeError(f"kernel expects {kc_in} input channels, input has {c_in}")
     left, t_padded, t_out = _conv_geometry(t_in, k, stride, padding)
-    return left, t_out, partial(_im2col, left=left, t_padded=t_padded, t_out=t_out,
-                                k=k, stride=stride)
+    workers = _workers(batch * t_out * k * c_in * c_out)
+
+    def fold(g_c, dx_c, kernels, p):
+        w_t = np.swapaxes(kernels if kernels.ndim == 2 else kernels[p], -1, -2)
+        _fold_windows(np.matmul(g_c[p], w_t).reshape(-1, t_out, k, c_in), dx_c[p], left, stride)
+
+    def input_pass(g_c, dx_c, kernels):
+        _split(workers, partial(fold, g_c, dx_c, kernels), len(g_c))
+
+    return t_out, workers, partial(_im2col, left=left, t_padded=t_padded, t_out=t_out,
+                                   k=k, stride=stride), input_pass
 
 
 def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
@@ -697,12 +709,11 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
     and the input pass by examples, the kernel gradient by its row blocks.
     An optional (C_out,) `bias` is added in place to the output.
     """
-    left, t_out, cols = _conv_front(x, kernel, "kernel", ("K", "C_in", "C_out"),
-                                    stride, padding)
+    t_out, workers, cols, input_pass = _conv_front(
+        x, kernel, "kernel", ("K", "C_in", "C_out"), stride, padding)
     batch = x.data.shape[0]
     k, c_in, c_out = kernel.data.shape
     w = kernel.data.reshape(k * c_in, c_out)
-    workers = _workers(batch * t_out * w.size)
     blocks = _column_blocks(k * c_in, min(_GRAD_ROWS, 4 * -(-k * c_in // 8)))
 
     def convolve(p):
@@ -720,9 +731,6 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
             np.matmul(cols_c[:, b_lo:b_hi].T, g_rows, out=grad[b_lo - lo:b_hi - lo])
         dw[lo:hi] += grad
 
-    def input_pass(g_c, dx_c, p):
-        _fold_windows(np.matmul(g_c[p], w.T).reshape(-1, t_out, k, c_in), dx_c[p], left, stride)
-
     def backward(g):
         if bias is not None:
             _accumulate(bias, _unbroadcast(g, bias.data.shape))
@@ -735,7 +743,7 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
                        len(blocks))
                 del cols_c  # frees the chunk's window copy before the input pass
             if dx is not None:
-                _split(workers, partial(input_pass, g[c], dx[c]), c.stop - c.start)
+                input_pass(g[c], dx[c], w)
         if dw is not None:
             _accumulate(kernel, dw.reshape(kernel.data.shape))
         if dx is not None:
@@ -763,13 +771,12 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     its own slot of a (blocks, chunk, n) array, and remixes the chunk's
     kernels into itself for the input gradient, rather than keeping them
     from the forward pass. d_alpha is the slots' sum, in block order, so no
-    expert-sized temporary exists and the sum's order is fixed. Last, each
-    part writes its window gradients into its rows of the chunk's buffer and
-    folds them straight into its slice of the input gradient. An optional
-    (C_out,) `bias` is added in place to the output.
+    expert-sized temporary exists and the sum's order is fixed. Last comes
+    `conv_temporal`'s input pass (`_conv_front`'s), with the remixed
+    kernels. An optional (C_out,) `bias` is added in place to the output.
     """
-    left, t_out, cols = _conv_front(x, experts, "experts", ("n", "K", "C_in", "C_out"),
-                                    stride, padding)
+    t_out, workers, cols, input_pass = _conv_front(
+        x, experts, "experts", ("n", "K", "C_in", "C_out"), stride, padding)
     batch = x.data.shape[0]
     n, k, c_in, c_out = experts.data.shape
     if alpha.data.shape != (batch, n):
@@ -780,8 +787,6 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     flat = experts.data.reshape(n, k * c_in * c_out)
     chunks = _chunks(batch, (k, c_in, c_out))
     rows = chunks[0].stop if chunks else 0  # examples in the largest chunk
-    workers = _workers(batch * t_out * flat.shape[1])
-
     blocks = _column_blocks(flat.shape[1], _GRAD_COLUMNS)
 
     def mix(alpha_c, kernels, part):
@@ -830,10 +835,6 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
                 if dx is not None:
                     np.matmul(alpha_c, flat[:, lo:hi], out=dk[:, lo:hi])
 
-        def input_part(kernels, dcols, c, p):
-            np.matmul(g[c][p], kernels[p].transpose(0, 2, 1), out=dcols[p])
-            _fold_windows(dcols[p].reshape(-1, t_out, k, c_in), dx[c][p], left, stride)
-
         kernels = np.empty((rows, k * c_in, c_out))
         for c in chunks:
             m = c.stop - c.start
@@ -844,9 +845,7 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
             if slots is not None:
                 np.add.reduce(slots[:, :m], axis=0, out=d_alpha[c])
             if dx is not None:
-                dcols = np.empty((m, t_out, k * c_in))
-                _split(workers, partial(input_part, kernels, dcols, c), m)
-                del dcols  # no chunk's buffer outlives its iteration
+                input_pass(g[c], dx[c], kernels)
         del kernels  # freed before the gradients are added in
         if d_alpha is not None:
             _accumulate(alpha, d_alpha)

@@ -74,15 +74,24 @@ class CondConv(Layer):
     def forward(self, x, rng=None):
         return condconv_forward(x, self, activation=None)
 
+    @property
+    def mixes_kernels(self):
+        """False only for a pinned one-expert layer, whose mixed kernel is
+        exactly 1.0 * W1: `convolve` then runs a standard convolution."""
+        return not (self.pin_routing and self.n_experts == 1)
+
     def cost(self, shape):
-        """One convolution (like a standard layer) plus kernel mixing (n MACs
-        per kernel parameter), the routing projection (C_in * n MACs) and the
-        routing pool (one FLOP per input element); only the mixing and the
-        projection grow with the expert count."""
+        """One convolution (like a standard layer), plus what else the layer
+        runs: kernel mixing (n MACs per kernel parameter) if it
+        `mixes_kernels`, and unless its routing is pinned, the routing
+        projection (C_in * n MACs) and pool (one FLOP per input element).
+        Only the mixing and the projection grow with the expert count."""
         t_out = ad.conv_length(shape[0], self.kernel_len, self.stride, self.padding)
         kernel = self.kernel_len * self.c_in * self.c_out
-        macs = t_out * kernel + self.n_experts * kernel + self.c_in * self.n_experts
-        return (t_out, self.c_out), macs, shape[0] * self.c_in
+        routed = not self.pin_routing
+        macs = (t_out * kernel + self.mixes_kernels * self.n_experts * kernel
+                + routed * self.c_in * self.n_experts)
+        return (t_out, self.c_out), macs, routed * shape[0] * self.c_in
 
     def params(self):
         return {"experts": self.experts, "bias": self.bias, "routing": self.routing}
@@ -137,7 +146,7 @@ def convolve(x, alpha, layer):
     """The layer's convolution of `x` under the (batch, n) routing weights
     `alpha` that `route` gave for it: mix kernels and convolve once per
     example, one batch chunk at a time. No activation."""
-    if layer.pin_routing and layer.n_experts == 1:
+    if not layer.mixes_kernels:
         # the mixed kernel is exactly 1.0 * W1; the shared-kernel path keeps
         # forward AND backward bitwise identical to a standard convolution
         kernel = ad.reshape(layer.experts, layer.experts.data.shape[1:])

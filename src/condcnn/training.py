@@ -199,8 +199,9 @@ EVAL_BATCH = 256  # windows per forward pass of `evaluate` and `analysis.routing
 
 def check_dataset(model, ds, what):
     """Return the model's class count if it can score `ds`, named `what` in
-    errors: DataError if `ds` is empty or has a label outside [0, n_classes),
-    ShapeError if its windows are not the model's recorded (T, C)."""
+    errors: DataError if `ds` is empty, has a label outside [0, n_classes)
+    or more label names than classes, ShapeError if its windows are not the
+    model's recorded (T, C)."""
     if len(ds) == 0:
         raise DataError(f"empty {what}: it holds no window")
     expected = tuple(model.meta["input_shape"])
@@ -211,6 +212,9 @@ def check_dataset(model, ds, what):
     if low < 0 or high >= n_classes:
         raise DataError(f"{what}: labels lie in [{low}, {high}], outside the model's "
                         f"{n_classes} classes [0, {n_classes})")
+    if len(ds.label_names) > n_classes:
+        raise DataError(f"{what}: {len(ds.label_names)} label names, more than the "
+                        f"model's {n_classes} classes")
     return n_classes
 
 

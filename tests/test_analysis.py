@@ -51,6 +51,26 @@ class TestCountFlops:
         assert totals[2] - totals[1] == (totals[4] - totals[2]) / 2
         assert totals[4] - totals[2] == (totals[8] - totals[4]) / 2
 
+    def test_pinned_one_expert_layers_cost_what_standard_layers_cost(self):
+        """Criterion 3's pair runs the same convolutions: a pinned one-expert
+        layer routes nothing and mixes no kernel, so each row equals the
+        standard layer's."""
+        base = dict(t=24, channels=3, classes=4, convs_per_block=2, kernel_length=5,
+                    pool=(2, 2), n_experts=1)
+        pinned = analysis.count_flops(build("C(6)-C(12)-FC-Sm", pin_routing=True, **base))
+        plain = analysis.count_flops(build("C(6)-C(12)-FC-Sm", condconv_mask=(False,) * 4,
+                                           **base))
+        rows = [[(c.name, c.multiply_adds, c.flops) for c in report.per_layer]
+                for report in (pinned, plain)]
+        assert rows[0] == rows[1]
+
+    def test_pinned_layer_counts_mixing_but_no_routing(self):
+        kernel = 5 * 3 * 4
+        pinned = condconv.CondConv(3, 4, 5, 2, np.random.default_rng(0), pin_routing=True)
+        routed = condconv.CondConv(3, 4, 5, 2, np.random.default_rng(0))
+        assert pinned.cost((10, 3)) == ((10, 4), 10 * kernel + 2 * kernel, 0)
+        assert routed.cost((10, 3)) == ((10, 4), 10 * kernel + 2 * kernel + 3 * 2, 10 * 3)
+
     def test_pool_and_stride_shrink_downstream_cost(self):
         no_pool = analysis.count_flops(build(pool=None)).total_flops
         pooled = analysis.count_flops(build(pool=(2, 2))).total_flops

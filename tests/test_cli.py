@@ -708,6 +708,26 @@ class TestAnalyze:
         assert "4 classes" in caplog.text and "Traceback" not in caplog.text
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("which", ["confusion", "routing"])
+    def test_more_label_names_than_classes_exit_two_with_one_line(self, trained, caplog,
+                                                                  which):
+        tmp_path, run = trained
+        arrays, meta = storage.load_container(run / "test.ds")
+        names = [*meta["label_names"], "extra1", "extra2"]  # every label stays < 4
+        bad = tmp_path / "six-names.ds"
+        storage.save_container(bad, arrays, dict(meta, label_names=names))
+        caplog.clear()
+        out = tmp_path / f"out-{which}"
+        code = cli.main([
+            "analyze", "--checkpoint", str(run / "best.ckpt"),
+            "--which", which, "--dataset", str(bad), "--out", str(out),
+        ])
+        assert code == 2
+        assert len(caplog.records) == 1 and str(bad) in caplog.text
+        assert "6 label names" in caplog.text and "4 classes" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert os.listdir(out) == []
+
     def test_incompatible_dataset_is_data_error(self, trained, tmp_path):
         tmp_path_ws, run = trained
         other = make_motif_dataset(n_per_class=5, t=16, seed=1)

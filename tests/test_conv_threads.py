@@ -111,7 +111,8 @@ def _recipe_conv_shapes(**overrides):
 
 
 def _part_count_cases():
-    """The CondConv op at every recipe's CondConv layer shapes, and
+    """The CondConv op at every recipe's CondConv layer shapes, also with
+    one routed expert, whose kernel mix has an inner dimension of 1, and
     `conv_temporal` at every recipe's layer shapes as the pinned one-expert
     model, the CNN baseline, builds them (OPPORTUNITY's first is 113 -> 64
     channels). A CondConv case's id is `{shape}-{stride}-{padding}`, a
@@ -122,7 +123,8 @@ def _part_count_cases():
         return pytest.param(op, shape, stride, padding,
                             id=f"{prefix}{shape_id}-{stride}-{padding}")
 
-    return ([case("condconv", *layer) for layer in _recipe_conv_shapes()]
+    return ([case("condconv", *layer)
+             for layer in _recipe_conv_shapes() + _recipe_conv_shapes(n_experts=1)]
             + [case("conv", shape[1:], stride, padding) for shape, stride, padding
                in _recipe_conv_shapes(n_experts=1, pin_routing=True)])
 

@@ -350,6 +350,8 @@ UNSCORABLE = {
                  r"labels lie in \[-1, 1\], outside the model's 2 classes \[0, 2\)"),
     "label n_classes": (lambda ds: relabeled(ds, 2), DataError,
                         r"labels lie in \[0, 2\], outside the model's 2 classes \[0, 2\)"),
+    "more label names": (lambda ds: replace(ds, label_names=[*ds.label_names, "extra"]),
+                         DataError, r"3 label names, more than the model's 2 classes"),
     "shorter windows": (lambda ds: replace(ds, x=ds.x[:, :8]), ShapeError,
                         r"windows are \(8, 2\), the model expects \(16, 2\)"),
     "empty": (lambda ds: ds.subset(np.array([], dtype=int)), DataError, "holds no window"),
@@ -357,12 +359,13 @@ UNSCORABLE = {
 
 
 class TestUnscorableDatasets:
-    """`evaluate`, `analysis.routing_stats` and `train` refuse, by
-    `check_dataset`, a dataset the model cannot score."""
+    """`evaluate`, `analysis.routing_stats`, `analysis.confusion_matrix_report`
+    and `train` refuse, by `check_dataset`, a dataset the model cannot score."""
 
     @pytest.mark.parametrize("case", UNSCORABLE)
-    @pytest.mark.parametrize("score", [training.evaluate, analysis.routing_stats],
-                             ids=["evaluate", "routing_stats"])
+    @pytest.mark.parametrize("score", [training.evaluate, analysis.routing_stats,
+                                       analysis.confusion_matrix_report],
+                             ids=["evaluate", "routing_stats", "confusion_matrix_report"])
     def test_scoring_refuses(self, case, score):
         make, error, message = UNSCORABLE[case]
         ds = make(make_linear_dataset(n_per_class=5, seed=10))
