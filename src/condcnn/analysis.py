@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import condconv, training
+from . import archspec, condconv, training
 from .autodiff import Tensor
 from .errors import ConfigError
 from .storage import csv_line, write_text
@@ -84,6 +84,17 @@ def count_flops(model):
         costs.append(LayerCost(layer.name, macs + elementwise / 2.0, flops, params))
     n_experts = max(getattr(l, "n_experts", 1) for l in model.layers)
     return FlopsReport(costs, n_experts=n_experts)
+
+
+def flops_ratio_vs_one_expert(model):
+    """`count_flops` total of `model` over that of the same recorded spec
+    with `n_experts=1` and every other field, `pin_routing` among them,
+    kept: the README "Cost model" ratio, 1.068 for the 8-expert WISDM
+    recipe. The baseline draws no init, since `count_flops` reads only shapes."""
+    meta = model.meta
+    spec = archspec.spec_from_dict(dict(meta["spec"], n_experts=1))
+    baseline = archspec.build_model(spec, meta["input_shape"], meta["n_classes"], draw_init=False)
+    return count_flops(model).total_flops / count_flops(baseline).total_flops
 
 
 def count_params(model):

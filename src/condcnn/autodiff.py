@@ -9,18 +9,19 @@ closure has run, its links and gradient are dropped, so intermediates
 are freed during the sweep and only leaves keep their gradients.
 
 Convolution uses the cross-correlation convention (no kernel flip).
-The two conv ops share one front end (`_conv_front`: input checks,
-geometry, im2col view, thread count and input pass) and split each batch
-chunk over the CPUs this process may run on (`_workers`), one `_split`
-call per parallel pass, whose helper threads are joined within it. Every
-split follows one rule, each BLAS call is the same call on any core
-count, so neither op's bits depend on the worker count. A pass over
-examples makes each example's product a call of its own in a batched
-matmul, one worker doing all of a part's per-example work. A walk over
-kernel rows or columns goes by the fixed blocks of `_column_blocks`,
-dealt whole to the workers: `conv_temporal`'s kernel gradient, and the
-CondConv op's kernel mix, experts' gradient, d_alpha and remix; d_alpha,
-a sum over the blocks, is taken after the split, in block order.
+The two conv ops share one front end (`_conv_front`: input and bias checks,
+geometry, output, im2col view, thread count, and the forward pass, which
+adds the bias, and input pass) and split each batch chunk over the CPUs
+this process may run on (`_workers`), one `_split` call per parallel pass,
+whose helper threads are joined within it. Every split follows one rule,
+each BLAS call is the same call on any core count, so neither op's bits
+depend on the worker count. A pass over examples makes each example's
+product a call of its own in a batched matmul, one worker doing all of a
+part's per-example work. A walk over kernel rows or columns goes by the
+fixed blocks of `_column_blocks`, dealt whole to the workers:
+`conv_temporal`'s kernel gradient, and the CondConv op's kernel mix,
+experts' gradient, d_alpha and remix; d_alpha, a sum over the blocks, is
+taken after the split, in block order.
 
 Batch norm splits its elementwise passes by examples the same way, and
 keeps each reduction over (batch, T) one numpy call on the whole array.
@@ -666,15 +667,18 @@ def _parts(m, count):
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _conv_front(x, weights, name, layout, stride, padding):
-    """The checks, set-up and input pass both conv ops share. `x` must be
-    (batch, T, C_in) and `weights` have the axes `layout` names, ending in
-    (K, C_in, C_out); the ShapeError message names the weights as `name`.
-    Returns (output length, workers, cols, input_pass): the op's thread
-    count, from its multiply-adds; cols(x_part), the im2col view of some of
-    x's examples; input_pass(g_c, dx_c, kernels), one `_split` by examples
-    folding each example's window gradients g_b·K_bᵀ onto its rows of `dx_c`,
-    K_b the shared (K*C_in, C_out) `kernels` or, if 3-d, its b-th matrix."""
+def _conv_front(x, weights, name, layout, stride, padding, bias):
+    """The checks, set-up and passes both conv ops share. `x` must be
+    (batch, T, C_in), `weights` have the axes `layout` names, ending in
+    (K, C_in, C_out), and a `bias` be (C_out,); a ShapeError names the
+    weights as `name`. Returns (value, workers, cols, forward_pass,
+    input_pass): the op's (batch, T_out, C_out) output, unwritten; its
+    thread count, from its multiply-adds; cols(x_part), the im2col view of
+    some of x's examples; and two `_split`s by examples, K_b the shared
+    (K*C_in, C_out) `kernels` or, if 3-d, its b-th matrix: forward_pass(x_c,
+    value_c, kernels) writes cols_b·K_b into each example's rows of
+    `value_c`, then adds the bias to it all on the calling thread;
+    input_pass(g_c, dx_c, kernels) folds g_b·K_bᵀ onto its rows of `dx_c`."""
     if x.data.ndim != 3:
         raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
     if weights.data.ndim != len(layout):
@@ -683,46 +687,48 @@ def _conv_front(x, weights, name, layout, stride, padding):
     k, kc_in, c_out = weights.data.shape[-3:]
     if kc_in != c_in:
         raise ShapeError(f"kernel expects {kc_in} input channels, input has {c_in}")
+    if bias is not None and bias.data.shape != (c_out,):
+        raise ShapeError(f"bias must be ({c_out},), got {bias.data.shape}")
     left, t_padded, t_out = _conv_geometry(t_in, k, stride, padding)
     workers = _workers(batch * t_out * k * c_in * c_out)
+    cols = partial(_im2col, left=left, t_padded=t_padded, t_out=t_out, k=k, stride=stride)
+
+    def convolve(x_c, value_c, kernels, p):
+        np.matmul(cols(x_c[p]), kernels if kernels.ndim == 2 else kernels[p], out=value_c[p])
 
     def fold(g_c, dx_c, kernels, p):
         w_t = np.swapaxes(kernels if kernels.ndim == 2 else kernels[p], -1, -2)
         _fold_windows(np.matmul(g_c[p], w_t).reshape(-1, t_out, k, c_in), dx_c[p], left, stride)
 
+    def forward_pass(x_c, value_c, kernels):
+        _split(workers, partial(convolve, x_c, value_c, kernels), len(x_c))
+        if bias is not None:  # after the split: the parts run only their matmuls
+            value_c += bias.data
+
     def input_pass(g_c, dx_c, kernels):
         _split(workers, partial(fold, g_c, dx_c, kernels), len(g_c))
 
-    return t_out, workers, partial(_im2col, left=left, t_padded=t_padded, t_out=t_out,
-                                   k=k, stride=stride), input_pass
+    return np.empty((batch, t_out, c_out)), workers, cols, forward_pass, input_pass
 
 
 def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
     """Cross-correlate `x` (batch, T, C_in) with the shared (K, C_in, C_out)
-    `kernel` along its temporal axis: a matmul of each example's im2col
-    view against the kernel as a (K*C_in, C_out) matrix, the call
+    `kernel` along time, plus an optional (C_out,) `bias`: `_conv_front`'s
+    forward pass against the kernel as a (K*C_in, C_out) matrix, the pass
     `condconv_temporal` makes with a chunk's mixed kernels. Backward walks
     the batch in the same chunks, so no whole-batch window array or window
-    gradient exists; per chunk, the kernel gradient is done before the
-    input pass starts, so the chunk's window copy and window gradient never
-    exist at once. Each pass is one `_split` over `_workers`: the forward
-    and the input pass by examples, the kernel gradient by its row blocks.
-    An optional (C_out,) `bias` is added in place to the output.
+    gradient exists; per chunk, the kernel gradient is done before the input
+    pass starts, so the chunk's window copy and window gradient never exist
+    at once. Each pass is one `_split` over `_workers`: the forward and the
+    input pass by examples, the kernel gradient by its row blocks.
     """
-    t_out, workers, cols, input_pass = _conv_front(
-        x, kernel, "kernel", ("K", "C_in", "C_out"), stride, padding)
+    value, workers, cols, forward_pass, input_pass = _conv_front(
+        x, kernel, "kernel", ("K", "C_in", "C_out"), stride, padding, bias)
     batch = x.data.shape[0]
     k, c_in, c_out = kernel.data.shape
     w = kernel.data.reshape(k * c_in, c_out)
     blocks = _column_blocks(k * c_in, min(_GRAD_ROWS, 4 * -(-k * c_in // 8)))
-
-    def convolve(p):
-        np.matmul(cols(x.data[p]), w, out=value[p])
-
-    value = np.empty((batch, t_out, c_out))
-    _split(workers, convolve, batch)
-    if bias is not None:
-        value += bias.data
+    forward_pass(x.data, value, w)
 
     def weight_pass(cols_c, g_rows, dw, part):
         lo, hi = blocks[part][0][0], blocks[part][-1][1]
@@ -764,19 +770,18 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     chunk of per-example kernels and reuse it for every chunk.
 
     Forward mixes a chunk's kernels into the workspace block by block, then
-    convolves each part's examples with them as a batched matmul against an
-    im2col view of the input. Backward writes the chunk's kernel gradient
-    `dk` into the workspace, per part, then walks the blocks once. Each
-    block adds alphaᵀ·dk to the experts' gradient, writes dk·expertsᵀ into
-    its own slot of a (blocks, chunk, n) array, and remixes the chunk's
-    kernels into itself for the input gradient, rather than keeping them
-    from the forward pass. d_alpha is the slots' sum, in block order, so no
+    runs `_conv_front`'s forward pass with them, which adds an optional
+    (C_out,) `bias`. Backward writes the chunk's kernel gradient `dk` into
+    the workspace, per part, then walks the blocks once. Each block adds
+    alphaᵀ·dk to the experts' gradient, writes dk·expertsᵀ into its own
+    slot of a (blocks, chunk, n) array, and remixes the chunk's kernels
+    into itself for the input gradient, rather than keeping them from the
+    forward pass. d_alpha is the slots' sum, in block order, so no
     expert-sized temporary exists and the sum's order is fixed. Last comes
-    `conv_temporal`'s input pass (`_conv_front`'s), with the remixed
-    kernels. An optional (C_out,) `bias` is added in place to the output.
+    `_conv_front`'s input pass with the remixed kernels.
     """
-    t_out, workers, cols, input_pass = _conv_front(
-        x, experts, "experts", ("n", "K", "C_in", "C_out"), stride, padding)
+    value, workers, cols, forward_pass, input_pass = _conv_front(
+        x, experts, "experts", ("n", "K", "C_in", "C_out"), stride, padding, bias)
     batch = x.data.shape[0]
     n, k, c_in, c_out = experts.data.shape
     if alpha.data.shape != (batch, n):
@@ -794,18 +799,12 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
         for lo, hi in blocks[part]:
             np.matmul(alpha_c, flat[:, lo:hi], out=kernels[:, lo:hi])
 
-    def forward_part(kernels, c, p):
-        np.matmul(cols(x.data[c][p]), kernels[p], out=value[c][p])
-
-    value = np.empty((batch, t_out, c_out))
     kernels = np.empty((rows, k * c_in, c_out))  # the call's one workspace
     for c in chunks:
         m = c.stop - c.start
         _split(workers, partial(mix, alpha.data[c], kernels[:m].reshape(m, -1)), len(blocks))
-        _split(workers, partial(forward_part, kernels, c), m)
-    del kernels  # freed before the bias add and the finite check
-    if bias is not None:
-        value += bias.data
+        forward_pass(x.data[c], value[c], kernels)
+    del kernels  # freed before the finite check
 
     def backward(g):
         if bias is not None:

@@ -274,19 +274,8 @@ def cmd_analyze(args):
     if args.which == "flops":
         report = analysis.count_flops(model)
         lines = [report.to_text()]
-        meta = model.meta
-        if meta["spec"]["n_experts"] != 1:
-            from . import archspec
-
-            baseline_spec = archspec.spec_from_dict(dict(meta["spec"], n_experts=1))
-            baseline = archspec.build_model(
-                baseline_spec, tuple(meta["input_shape"]), meta["n_classes"],
-                seed=meta["seed"], draw_init=False,  # count_flops reads only shapes
-            )
-            base_total = analysis.count_flops(baseline).total_flops
-            lines.append(
-                f"flops ratio vs 1 expert: {report.total_flops / base_total:.4f}"
-            )
+        if model.meta["spec"]["n_experts"] != 1:
+            lines.append(f"flops ratio vs 1 expert: {analysis.flops_ratio_vs_one_expert(model):.4f}")
         report.to_csv(os.path.join(args.out, "flops.csv"))
         write_text(os.path.join(args.out, "flops.txt"), lines)
         print("\n".join(lines))

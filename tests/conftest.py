@@ -1,11 +1,19 @@
-"""Shared pytest wiring: BLAS pinned to one thread, and per-criterion
-summary lines for the acceptance suite."""
+"""Shared pytest wiring: BLAS pinned to one thread, this checkout's `src/`
+first on every subprocess's import path, and per-criterion summary lines
+for the acceptance suite."""
+
+import os
 
 from condcnn import cli
 
 # as `condcnn.cli.main` does, before any test module imports numpy, which
 # reads the thread variables when it loads; a variable already set stays
 cli._pin_threads()
+
+# pyproject's pytest `pythonpath` reaches this process only: a test's
+# `python -m condcnn.cli` imports this checkout too, not an installed copy
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 _acceptance_results = {}
 

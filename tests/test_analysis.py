@@ -95,6 +95,13 @@ class TestRecipeCosts:
         report = analysis.count_flops(model)
         assert (report.total_flops, report.total_params) == (flops, params)
         assert analysis.count_params(model) == params
+        one_expert = archspec.build_model(
+            archspec.spec_from_dict(dict(config["model"], n_experts=1)), shape,
+            config["dataset"]["classes"], draw_init=False)
+        ratio = analysis.flops_ratio_vs_one_expert(model)
+        assert ratio == flops / analysis.count_flops(one_expert).total_flops
+        if name == "wisdm":  # the README "Cost model" ratio for 8 experts
+            assert round(ratio, 3) == 1.068
 
 
 class TestCountParams:

@@ -640,9 +640,7 @@ class TestHeapPolicy:
         libc = ctypes.CDLL(None)
         if not (hasattr(libc, "mallopt") and hasattr(libc, "mallinfo2")):
             pytest.skip("needs glibc's mallopt and mallinfo2")
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        done = subprocess.run([sys.executable, "-c", _HEAP_PROBE], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        done = subprocess.run([sys.executable, "-c", _HEAP_PROBE], capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         grown, refaults = json.loads(done.stdout)
         # glibc's default maps the array (hblkhd grows by its size) and

@@ -91,7 +91,6 @@ MALFORMED_SPLIT = {
     "integer subject": {"kind": "sessions", "train": [[1, "w0"]],
                         "test": [["synth", "w1"]]},
 }
-SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _set_config_value(config_path, section, key, value):
@@ -227,7 +226,7 @@ class TestSegment:
         done = subprocess.run(
             [sys.executable, "-m", "condcnn.cli", "segment", "--config", str(config_path),
              "--out", str(tmp_path / "s")],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+            capture_output=True, text=True,
         )
         assert done.returncode == 1
         assert "step" in done.stderr and "Traceback" not in done.stderr
@@ -330,7 +329,6 @@ class TestTrain:
             [sys.executable, "-m", "condcnn.cli", "train", "--config", str(config_path),
              "--out", str(run), "--epochs", "100000"],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            env=dict(os.environ, PYTHONPATH=SRC_DIR),
         )
         try:
             deadline = time.monotonic() + 60
@@ -498,7 +496,7 @@ class TestTrain:
              "    print('held', flush=True)\n"
              "    time.sleep(600)\n",
              str(run)],
-            stdout=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+            stdout=subprocess.PIPE, text=True,
         )
         try:
             assert holder.stdout.readline() == "held\n"
@@ -822,7 +820,7 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     # `main` pins the numeric thread count, which numpy reads when it loads
     done = subprocess.run(
         [sys.executable, "-c", "import sys, condcnn.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
@@ -850,7 +848,7 @@ def test_data_preparation_leaves_the_engine_unloaded():
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys, condcnn.cli, condcnn.data; print('condcnn.autodiff' in sys.modules)"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"

@@ -378,23 +378,27 @@ class TestCondConvTemporal:
             weights, wrong_rank = experts, Tensor(experts.data[0])
             rank_message = "experts must be (n, K, C_in, C_out), got (3, 2, 3)"
 
-            def call(x, weights, alpha=alpha):
-                return ad.condconv_temporal(x, alpha, weights)
+            def call(x, weights, bias=None, alpha=alpha):
+                return ad.condconv_temporal(x, alpha, weights, bias=bias)
         else:
             weights, wrong_rank = Tensor(experts.data[0]), experts
             rank_message = "kernel must be (K, C_in, C_out), got (3, 3, 2, 3)"
 
-            def call(x, weights):
-                return ad.conv_temporal(x, weights)
+            def call(x, weights, bias=None):
+                return ad.conv_temporal(x, weights, bias=bias)
         cases = [
-            (Tensor(x.data[:, :, 0]), weights,
+            (Tensor(x.data[:, :, 0]), weights, None,
              "conv input must be (batch, T, C_in), got (5, 11)"),
-            (x, wrong_rank, rank_message),
-            (Tensor(x.data[:, :, :1]), weights, "kernel expects 2 input channels, input has 1"),
+            (x, wrong_rank, None, rank_message),
+            (Tensor(x.data[:, :, :1]), weights, None,
+             "kernel expects 2 input channels, input has 1"),
         ]
-        for bad_x, bad_weights, message in cases:
+        # a bias numpy would broadcast over the output, or fail to
+        for shape in [(), (1,), (5, 11, 3), (4,), (3, 1)]:
+            cases.append((x, weights, Tensor(np.zeros(shape)), f"bias must be (3,), got {shape}"))
+        for bad_x, bad_weights, bias, message in cases:
             with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-                call(bad_x, bad_weights)
+                call(bad_x, bad_weights, bias)
         if op == "condconv":
             message = "alpha shape (5, 2) does not match batch 5 and 3 experts"
             with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
