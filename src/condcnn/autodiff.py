@@ -10,8 +10,10 @@ are freed during the sweep and only leaves keep their gradients.
 
 Convolution uses the cross-correlation convention (no kernel flip).
 The two conv ops share one front end (`_conv_front`: input and bias checks,
-geometry, output, im2col view, thread count, and the forward pass, which
-adds the bias, and input pass) and split each batch chunk over the CPUs
+geometry, output, im2col view, thread count, batch chunks, the forward
+pass, which adds the bias, and the backward walk: bias gradient, the op's
+kernel step per chunk, input pass, input gradient; each op keeps only its
+kernel work) and split each batch chunk over the CPUs
 this process may run on (`_workers`), one `_split` call per parallel pass,
 whose helper threads are joined within it. Every split follows one rule,
 each BLAS call is the same call on any core count, so neither op's bits
@@ -91,7 +93,7 @@ class Tensor:
         return self.data.size
 
     def item(self):
-        return float(self.data)
+        return self.data.item()
 
     def zero_grad(self):
         if self.grad is not None:
@@ -554,7 +556,7 @@ def _fold_windows(dwin, dx, left, stride):
 
 
 # Byte budget for the mixed kernels that `condconv_temporal` holds at once;
-# `conv_temporal`'s backward walks the batch in the same chunks. The chunk
+# `_conv_front` cuts both conv ops' batches into chunks of it. The chunk
 # size follows from it and the layer's shape alone, never from the machine,
 # so results are the same everywhere.
 CONDCONV_CHUNK_BYTES = 64 * 2**20
@@ -583,12 +585,6 @@ def condconv_chunk(kernel_shape):
     """Examples per chunk for a mixed kernel of `kernel_shape`."""
     kernel_bytes = 8 * int(np.prod(kernel_shape))
     return max(1, CONDCONV_CHUNK_BYTES // kernel_bytes)
-
-
-def _chunks(batch, kernel_shape):
-    """The batch as consecutive slices of `condconv_chunk` examples."""
-    step = condconv_chunk(kernel_shape)
-    return [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
 
 
 # Columns per block of every walk `condconv_temporal` makes over kernel
@@ -668,17 +664,22 @@ def _parts(m, count):
 
 
 def _conv_front(x, weights, name, layout, stride, padding, bias):
-    """The checks, set-up and passes both conv ops share. `x` must be
-    (batch, T, C_in), `weights` have the axes `layout` names, ending in
-    (K, C_in, C_out), and a `bias` be (C_out,); a ShapeError names the
-    weights as `name`. Returns (value, workers, cols, forward_pass,
-    input_pass): the op's (batch, T_out, C_out) output, unwritten; its
-    thread count, from its multiply-adds; cols(x_part), the im2col view of
-    some of x's examples; and two `_split`s by examples, K_b the shared
-    (K*C_in, C_out) `kernels` or, if 3-d, its b-th matrix: forward_pass(x_c,
-    value_c, kernels) writes cols_b·K_b into each example's rows of
-    `value_c`, then adds the bias to it all on the calling thread;
-    input_pass(g_c, dx_c, kernels) folds g_b·K_bᵀ onto its rows of `dx_c`."""
+    """The checks, set-up, forward pass and backward walk both conv ops
+    share. `x` must be (batch, T, C_in), `weights` have the axes `layout`
+    names, ending in (K, C_in, C_out), and a `bias` be (C_out,); a
+    ShapeError names the weights as `name`. Returns (value, workers, cols,
+    chunks, forward_pass, backward_walk): the op's (batch, T_out, C_out)
+    output, unwritten; its thread count, from its multiply-adds;
+    cols(x_part), the im2col view of some of x's examples; the batch as
+    consecutive slices of `condconv_chunk` examples; and the two passes, K_b
+    the shared (K*C_in, C_out) `kernels` or, if 3-d, its b-th matrix.
+    forward_pass(x_c, value_c, kernels), one `_split` by examples, writes
+    cols_b·K_b into each example's rows of `value_c`, then adds the bias to
+    it all on the calling thread. backward_walk(g, kernel_step) adds the
+    bias gradient, then per chunk `c` calls kernel_step(c), the op's
+    kernel-gradient work, and folds g_b·K_bᵀ, with the kernels it returns,
+    onto x's gradient, one `_split` by examples; last it adds that
+    gradient into x."""
     if x.data.ndim != 3:
         raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
     if weights.data.ndim != len(layout):
@@ -692,6 +693,8 @@ def _conv_front(x, weights, name, layout, stride, padding, bias):
     left, t_padded, t_out = _conv_geometry(t_in, k, stride, padding)
     workers = _workers(batch * t_out * k * c_in * c_out)
     cols = partial(_im2col, left=left, t_padded=t_padded, t_out=t_out, k=k, stride=stride)
+    step = condconv_chunk((k, c_in, c_out))
+    chunks = [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
 
     def convolve(x_c, value_c, kernels, p):
         np.matmul(cols(x_c[p]), kernels if kernels.ndim == 2 else kernels[p], out=value_c[p])
@@ -705,26 +708,30 @@ def _conv_front(x, weights, name, layout, stride, padding, bias):
         if bias is not None:  # after the split: the parts run only their matmuls
             value_c += bias.data
 
-    def input_pass(g_c, dx_c, kernels):
-        _split(workers, partial(fold, g_c, dx_c, kernels), len(g_c))
+    def backward_walk(g, kernel_step):
+        if bias is not None:
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        dx = np.zeros_like(x.data) if x.requires_grad else None
+        for c in chunks:
+            kernels = kernel_step(c)
+            if dx is not None:
+                _split(workers, partial(fold, g[c], dx[c], kernels), c.stop - c.start)
+        if dx is not None:
+            _accumulate(x, dx)
 
-    return np.empty((batch, t_out, c_out)), workers, cols, forward_pass, input_pass
+    return np.empty((batch, t_out, c_out)), workers, cols, chunks, forward_pass, backward_walk
 
 
 def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
     """Cross-correlate `x` (batch, T, C_in) with the shared (K, C_in, C_out)
     `kernel` along time, plus an optional (C_out,) `bias`: `_conv_front`'s
-    forward pass against the kernel as a (K*C_in, C_out) matrix, the pass
-    `condconv_temporal` makes with a chunk's mixed kernels. Backward walks
-    the batch in the same chunks, so no whole-batch window array or window
-    gradient exists; per chunk, the kernel gradient is done before the input
-    pass starts, so the chunk's window copy and window gradient never exist
-    at once. Each pass is one `_split` over `_workers`: the forward and the
-    input pass by examples, the kernel gradient by its row blocks.
+    forward pass over the whole batch and its backward walk, both against
+    the kernel as a (K*C_in, C_out) matrix `w`. The kernel step adds the
+    chunk's colsᵀ·g to the kernel gradient, one `_split` by its row blocks,
+    and frees the chunk's window copy before the walk's input pass.
     """
-    value, workers, cols, forward_pass, input_pass = _conv_front(
+    value, workers, cols, _, forward_pass, backward_walk = _conv_front(
         x, kernel, "kernel", ("K", "C_in", "C_out"), stride, padding, bias)
-    batch = x.data.shape[0]
     k, c_in, c_out = kernel.data.shape
     w = kernel.data.reshape(k * c_in, c_out)
     blocks = _column_blocks(k * c_in, min(_GRAD_ROWS, 4 * -(-k * c_in // 8)))
@@ -738,22 +745,17 @@ def conv_temporal(x, kernel, stride=1, padding="same", bias=None):
         dw[lo:hi] += grad
 
     def backward(g):
-        if bias is not None:
-            _accumulate(bias, _unbroadcast(g, bias.data.shape))
         dw = np.zeros_like(w) if kernel.requires_grad else None
-        dx = np.zeros_like(x.data) if x.requires_grad else None
-        for c in _chunks(batch, kernel.data.shape):
+
+        def kernel_step(c):
             if dw is not None:
-                cols_c = cols(x.data[c]).reshape(-1, k * c_in)
-                _split(workers, partial(weight_pass, cols_c, g[c].reshape(-1, c_out), dw),
-                       len(blocks))
-                del cols_c  # frees the chunk's window copy before the input pass
-            if dx is not None:
-                input_pass(g[c], dx[c], w)
+                _split(workers, partial(weight_pass, cols(x.data[c]).reshape(-1, k * c_in),
+                                        g[c].reshape(-1, c_out), dw), len(blocks))
+            return w
+
+        backward_walk(g, kernel_step)
         if dw is not None:
             _accumulate(kernel, dw.reshape(kernel.data.shape))
-        if dx is not None:
-            _accumulate(x, dx)
 
     return _result(value, _inputs(x, kernel, bias), backward, "conv_temporal")
 
@@ -763,24 +765,22 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
 
     Example b is cross-correlated with its own kernel, the mix
     sum_i alpha[b, i] * experts[i] of the (n, K, C_in, C_out) experts under
-    the (batch, n) routing weights `alpha`. The batch is walked in chunks of
-    `condconv_chunk` examples. Each pass over a chunk is one `_split` call,
-    its threads joined before the next pass, by examples or by the kernels'
-    `_GRAD_COLUMNS`-column blocks. Forward and backward each allocate one
-    chunk of per-example kernels and reuse it for every chunk.
+    the (batch, n) routing weights `alpha`, plus an optional (C_out,)
+    `bias`. Forward and backward each allocate one chunk of per-example
+    kernels, a workspace reused for every chunk. Forward mixes a chunk's
+    kernels into it block by block of `_GRAD_COLUMNS` columns, one `_split`
+    over the blocks, then runs `_conv_front`'s forward pass with them.
 
-    Forward mixes a chunk's kernels into the workspace block by block, then
-    runs `_conv_front`'s forward pass with them, which adds an optional
-    (C_out,) `bias`. Backward writes the chunk's kernel gradient `dk` into
-    the workspace, per part, then walks the blocks once. Each block adds
-    alphaᵀ·dk to the experts' gradient, writes dk·expertsᵀ into its own
-    slot of a (blocks, chunk, n) array, and remixes the chunk's kernels
-    into itself for the input gradient, rather than keeping them from the
-    forward pass. d_alpha is the slots' sum, in block order, so no
-    expert-sized temporary exists and the sum's order is fixed. Last comes
-    `_conv_front`'s input pass with the remixed kernels.
+    Backward is `_conv_front`'s walk. Its kernel step writes the chunk's
+    kernel gradient `dk` into the workspace, one `_split` by examples, then
+    walks the blocks once, one `_split` over them. Each block adds alphaᵀ·dk
+    to the experts' gradient, writes dk·expertsᵀ into its own slot of a
+    (blocks, chunk, n) array, and remixes the chunk's kernels into itself
+    for the walk's input pass, rather than keeping them from the forward
+    pass. d_alpha is the slots' sum, in block order, so no expert-sized
+    temporary exists and the sum's order is fixed.
     """
-    value, workers, cols, forward_pass, input_pass = _conv_front(
+    value, workers, cols, chunks, forward_pass, backward_walk = _conv_front(
         x, experts, "experts", ("n", "K", "C_in", "C_out"), stride, padding, bias)
     batch = x.data.shape[0]
     n, k, c_in, c_out = experts.data.shape
@@ -790,7 +790,6 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
             f"and {n} experts"
         )
     flat = experts.data.reshape(n, k * c_in * c_out)
-    chunks = _chunks(batch, (k, c_in, c_out))
     rows = chunks[0].stop if chunks else 0  # examples in the largest chunk
     blocks = _column_blocks(flat.shape[1], _GRAD_COLUMNS)
 
@@ -807,10 +806,7 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
     del kernels  # freed before the finite check
 
     def backward(g):
-        if bias is not None:
-            _accumulate(bias, _unbroadcast(g, bias.data.shape))
         d_alpha = np.empty_like(alpha.data) if alpha.requires_grad else None
-        dx = np.zeros_like(x.data) if x.requires_grad else None
         if experts.requires_grad:
             # contiguous, so that writes through the flat view land in it
             experts.grad = (np.zeros(experts.data.shape) if experts.grad is None
@@ -818,8 +814,9 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
             d_experts = experts.grad.reshape(n, -1)
         # block i's share of a chunk's d_alpha, summed in block order
         slots = np.empty((len(blocks), rows, n)) if alpha.requires_grad else None
+        kernels = np.empty((rows, k * c_in, c_out))
 
-        def kernel_grad(kernels, c, p):
+        def kernel_grad(c, p):
             np.matmul(cols(x.data[c][p]).transpose(0, 2, 1), g[c][p], out=kernels[p])
 
         def column_walk(alpha_c, dk, part):
@@ -831,25 +828,22 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
                     d_experts[:, lo:hi] += alpha_c.T @ dk[:, lo:hi]
                 if slots is not None:
                     np.matmul(dk[:, lo:hi], flat[:, lo:hi].T, out=slots[i, :len(dk)])
-                if dx is not None:
+                if x.requires_grad:
                     np.matmul(alpha_c, flat[:, lo:hi], out=dk[:, lo:hi])
 
-        kernels = np.empty((rows, k * c_in, c_out))
-        for c in chunks:
+        def kernel_step(c):
             m = c.stop - c.start
             if experts.requires_grad or alpha.requires_grad:
-                _split(workers, partial(kernel_grad, kernels, c), m)
+                _split(workers, partial(kernel_grad, c), m)
             _split(workers, partial(column_walk, alpha.data[c], kernels[:m].reshape(m, -1)),
                    len(blocks))
             if slots is not None:
                 np.add.reduce(slots[:, :m], axis=0, out=d_alpha[c])
-            if dx is not None:
-                input_pass(g[c], dx[c], kernels)
-        del kernels  # freed before the gradients are added in
+            return kernels
+
+        backward_walk(g, kernel_step)
         if d_alpha is not None:
             _accumulate(alpha, d_alpha)
-        if dx is not None:
-            _accumulate(x, dx)
 
     return _result(value, _inputs(x, alpha, experts, bias), backward,
                    "condconv_temporal")
@@ -1010,9 +1004,9 @@ def grad_check(f, x, eps=1e-5):
     for i in range(flat.size):
         saved = flat[i]
         flat[i] = saved + eps
-        up = float(f(x).data)
+        up = f(x).item()
         flat[i] = saved - eps
-        down = float(f(x).data)
+        down = f(x).item()
         flat[i] = saved
         numeric[i] = (up - down) / (2.0 * eps)
     numeric = numeric.reshape(x.data.shape)

@@ -500,7 +500,7 @@ def split(ds, profile, seed=0):
     kind = profile.split["kind"] if profile.split else "random"
     if kind == "random":
         train_idx, test_idx = _stratified_indices(ds.y, profile.train_fraction, seed)
-    elif kind == "sessions":
+    else:  # "sessions", the one other kind DatasetProfile accepts
         train_pairs = {tuple(p) for p in profile.split["train"]}
         test_pairs = {tuple(p) for p in profile.split["test"]}
         tags = [(str(s), str(e)) for s, e in zip(ds.subject, ds.session)]
@@ -509,8 +509,6 @@ def split(ds, profile, seed=0):
         unused = len(ds) - len(train_idx) - len(test_idx)
         if unused:
             log.warning("%d windows belong to neither split and were dropped", unused)
-    else:
-        raise ConfigError(f"unknown split kind {kind!r}")
 
     train = ds.subset(train_idx)
     test = ds.subset(test_idx)

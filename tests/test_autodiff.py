@@ -194,6 +194,28 @@ class TestConvTemporal:
         for got, want in zip(again, split):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("constant", [("x",), ("kernel",), ("x", "kernel")])
+    def test_skipped_gradients_leave_the_others_bitwise(self, monkeypatch, constant):
+        """The backward walk's skip paths for the shared kernel, across chunks
+        of 2 and 1 examples: an operand that needs no gradient gets none,
+        and every other gradient is bitwise the full backward's."""
+        _chunk_budget(monkeypatch, 2, (4, 2, 5))
+
+        def run(skip):
+            arrays = {"x": rand(3, 11, 2, seed=78), "kernel": rand(4, 2, 5, seed=79),
+                      "bias": rand(5, seed=80)}
+            args = {name: Tensor(a, requires_grad=name not in skip) for name, a in arrays.items()}
+            y = ad.conv_temporal(args["x"], args["kernel"], 2, "same", args["bias"])
+            (y * Tensor(rand(*y.shape, seed=81))).sum().backward()
+            return {name: t.grad for name, t in args.items()}
+
+        full = run(())
+        for name, grad in run(constant).items():
+            if name in constant:
+                assert grad is None, name
+            else:
+                np.testing.assert_array_equal(grad, full[name])
+
     def test_backward_keeps_no_whole_batch_windows(self, monkeypatch):
         """One 384->384, K=5 TemporalConv at T=8, forward and backward: going
         from 2 to 4 chunks may add what scales with the batch (the output,
@@ -349,6 +371,14 @@ class TestGradCheckHarness:
 
         x = Tensor(rand(3, 5, seed=32), requires_grad=True)
         assert ad.grad_check(f, x, eps=1e-5) < 1e-4
+
+    def test_one_element_target_that_is_not_0d(self):
+        x = Tensor(rand(3, seed=34), requires_grad=True)
+        target = ad.grad_check(lambda t: (t * t).sum(axis=0, keepdims=True), x, eps=1e-5)
+        assert target < 1e-8  # the target has shape (1,)
+
+    def test_item_reads_a_one_element_array(self):
+        assert Tensor([[2.5]]).item() == 2.5
 
     def test_eps_bounds_enforced(self):
         x = Tensor(rand(2, seed=33), requires_grad=True)
