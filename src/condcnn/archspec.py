@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import autodiff as ad
 from . import condconv as cc
 from . import layers as ly
 from .errors import ArchitectureError, ConfigError, check_count, check_keys, is_number
@@ -138,13 +139,55 @@ def render_shorthand(spec):
     return "-".join([f"C({width})" for width in spec.filters] + ["FC", "Sm"])
 
 
-class _NoDraw:
-    """Stands in for a layer's generator when every drawn weight will be
-    overwritten: `normal` returns uninitialized memory of the asked size."""
+class _Draws:
+    """Stands in for one layer's generator while `build_model` builds the
+    layers. `normal(loc, scale, size)` allocates the array on the calling
+    thread and records the request; `fill(rng)` later draws the recorded
+    requests from the layer's real generator `rng`, in the order they
+    were made, with the float operations of `Generator.normal`: the
+    standard normals `z` into the array, then `loc + scale*z` in place.
+    Until then the arrays are uninitialized."""
 
-    @staticmethod
-    def normal(loc, scale, size):
-        return np.empty(size)
+    def __init__(self):
+        self.requests = []
+
+    def normal(self, loc, scale, size):
+        out = np.empty(size)
+        self.requests.append((out, loc, scale))
+        return out
+
+    def size(self):
+        return sum(out.size for out, _, _ in self.requests)
+
+    def fill(self, rng):
+        for out, loc, scale in self.requests:
+            rng.standard_normal(out=out)
+            out *= scale
+            out += loc
+
+
+def _fill(draws, seed):
+    """Fill layer i's recorded draws from `default_rng([seed, _LAYER_STREAM,
+    i])`: the layers are dealt largest first, each to the least-loaded of
+    `_workers` bins, and one `autodiff._split` part fills one bin. A
+    layer's draws stay in order on one thread and its stream is its own,
+    so the values are those of one thread drawing them all in build order.
+    The largest layer bounds the time: splitting its stream would change
+    its values."""
+    sizes = [d.size() for d in draws]
+    bins = [[] for _ in range(ad._workers(sum(sizes), ad._THREAD_MIN_ELEMENTS))]
+    loads = [0] * len(bins)
+    for i in sorted(range(len(draws)), key=lambda i: -sizes[i]):
+        least = loads.index(min(loads))
+        bins[least].append(i)
+        loads[least] += sizes[i]
+
+    def fill_bins(part):
+        for layers in bins[part]:
+            for i in layers:
+                draws[i].fill(np.random.default_rng([seed, _LAYER_STREAM, i]))
+
+    ad._split(len(bins), fill_bins, len(bins))
 
 
 def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
@@ -160,24 +203,25 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
     ModelSpec checked its own fields; the checks here are those that need
     the input shape.
 
-    `draw_init=False` leaves every randomly initialized array uninitialized
-    (`np.empty`), for a caller that replaces them all, as loading a
-    checkpoint does; `seed` is still recorded in the model's meta.
+    The build has two passes. The layers are built in order, each randomly
+    initialized one with a `_Draws` stand-in that allocates its arrays;
+    then `_fill` draws the i-th such layer's values from its own stream
+    `default_rng([seed, _LAYER_STREAM, i])`, on every usable core, bitwise
+    as on one. `draw_init=False` is the same build without the fill: every
+    randomly initialized array stays uninitialized, for a caller that
+    replaces them all, as loading a checkpoint does, and no generator is
+    made; `seed` is still recorded in the model's meta.
     """
     t, channels = input_shape
     if t < 1 or channels < 1:
         raise ArchitectureError(f"input shape must be positive, got {input_shape}")
     mask = spec.condconv_mask or (True,) * spec.n_conv_layers()
     model_layers = []
-    layer_seed = 0
+    draws = []
 
     def stream():
-        nonlocal layer_seed
-        if not draw_init:
-            return _NoDraw
-        rng = np.random.default_rng([seed, _LAYER_STREAM, layer_seed])
-        layer_seed += 1
-        return rng
+        draws.append(_Draws())
+        return draws[-1]
 
     conv_index = 0
     for b, filters in enumerate(spec.filters):
@@ -223,6 +267,8 @@ def build_model(spec, input_shape, n_classes, seed=0, draw_init=True):
         model_layers.append(ly.Dropout(spec.dropout_rate, name="drop"))
         model_layers.append(ly.Dense(channels, n_classes, stream(), name="head"))
     model_layers.append(ly.Softmax(name="sm"))
+    if draw_init:
+        _fill(draws, seed)
 
     meta = {
         "input_shape": (int(input_shape[0]), int(input_shape[1])),

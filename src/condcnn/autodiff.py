@@ -6,7 +6,9 @@ comparisons sharp. The graph is built eagerly during the forward pass
 active. backward() visits every reachable node exactly once in reverse
 topological order and consumes the graph as it goes: once a node's
 closure has run, its links and gradient are dropped, so intermediates
-are freed during the sweep and only leaves keep their gradients.
+are freed during the sweep and only leaves keep their gradients. An
+input's first gradient adopts a fresh array its op owns (`_accumulate`'s
+`owned`) and copies only views and broadcasts of the op's own gradient.
 
 Convolution uses the cross-correlation convention (no kernel flip).
 The two conv ops share one front end (`_conv_front`: input and bias checks,
@@ -205,10 +207,19 @@ def _inputs(*tensors):
     return tuple(t for t in tensors if t is not None)
 
 
-def _accumulate(tensor, grad):
+def _accumulate(tensor, grad, owned=False):
+    """Add `grad` into `tensor`'s gradient. `owned=True` says `grad` is a
+    fresh array of the tensor's shape that nothing else holds or reads
+    later: a first gradient then adopts it, its -0.0 turned to +0.0 in
+    place, the bits of `zeros + grad`, rather than copying it into zeros.
+    Views and broadcasts of an upstream gradient are never owned."""
     if not tensor.requires_grad:
         return
     if tensor.grad is None:
+        if owned and isinstance(grad, np.ndarray):  # a numpy scalar has no in-place add
+            grad += 0.0
+            tensor.grad = grad
+            return
         tensor.grad = np.zeros_like(tensor.data)
     tensor.grad += grad
 
@@ -236,23 +247,23 @@ def add(a, b):
 def sub(a, b):
     def backward(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
+        _accumulate(b, _unbroadcast(-g, b.data.shape), owned=True)
 
     return _result(a.data - b.data, (a, b), backward, "sub")
 
 
 def mul(a, b):
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _result(a.data * b.data, (a, b), backward, "mul")
 
 
 def div(a, b):
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        _accumulate(a, _unbroadcast(g / b.data, a.data.shape), owned=True)
+        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), owned=True)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         value = a.data / b.data
@@ -264,7 +275,7 @@ def power(a, exponent):
         raise ConfigError("power exponent must be a plain number")
 
     def backward(g):
-        _accumulate(a, g * exponent * a.data ** (exponent - 1))
+        _accumulate(a, g * exponent * a.data ** (exponent - 1), owned=True)
 
     return _result(a.data ** exponent, (a,), backward, "power")
 
@@ -273,7 +284,7 @@ def tsqrt(a):
     value = np.sqrt(a.data)
 
     def backward(g):
-        _accumulate(a, g * 0.5 / value)
+        _accumulate(a, g * 0.5 / value, owned=True)
 
     return _result(value, (a,), backward, "sqrt")
 
@@ -282,14 +293,14 @@ def tsqrt(a):
 
 def relu(a):
     def backward(g):
-        _accumulate(a, g * (a.data > 0))
+        _accumulate(a, g * (a.data > 0), owned=True)
 
     return _result(np.maximum(a.data, 0.0), (a,), backward, "relu")
 
 
 def leaky_relu(a, slope=0.01):
     def backward(g):
-        _accumulate(a, g * np.where(a.data > 0, 1.0, slope))
+        _accumulate(a, g * np.where(a.data > 0, 1.0, slope), owned=True)
 
     return _result(np.where(a.data > 0, a.data, slope * a.data), (a,), backward, "leaky_relu")
 
@@ -299,7 +310,7 @@ def elu(a, alpha=1.0):
         value = np.where(a.data > 0, a.data, alpha * (np.exp(a.data) - 1.0))
 
     def backward(g):
-        _accumulate(a, g * np.where(a.data > 0, 1.0, value + alpha))
+        _accumulate(a, g * np.where(a.data > 0, 1.0, value + alpha), owned=True)
 
     return _result(value, (a,), backward, "elu")
 
@@ -308,7 +319,7 @@ def sigmoid(a):
     value = _sigmoid_stable(a.data)
 
     def backward(g):
-        _accumulate(a, g * value * (1.0 - value))
+        _accumulate(a, g * value * (1.0 - value), owned=True)
 
     return _result(value, (a,), backward, "sigmoid")
 
@@ -325,7 +336,7 @@ def tanh(a):
     value = np.tanh(a.data)
 
     def backward(g):
-        _accumulate(a, g * (1.0 - value * value))
+        _accumulate(a, g * (1.0 - value * value), owned=True)
 
     return _result(value, (a,), backward, "tanh")
 
@@ -381,8 +392,8 @@ def matmul(a, b):
         )
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T, owned=True)
+        _accumulate(b, a.data.T @ g, owned=True)
 
     return _result(a.data @ b.data, (a, b), backward, "matmul")
 
@@ -486,7 +497,7 @@ def batch_norm(x, gamma, beta, epsilon, stats=None, relu=False):
 
         split(task=input_grad)
         del x_hat, masked  # freed before x's gradient is allocated
-        _accumulate(x, gx)
+        _accumulate(x, gx, owned=True)
 
     return _result(value, (x, gamma, beta), backward, "batch_norm"), mu, var
 
@@ -717,7 +728,7 @@ def _conv_front(x, weights, name, layout, stride, padding, bias):
             if dx is not None:
                 _split(workers, partial(fold, g[c], dx[c], kernels), c.stop - c.start)
         if dx is not None:
-            _accumulate(x, dx)
+            _accumulate(x, dx, owned=True)
 
     return np.empty((batch, t_out, c_out)), workers, cols, chunks, forward_pass, backward_walk
 
@@ -843,7 +854,7 @@ def condconv_temporal(x, alpha, experts, stride=1, padding="same", bias=None):
 
         backward_walk(g, kernel_step)
         if d_alpha is not None:
-            _accumulate(alpha, d_alpha)
+            _accumulate(alpha, d_alpha, owned=True)
 
     return _result(value, _inputs(x, alpha, experts, bias), backward,
                    "condconv_temporal")
@@ -880,7 +891,7 @@ def max_pool_temporal(x, size, stride):
         dx = np.zeros_like(x.data)
         b_idx, t_idx, c_idx = np.ogrid[:batch, :t_out, :channels]
         np.add.at(dx, (b_idx, t_idx * stride + argmax, c_idx), g)
-        _accumulate(x, dx)
+        _accumulate(x, dx, owned=True)
 
     return _result(value, (x,), backward, "max_pool_temporal")
 
@@ -897,7 +908,7 @@ def softmax(x):
 
     def backward(g):
         dot = (g * value).sum(axis=1, keepdims=True)
-        _accumulate(x, value * (g - dot))
+        _accumulate(x, value * (g - dot), owned=True)
 
     return _result(value, (x,), backward, "softmax")
 
@@ -930,7 +941,7 @@ def cross_entropy(probs, labels):
     def backward(g):
         dp = np.zeros_like(probs.data)
         dp[np.arange(batch), labels] = -g / (batch * picked)
-        _accumulate(probs, dp)
+        _accumulate(probs, dp, owned=True)
 
     return _result(value, (probs,), backward, "cross_entropy")
 
@@ -951,7 +962,7 @@ def softmax_cross_entropy(logits, labels):
     def backward(g):
         d = probs.copy()
         d[np.arange(batch), labels] -= 1.0
-        _accumulate(logits, g * d / batch)
+        _accumulate(logits, g * d / batch, owned=True)
 
     return _result(value, (logits,), backward, "softmax_cross_entropy")
 
@@ -971,7 +982,7 @@ def dropout(x, rate, rng):
     def backward(g):
         dx = np.multiply(g, keep)
         dx *= scale
-        _accumulate(x, dx)
+        _accumulate(x, dx, owned=True)
 
     value = np.multiply(x.data, keep)
     value *= scale

@@ -1,12 +1,17 @@
 """Shorthand grammar, round-trips, and model building."""
 
+import hashlib
 import importlib.resources as resources
+import itertools
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from condcnn import archspec
+from condcnn import autodiff as ad
 from condcnn.errors import ArchitectureError, ConfigError
 
 BENCHMARK_STRINGS = [
@@ -227,3 +232,127 @@ class TestBuildModel:
         model = archspec.build_model(spec, (16, 2), 3, seed=0)
         kinds = [type(l) for l in model.layers]
         assert CondConv in kinds and TemporalConv in kinds
+
+
+def _bundled_spec(name, **overrides):
+    text = resources.files("condcnn.configs").joinpath(f"{name}.json").read_text()
+    return archspec.spec_from_dict({**json.loads(text)["model"], **overrides})
+
+
+# (recipe, model overrides) -> (T, C, classes) of the recipe's data
+INIT_CASES = {
+    "wisdm": ({}, (200, 3, 6)),
+    "pamap2": ({}, (512, 27, 12)),
+    "unimib": ({}, (151, 3, 17)),
+    "opportunity": ({}, (64, 113, 18)),
+    "wisdm-pinned-one-expert": ({"n_experts": 1, "pin_routing": True}, (200, 3, 6)),
+    "wisdm-mixed-mask": ({"condconv_mask": [True, False, False, True, True, False, True]},
+                         (200, 3, 6)),
+}
+
+
+def _init_case(case):
+    overrides, (t, channels, classes) = INIT_CASES[case]
+    return _bundled_spec(case.split("-")[0], **overrides), (t, channels), classes
+
+
+def _digest(model):
+    """Hash of every parameter's shape and bytes, in layer order."""
+    digest = hashlib.sha256()
+    for layer in model.layers:
+        for name, param in sorted(layer.params().items()):
+            digest.update(f"{layer.name}.{name}{param.data.shape}".encode())
+            digest.update(param.data.tobytes())
+    return digest.hexdigest()
+
+
+def _serial_digest(monkeypatch, spec, input_shape, classes, seed):
+    """`_digest` of the model whose i-th randomly initialized layer draws
+    each array on the spot with `Generator.normal` from its own stream
+    `default_rng([seed, _LAYER_STREAM, i])`, one layer after another on
+    the calling thread, leaving the fill nothing to draw."""
+    layer = itertools.count()
+
+    class SerialDraws(archspec._Draws):
+        def __init__(self):
+            super().__init__()
+            self.rng = np.random.default_rng([seed, archspec._LAYER_STREAM, next(layer)])
+
+        def normal(self, loc, scale, size):
+            return self.rng.normal(loc, scale, size)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(archspec, "_Draws", SerialDraws)
+        return _digest(archspec.build_model(spec, input_shape, classes, seed=seed))
+
+
+def _set_workers(monkeypatch, workers):
+    monkeypatch.setattr(ad, "_workers", lambda work, least=None: workers)
+
+
+class TestInitFill:
+    @pytest.mark.parametrize("case", list(INIT_CASES))
+    def test_bitwise_serial_draws_at_any_worker_count(self, monkeypatch, case):
+        spec, input_shape, classes = _init_case(case)
+        serial = _serial_digest(monkeypatch, spec, input_shape, classes, seed=3)
+        for workers in (1, 2, 3):
+            _set_workers(monkeypatch, workers)
+            model = archspec.build_model(spec, input_shape, classes, seed=3)
+            assert _digest(model) == serial, workers
+
+    def test_layers_go_largest_first_to_the_least_loaded_bin(self, monkeypatch):
+        spec, input_shape, classes = _init_case("wisdm")
+        _set_workers(monkeypatch, 2)
+        filled = {}
+        fill = archspec._Draws.fill
+
+        def record(draws, rng):
+            filled.setdefault(threading.get_ident(), []).append(draws.size())
+            fill(draws, rng)
+
+        monkeypatch.setattr(archspec._Draws, "fill", record)
+        archspec.build_model(spec, input_shape, classes)
+        calling, helper = filled.pop(threading.get_ident()), *filled.values()
+        # the 5.9 M-value b2.conv1 alone bounds the fill; the rest go to the helper
+        assert calling == [8 * 5 * 384 * 384 + 384 * 8]
+        assert helper == sorted(helper, reverse=True) and len(helper) == 6
+
+    def test_no_generator_without_the_fill(self, monkeypatch):
+        spec, input_shape, classes = _init_case("wisdm")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was constructed")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        model = archspec.build_model(spec, input_shape, classes, seed=3, draw_init=False)
+        assert model.meta["seed"] == 3
+
+    def test_no_thread_outlives_a_build(self, monkeypatch):
+        spec, input_shape, classes = _init_case("wisdm")
+        _set_workers(monkeypatch, 3)
+        before = threading.active_count()
+        archspec.build_model(spec, input_shape, classes)
+        assert threading.active_count() == before
+
+    def test_fill_error_reaches_the_caller_after_every_helper_joined(self, monkeypatch):
+        spec, input_shape, classes = _init_case("wisdm")
+        _set_workers(monkeypatch, 3)
+        started, finished = [], []
+        failing = threading.Lock()  # the first helper thread to take it fails
+        fill = archspec._Draws.fill
+
+        def fill_or_fail(draws, rng):
+            started.append(draws)
+            if (threading.current_thread() is not threading.main_thread()
+                    and failing.acquire(blocking=False)):
+                raise RuntimeError("fill failed")
+            time.sleep(0.05)
+            fill(draws, rng)
+            finished.append(draws)
+
+        monkeypatch.setattr(archspec._Draws, "fill", fill_or_fail)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="fill failed"):
+            archspec.build_model(spec, input_shape, classes)
+        assert threading.active_count() == before
+        assert len(finished) == len(started) - 1

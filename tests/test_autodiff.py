@@ -355,6 +355,60 @@ class TestBackward:
         assert ad.grad_check(f, x, eps=1e-5) < 1e-4
 
 
+def _received_gradients(*nodes):
+    """The gradient array each node's backward closure is handed, in the
+    order of `nodes`, filled in as backward() reaches them."""
+    seen = [None] * len(nodes)
+    for i, node in enumerate(nodes):
+        def spy(g, i=i, inner=node._backward):
+            seen[i] = g
+            inner(g)
+        node._backward = spy
+    return seen
+
+
+class TestGradientAccumulation:
+    @pytest.mark.parametrize("op", [ad.add, ad.sub])
+    def test_same_shape_add_and_sub_give_their_inputs_distinct_arrays(self, op):
+        x = Tensor(rand(3, 4, seed=29), requires_grad=True)
+        a, b = x * 2.0, x * 3.0
+        out = op(a, b)
+        loss = (out * Tensor(rand(3, 4, seed=30))).sum()
+        seen = _received_gradients(out, a, b)
+        loss.backward()
+        g_out, g_a, g_b = seen
+        assert all(isinstance(g, np.ndarray) for g in seen)
+        for one, other in [(g_out, g_a), (g_out, g_b), (g_a, g_b)]:
+            assert not np.shares_memory(one, other)
+
+    def test_reshape_input_gradient_is_no_view_of_the_upstream_one(self):
+        x = Tensor(rand(3, 4, seed=31), requires_grad=True)
+        a = x * 2.0
+        r = ad.reshape(a, (4, 3))
+        loss = (r * Tensor(rand(4, 3, seed=32))).sum()
+        seen = _received_gradients(r, a)
+        loss.backward()
+        g_r, g_a = seen
+        assert g_a.shape == (3, 4) and not np.shares_memory(g_r, g_a)
+
+    def test_incoming_negative_zero_lands_as_positive_zero(self):
+        x = Tensor(rand(3, seed=33), requires_grad=True)
+        a = x * 2.0
+        loss = (a * Tensor([-0.0, 1.0, -0.0])).sum()
+        seen = _received_gradients(a)
+        loss.backward()
+        np.testing.assert_array_equal(np.signbit(seen[0]), [False, False, False])
+
+    def test_first_owned_gradient_is_adopted_and_later_ones_added(self):
+        node = Tensor(np.zeros(2))
+        node.requires_grad = True
+        first = np.array([-0.0, 1.5])
+        ad._accumulate(node, first, owned=True)
+        assert node.grad is first and not np.signbit(first[0])
+        ad._accumulate(node, np.array([1.0, 1.0]), owned=True)
+        np.testing.assert_array_equal(node.grad, [1.0, 2.5])
+
+
 class TestGradCheckHarness:
     def test_sum_is_machine_precision(self):
         x = Tensor(rand(7, seed=29), requires_grad=True)

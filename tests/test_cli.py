@@ -256,6 +256,36 @@ class TestTrain:
         assert history[0] == "epoch,lr,train_loss,test_acc"
         assert len(history) == 3  # header + 2 epochs
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
+                        else True, reason="needs 2 usable CPUs and affinity masks")
+    def test_run_on_one_core_writes_the_bytes_of_a_run_on_all(self, workspace):
+        # WISDM-shaped (T 200, 3 channels) and wide enough that the init fill,
+        # the 64 -> 128 conv (82 M multiply-adds a batch), batch norm and
+        # Adam (the 164 k-element experts) each split over the cores
+        tmp_path, config_path = workspace
+        ds = make_motif_dataset(n_per_class=10, t=200, seed=0)
+        dp.write_canonical(tmp_path / "wide.csv", stream_from_dataset(ds))
+        config = json.loads(config_path.read_text())
+        config["dataset"].update(canonical_csv="wide.csv", window_len=200, step=200)
+        config["model"].update(shorthand="C(64)-C(128)-FC-Sm", n_experts=4)
+        config["train"]["epochs"] = 1
+        config_path.write_text(json.dumps(config))
+        cpu = min(os.sched_getaffinity(0))
+        runs = {}
+        for name, pin in [("one-core", lambda: os.sched_setaffinity(0, {cpu})),
+                          ("all-cores", None)]:
+            runs[name] = tmp_path / name
+            done = subprocess.run(
+                [sys.executable, "-m", "condcnn.cli", "train", "--config", str(config_path),
+                 "--out", str(runs[name])],
+                capture_output=True, text=True, preexec_fn=pin, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+        for artifact in ("config.json", "history.csv", "report.txt", "last.ckpt", "best.ckpt",
+                         "train.ds", "test.ds"):
+            assert ((runs["one-core"] / artifact).read_bytes()
+                    == (runs["all-cores"] / artifact).read_bytes()), artifact
+
     def test_zero_epochs_exits_zero_with_empty_history(self, workspace):
         tmp_path, config_path = workspace
         run = tmp_path / "zero"
