@@ -256,8 +256,8 @@ class TestTrain:
         assert history[0] == "epoch,lr,train_loss,test_acc"
         assert len(history) == 3  # header + 2 epochs
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
-                        else True, reason="needs 2 usable CPUs and affinity masks")
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs 2 usable CPUs and affinity masks")
     def test_run_on_one_core_writes_the_bytes_of_a_run_on_all(self, workspace):
         # WISDM-shaped (T 200, 3 channels) and wide enough that the init fill,
         # the 64 -> 128 conv (82 M multiply-adds a batch), batch norm and
