@@ -9,6 +9,10 @@ closure has run, its links and gradient are dropped, so intermediates
 are freed during the sweep and only leaves keep their gradients. An
 input's first gradient adopts a fresh array its op owns (`_accumulate`'s
 `owned`) and copies only views and broadcasts of the op's own gradient.
+So a node's gradient is an array no other tensor holds, and the sweep
+drops it right after the node's closure: a backward closure may overwrite
+the gradient array it is handed, and may hand that array on as owned
+(batch norm and dropout do both).
 
 Convolution uses the cross-correlation convention (no kernel flip).
 The two conv ops share one front end (`_conv_front`: input and bias checks,
@@ -20,8 +24,10 @@ this process may run on (`_workers`), one `_split` call per parallel pass,
 whose helper threads are joined within it. Every split follows one rule,
 each BLAS call is the same call on any core count, so neither op's bits
 depend on the worker count. A pass over examples makes each example's
-product a call of its own in a batched matmul, one worker doing all of a
-part's per-example work. A walk over kernel rows or columns goes by the
+product a call of its own, one worker doing all of a part's per-example
+work: the forward pass in one batched matmul, the input pass one example
+at a time, so a worker holds one example's window gradients, not its
+part's. A walk over kernel rows or columns goes by the
 fixed blocks of `_column_blocks`, dealt whole to the workers:
 `conv_temporal`'s kernel gradient, and the CondConv op's kernel mix,
 experts' gradient, d_alpha and remix; d_alpha, a sum over the blocks, is
@@ -212,7 +218,10 @@ def _accumulate(tensor, grad, owned=False):
     fresh array of the tensor's shape that nothing else holds or reads
     later: a first gradient then adopts it, its -0.0 turned to +0.0 in
     place, the bits of `zeros + grad`, rather than copying it into zeros.
-    Views and broadcasts of an upstream gradient are never owned."""
+    Views and broadcasts of an upstream gradient are never owned, but the
+    gradient array a backward closure is handed may be: the tensor's
+    gradient is its own, and the sweep drops it right after the closure,
+    so the closure may overwrite it and hand it on with `owned=True`."""
     if not tensor.requires_grad:
         return
     if tensor.grad is None:
@@ -409,7 +418,10 @@ def batch_norm(x, gamma, beta, epsilon, stats=None, relu=False):
     of arrays (eval mode, the running statistics), fixes them instead.
     Returns (out, mean, var); mean and var are plain arrays for the
     running statistics. The node keeps only per-channel vectors: backward
-    recomputes x_hat from the input, which the graph holds anyway. With
+    recomputes x_hat from the input, which the graph holds anyway. It
+    allocates one input-sized array, x's gradient, which holds g * x_hat
+    until its sum is taken, and masks the gradient it is handed in place,
+    writing x_hat into it again once the input pass has read it. With
     batch statistics it applies the closed form
     dx = gamma / std * (g - mean(g) - x_hat * mean(g * x_hat));
     with fixed ones the statistic terms drop out, dx = g * gamma / std.
@@ -417,7 +429,7 @@ def batch_norm(x, gamma, beta, epsilon, stats=None, relu=False):
     `relu=True` clamps the buffer at 0 in place, the values of
     `relu(batch_norm(...))` in one node. The clamped output carries the
     ReLU's mask (`max(a, 0) > 0` exactly when `a > 0`), so backward masks
-    `g` by it first and keeps no array of its own.
+    `g` by it first, in place, and keeps no array of its own.
 
     Each elementwise pass is one `_split` by examples over `_workers`
     (gated by `_THREAD_MIN_ELEMENTS`); passes with no reduction between
@@ -465,19 +477,19 @@ def batch_norm(x, gamma, beta, epsilon, stats=None, relu=False):
     split(task=normalize)
 
     def backward(g):
-        masked = np.empty_like(g) if relu else g
-        x_hat, gx = np.empty_like(x.data), np.empty_like(x.data)
+        gx = np.empty_like(x.data)
 
         def prepare(p):
-            if relu:  # g * (value > 0) bit for bit, with no boolean temporary
-                np.greater(value[p], 0.0, out=masked[p])
-                masked[p] *= g[p]
-            np.subtract(x.data[p], mu, out=x_hat[p])
-            x_hat[p] /= std
-            np.multiply(masked[p], x_hat[p], out=gx[p])
+            g_p, gx_p = g[p], gx[p]
+            if relu:  # g * (value > 0) bit for bit, the mask staged in gx
+                np.greater(value[p], 0.0, out=gx_p)
+                g_p *= gx_p
+            np.subtract(x.data[p], mu, out=gx_p)  # x_hat, then g * x_hat
+            gx_p /= std
+            gx_p *= g_p
 
         split(task=prepare)
-        g_sum, gx_sum = masked.sum(axis=(0, 1)), gx.sum(axis=(0, 1))
+        g_sum, gx_sum = g.sum(axis=(0, 1)), gx.sum(axis=(0, 1))
         _accumulate(beta, g_sum)
         _accumulate(gamma, gx_sum)
         if not x.requires_grad:
@@ -485,18 +497,18 @@ def batch_norm(x, gamma, beta, epsilon, stats=None, relu=False):
         g_mean, gx_mean = g_sum / count, gx_sum / count
 
         def input_grad(p):  # into gx, whose values the sum has used
-            dx = gx[p]
+            dx, g_p = gx[p], g[p]
             if stats is not None:
-                np.multiply(masked[p], scale, out=dx)
+                np.multiply(g_p, scale, out=dx)
                 return
-            np.subtract(masked[p], g_mean, out=dx)
-            x_hat_p = x_hat[p]
-            x_hat_p *= gx_mean
-            dx -= x_hat_p
+            np.subtract(g_p, g_mean, out=dx)
+            np.subtract(x.data[p], mu, out=g_p)  # x_hat again, into g, which dx holds now
+            g_p /= std
+            g_p *= gx_mean
+            dx -= g_p
             dx *= scale
 
         split(task=input_grad)
-        del x_hat, masked  # freed before x's gradient is allocated
         _accumulate(x, gx, owned=True)
 
     return _result(value, (x, gamma, beta), backward, "batch_norm"), mu, var
@@ -689,7 +701,8 @@ def _conv_front(x, weights, name, layout, stride, padding, bias):
     it all on the calling thread. backward_walk(g, kernel_step) adds the
     bias gradient, then per chunk `c` calls kernel_step(c), the op's
     kernel-gradient work, and folds g_b·K_bᵀ, with the kernels it returns,
-    onto x's gradient, one `_split` by examples; last it adds that
+    onto x's gradient, one `_split` by examples in which each worker makes
+    one example's product and folds it before the next; last it adds that
     gradient into x."""
     if x.data.ndim != 3:
         raise ShapeError(f"conv input must be (batch, T, C_in), got {x.data.shape}")
@@ -711,8 +724,10 @@ def _conv_front(x, weights, name, layout, stride, padding, bias):
         np.matmul(cols(x_c[p]), kernels if kernels.ndim == 2 else kernels[p], out=value_c[p])
 
     def fold(g_c, dx_c, kernels, p):
-        w_t = np.swapaxes(kernels if kernels.ndim == 2 else kernels[p], -1, -2)
-        _fold_windows(np.matmul(g_c[p], w_t).reshape(-1, t_out, k, c_in), dx_c[p], left, stride)
+        dwin = np.empty((t_out, k * c_in))  # one example's window gradients
+        for b in range(p.start, p.stop):
+            np.matmul(g_c[b], (kernels if kernels.ndim == 2 else kernels[b]).T, out=dwin)
+            _fold_windows(dwin.reshape(1, t_out, k, c_in), dx_c[b:b + 1], left, stride)
 
     def forward_pass(x_c, value_c, kernels):
         _split(workers, partial(convolve, x_c, value_c, kernels), len(x_c))
@@ -865,10 +880,10 @@ def max_pool_temporal(x, size, stride):
 
     The forward is a running `np.maximum` over the `size` strided taps
     x[:, j::stride], one output buffer. Only a node that records a graph
-    tracks the argmax: a tap takes it where it is strictly greater, so
-    ties keep the earliest tap, as `np.argmax` does. Backward scatters `g`
-    onto it with `np.add.at`, which adds overlapping windows' terms in
-    order."""
+    tracks the argmax, in the smallest unsigned dtype that holds `size - 1`:
+    a tap takes it where it is strictly greater, so ties keep the earliest
+    tap, as `np.argmax` does. Backward scatters `g` onto it with
+    `np.add.at`, which adds overlapping windows' terms in order."""
     if x.data.ndim != 3:
         raise ShapeError(f"pool input must be (batch, T, C), got {x.data.shape}")
     batch, t_in, channels = x.data.shape
@@ -880,11 +895,12 @@ def max_pool_temporal(x, size, stride):
     t_out = (t_in - size) // stride + 1
     span = (t_out - 1) * stride + 1  # steps from a window's first tap to the last's
     value = x.data[:, :span:stride].copy()
-    argmax = np.zeros(value.shape, dtype=np.intp) if _GRAD_ENABLED and x.requires_grad else None
+    argmax = (np.zeros(value.shape, dtype=np.min_scalar_type(size - 1))
+              if _GRAD_ENABLED and x.requires_grad else None)
     for j in range(1, size):
         tap = x.data[:, j:j + span:stride]
-        if argmax is not None:
-            np.copyto(argmax, j, where=tap > value)
+        if argmax is not None:  # j as argmax's dtype: a same-type copy on any numpy
+            np.copyto(argmax, argmax.dtype.type(j), where=tap > value)
         np.maximum(value, tap, out=value)
 
     def backward(g):
@@ -971,7 +987,9 @@ def dropout(x, rate, rng):
     """Inverted dropout: zero with probability `rate`, survivors scaled by
     1/(1-rate). Identity when rate is 0. The node keeps a boolean mask,
     1 byte per element; masking and then scaling gives the same bits as
-    multiplying by a float mask of 0 and 1/(1-rate)."""
+    multiplying by a float mask of 0 and 1/(1-rate). Backward masks and
+    scales the gradient it is handed in place and hands it on to x, so it
+    allocates no array."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     if rate == 0.0:
@@ -979,10 +997,10 @@ def dropout(x, rate, rng):
     keep = rng.random(x.data.shape) >= rate
     scale = 1.0 / (1.0 - rate)
 
-    def backward(g):
-        dx = np.multiply(g, keep)
-        dx *= scale
-        _accumulate(x, dx, owned=True)
+    def backward(g):  # in the node's own gradient, which x then adopts
+        np.multiply(g, keep, out=g)
+        g *= scale
+        _accumulate(x, g, owned=True)
 
     value = np.multiply(x.data, keep)
     value *= scale

@@ -1,4 +1,5 @@
-"""Synthetic dataset builders shared by trainer, CLI, and acceptance tests."""
+"""Synthetic dataset builders shared by trainer, CLI, and acceptance tests,
+and the serial-parts double of `autodiff._split`."""
 
 import json
 import struct
@@ -6,6 +7,7 @@ import struct
 import numpy as np
 
 from condcnn import archspec, storage, training
+from condcnn import autodiff as ad
 from condcnn.data import DatasetProfile, SensorStream, WindowedDataset, split
 from condcnn.storage import MAGIC
 
@@ -195,3 +197,9 @@ def write_damaged_checkpoint(path, damage):
     arrays, meta = storage.load_container(path)
     damage(arrays, meta)
     storage.save_container(path, arrays, meta)
+
+
+def serial_split(workers, task, m):
+    """`autodiff._split` with every part run in turn on the calling thread."""
+    for part in ad._parts(m, workers):
+        task(part)

@@ -17,6 +17,7 @@ from condcnn.autodiff import Tensor
 from condcnn.condconv import CondConv
 from condcnn.errors import ConfigError, DataError, NumericError, ShapeError
 from condcnn.layers import BatchNorm, ReLU, TemporalConv
+from helpers import serial_split
 
 
 def rand(*shape, seed=0, scale=1.0):
@@ -652,6 +653,146 @@ class TestConsumedGraph:
         finally:
             tracemalloc.stop()
         assert forward_peak <= 3 * 6 * activation, forward_peak / activation
+
+
+def _closure_peak(node, g):
+    """tracemalloc peak of `node`'s backward closure alone, handed `g`."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        node._backward(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBackwardTransients:
+    """A backward closure may overwrite the gradient it is handed and hand
+    it on as owned; the conv ops' input pass holds one example's window
+    gradients per worker. Peaks are of one closure alone, traced."""
+
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "no-relu"])
+    def test_batch_norm_allocates_one_input_sized_array(self, relu):
+        # under _THREAD_MIN_ELEMENTS, so one thread and one set of numpy's
+        # cast buffers (8 * getbufsize() bytes each) on any machine
+        x = Tensor(rand(16, 100, 64, seed=110), requires_grad=True)
+        gamma = Tensor(rand(64, seed=111) + 1.0, requires_grad=True)
+        beta = Tensor(rand(64, seed=112), requires_grad=True)
+        out, _, _ = ad.batch_norm(x, gamma, beta, 1e-5, relu=relu)
+        peak = _closure_peak(out, rand(*out.shape, seed=113))
+        # x's gradient; the rest is cast buffers and per-channel vectors
+        assert peak <= x.data.nbytes + 2 * 8 * np.getbufsize(), peak / x.data.nbytes
+
+    def test_dropout_allocates_no_input_sized_array(self):
+        leaf = Tensor(rand(128, 1024, seed=114), requires_grad=True)
+        x = leaf * 2.0  # a node whose first gradient adopts what dropout hands on
+        out = ad.dropout(x, 0.5, np.random.default_rng(115))
+        g = rand(*out.shape, seed=116)
+        peak = _closure_peak(out, g)
+        assert peak <= g.nbytes // 8, peak / g.nbytes
+        assert x.grad is g
+
+    @pytest.mark.parametrize("op", ["conv", "condconv"])
+    def test_conv_input_pass_holds_one_example_per_worker(self, monkeypatch, op):
+        """Batch 12 over 3 workers, 4 examples each, in one chunk: the
+        backward stays under x's gradient, the op's workspace and one
+        example's (T_out, K*C_in) window gradients per worker, plus 128 KiB
+        for the bias gradient's partial sums and the threads' bookkeeping,
+        which took up to 52 KiB in 40 runs on a 2-core machine. 'valid'
+        padding makes no padded copy of the input, and `conv_temporal`
+        gets no kernel gradient: its chunk window copy is freed before the
+        input pass, but would set the peak."""
+        workers, batch, t_in, c_in, c_out, k, n = 3, 12, 128, 32, 32, 5, 4
+        monkeypatch.setattr(ad, "_workers", lambda macs: workers)
+        x = Tensor(rand(batch, t_in, c_in, seed=117), requires_grad=True)
+        bias = Tensor(rand(c_out, seed=118), requires_grad=True)
+        if op == "conv":
+            out = ad.conv_temporal(x, Tensor(rand(k, c_in, c_out, seed=119)), 1, "valid", bias)
+            workspace = 0
+        else:
+            alpha = Tensor(rand(batch, n, seed=120), requires_grad=True)
+            experts = Tensor(rand(n, k, c_in, c_out, seed=121), requires_grad=True)
+            out = ad.condconv_temporal(x, alpha, experts, 1, "valid", bias)
+            blocks = len(ad._column_blocks(k * c_in * c_out, ad._GRAD_COLUMNS))
+            # the chunk's kernels, d_alpha's slots and d_alpha
+            workspace = 8 * batch * (k * c_in * c_out + blocks * n + n)
+        assert ad.condconv_chunk((k, c_in, c_out)) >= batch
+        peak = _closure_peak(out, rand(*out.shape, seed=122))
+        example = 8 * out.shape[1] * k * c_in
+        bound = x.data.nbytes + workspace + workers * example + 128 * 2**10
+        assert peak <= bound, (peak - x.data.nbytes - workspace) / example
+
+    def test_batch_norm_output_consumed_twice(self):
+        """relu-BN's output feeds dropout and a product: its gradient is the
+        two branches' sum, which BN masks in place and dropout's branch
+        handed on. Gradients match finite differences, and before each
+        closure of the sweep no two tensors hold the same gradient array."""
+        gamma = Tensor(rand(3, seed=123) + 1.0, requires_grad=True)
+        beta = Tensor(rand(3, seed=124), requires_grad=True)
+        w1, w2 = Tensor(rand(2, 5, 3, seed=125)), Tensor(rand(2, 5, 3, seed=126))
+
+        def f(t):
+            y, _, _ = ad.batch_norm(t * 1.5, gamma, beta, 1e-5, relu=True)
+            d = ad.dropout(y, 0.5, np.random.default_rng(127))
+            return (d * w1).sum() + (y * w2).sum()
+
+        x = Tensor(rand(2, 5, 3, seed=128), requires_grad=True)
+        assert ad.grad_check(f, x, eps=1e-6) < 1e-6
+
+        loss = f(x)
+        nodes = ad._topo_order(loss)
+
+        def no_shared_gradients():
+            held = [t.grad for t in nodes if t.grad is not None]
+            for i, one in enumerate(held):
+                for other in held[i + 1:]:
+                    assert not np.shares_memory(one, other)
+
+        for node in nodes:
+            if node._backward is not None:
+                def spy(g, inner=node._backward):
+                    no_shared_gradients()
+                    inner(g)
+                node._backward = spy
+        loss.backward()
+        no_shared_gradients()
+
+    @pytest.mark.parametrize("op", ["conv", "condconv"])
+    def test_gradients_bitwise_for_any_worker_count(self, monkeypatch, op):
+        """conv -> relu-BN -> dropout -> strided conv, batch 12: every
+        gradient is bitwise that of one worker at 2 and 3 workers (4
+        examples each) and with 2 and 3 parts run serially."""
+        threaded = ad._split
+
+        def run(workers, split):
+            monkeypatch.setattr(ad, "_workers", lambda work, least=None: workers)
+            monkeypatch.setattr(ad, "_split", split)
+            x = Tensor(rand(12, 20, 6, seed=129), requires_grad=True)
+            gamma = Tensor(rand(8, seed=130) + 1.0, requires_grad=True)
+            beta = Tensor(rand(8, seed=131), requires_grad=True)
+            params = [x, gamma, beta]
+
+            def conv(h, c_in, c_out, stride, seed):
+                bias = Tensor(rand(c_out, seed=seed), requires_grad=True)
+                if op == "conv":
+                    kernel = Tensor(rand(3, c_in, c_out, seed=seed + 1), requires_grad=True)
+                    params.extend([bias, kernel])
+                    return ad.conv_temporal(h, kernel, stride, "same", bias)
+                alpha = Tensor(rand(12, 3, seed=seed + 1), requires_grad=True)
+                experts = Tensor(rand(3, 3, c_in, c_out, seed=seed + 2), requires_grad=True)
+                params.extend([bias, alpha, experts])
+                return ad.condconv_temporal(h, alpha, experts, stride, "same", bias)
+
+            h, _, _ = ad.batch_norm(conv(x, 6, 8, 1, 132), gamma, beta, 1e-5, relu=True)
+            h = conv(ad.dropout(h, 0.5, np.random.default_rng(135)), 8, 5, 2, 136)
+            (h * Tensor(rand(*h.shape, seed=139))).sum().backward()
+            return [p.grad for p in params]
+
+        serial = run(1, threaded)
+        for workers, split in [(2, threaded), (3, threaded), (2, serial_split),
+                               (3, serial_split)]:
+            for a, b in zip(serial, run(workers, split)):
+                assert a.tobytes() == b.tobytes(), (workers, split.__name__)
 
 
 class TestNoGrad:

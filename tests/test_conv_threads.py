@@ -19,6 +19,7 @@ from condcnn import archspec
 from condcnn import autodiff as ad
 from condcnn.autodiff import Tensor
 from condcnn.condconv import CondConv
+from helpers import serial_split
 
 BATCH, T_IN, C_IN, C_OUT, K = 23, 13, 4, 6, 5
 # (x, alpha or kernel, experts) gradients wanted; experts only for condconv
@@ -137,19 +138,13 @@ PART_COUNT_BATCHES = {"condconv": [(2, 6), (5, 6), (13, 6)],
                       "conv": [(batch, 200) for batch in range(2, 9)] + [(16, 64)]}
 
 
-def _serial_split(workers, task, m):
-    """`_split` with every part run in turn on the calling thread."""
-    for part in ad._parts(m, workers):
-        task(part)
-
-
 @pytest.mark.parametrize("op,shape,stride,padding", _part_count_cases())
 def test_condconv_bitwise_equal_for_any_part_count(monkeypatch, op, shape, stride, padding):
     """At every recipe's layer shapes, each conv op hands BLAS the same
     calls however many parts its passes are cut into, as on a machine with
     that many CPUs: the output and every gradient are bitwise those of one
     part. The parts run serially, so no thread starts."""
-    monkeypatch.setattr(ad, "_split", _serial_split)
+    monkeypatch.setattr(ad, "_split", serial_split)
     n, kernel_shape = (shape[0], shape[1:]) if op == "condconv" else (1, shape)
     before = threading.active_count()
     for batch, t_in in PART_COUNT_BATCHES[op]:

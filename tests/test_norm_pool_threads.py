@@ -1,10 +1,11 @@
 """The passes outside the conv ops: batch norm splits each elementwise pass
 by examples over `autodiff._workers` threads, with every reduction whole,
 so its outputs and gradients are bitwise the same for any thread count;
-max-pool's running maximum over strided taps is bitwise the window
-max/argmax of a `sliding_window_view`. The inputs here are small, so the
-tests set the thread count themselves."""
+max-pool's running maximum over strided taps, with a 1-byte argmax, is
+bitwise the window max/argmax of a `sliding_window_view`. The inputs here
+are small, so the tests set the thread count themselves."""
 
+import gc
 import sys
 import tracemalloc
 
@@ -126,3 +127,20 @@ def test_max_pool_without_graph_peak_is_one_output_buffer(size, stride):
         finally:
             tracemalloc.stop()
     assert peak < 1.5 * out.data.nbytes
+
+
+@pytest.mark.parametrize("size,stride", [(2, 2), (3, 1), (5, 2)])
+def test_max_pool_node_keeps_one_byte_per_pooled_element(size, stride):
+    """The argmax takes the smallest unsigned dtype for the window; the
+    window-view test above checks its gradients bitwise against the
+    `intp` argmax of a `sliding_window_view`, ties included."""
+    x = Tensor(np.random.default_rng(size * 10 + stride).normal(size=(16, 128, 64)),
+               requires_grad=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = ad.max_pool_temporal(x, size, stride)
+        held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * out.data.size, held / out.data.size
