@@ -105,7 +105,9 @@ class WindowedDataset:
 
     @classmethod
     def load(cls, path):
-        """Read a dataset file; meta keys other than the fields' are ignored."""
+        """Read a dataset file; meta keys other than the fields' are ignored.
+        `normalization_stats` must be null or two lists (mean, std) of one
+        number per channel."""
         arrays, meta = storage.load_container(path)
         try:
             stats = meta["normalization_stats"]
@@ -115,9 +117,6 @@ class WindowedDataset:
                 label_names=meta["label_names"],
                 subject=np.array(meta["subject"], dtype=object),
                 session=np.array(meta["session"], dtype=object),
-                normalization_stats=None if stats is None else (
-                    np.array(stats[0]), np.array(stats[1])
-                ),
             )
         except KeyError as err:
             raise DataError(f"{path}: dataset file is missing {err}") from None
@@ -133,6 +132,13 @@ class WindowedDataset:
         if not ds.subject.shape == ds.session.shape == (len(x),):
             raise DataError(f"{path}: subject and session must have {len(x)} entries, "
                             f"got shapes {ds.subject.shape} and {ds.session.shape}")
+        if stats is not None:
+            if not (isinstance(stats, list) and len(stats) == 2 and all(
+                    isinstance(row, list) and len(row) == ds.n_channels
+                    and all(map(is_number, row)) for row in stats)):
+                raise DataError(f"{path}: normalization_stats must be null or two lists of "
+                                f"{ds.n_channels} numbers, got {stats!r}")
+            ds.normalization_stats = (np.array(stats[0]), np.array(stats[1]))
         return ds
 
 

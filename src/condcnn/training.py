@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import storage
 from .autodiff import Tensor
 from .errors import (ConfigError, DataError, NumericError, ShapeError, check_count,
-                     check_keys, is_number)
+                     check_dict, check_keys, is_number)
 
 log = logging.getLogger(__name__)
 
@@ -295,11 +295,13 @@ def load_checkpoint(path):
 
     Every meta key `save_checkpoint` writes is required except `halted`,
     which only older versions wrote; keys it no longer writes are ignored.
-    A missing meta key, an `epoch` that is not an integer >= 0, a `history`
-    that is neither null nor rows of such an epoch and 3 numbers, an
-    `rng_state` that is neither null nor a PCG64 generator state, a missing
-    array the model expects, a parameter or buffer array the model lacks,
-    or an array of the wrong shape raises DataError naming the path. One
+    A missing meta key, a `model` that is not a dict of an `input_shape` of
+    two integers >= 1, an integer `n_classes` >= 1 and an integer `seed`
+    >= 0, an `epoch` that is not an integer >= 0, a `history` that is
+    neither null nor rows of such an epoch and 3 numbers, an `rng_state`
+    that is neither null nor a PCG64 generator state, a missing array the
+    model expects, a parameter or buffer array the model lacks, or an
+    array of the wrong shape raises DataError naming the path. One
     that records an Adam step count `adam_t` must record it as an integer
     >= 0 and hold exactly the moments `adam.m.<name>` and `adam.v.<name>`
     of each parameter, in its shape; one that records none (`adam_t` null,
@@ -310,12 +312,18 @@ def load_checkpoint(path):
     try:
         epoch, adam_t, rng_state, history = (
             meta[key] for key in ("epoch", "adam_t", "rng_state", "history"))
-        model_meta = meta["model"]
+        model_meta = check_dict("model", meta["model"])
+        input_shape, n_classes, seed = (
+            model_meta[key] for key in ("input_shape", "n_classes", "seed"))
+        if not (isinstance(input_shape, list) and len(input_shape) == 2):
+            raise ConfigError(f"input_shape must be two integers >= 1, got {input_shape!r}")
+        for size in input_shape:
+            check_count("input_shape", size, 1)
+        check_count("n_classes", n_classes, 1)
+        check_count("seed", seed, 0)
         spec = archspec.spec_from_dict(model_meta["spec"])
         model = archspec.build_model(
-            spec, tuple(model_meta["input_shape"]), model_meta["n_classes"],
-            seed=model_meta["seed"], draw_init=False,
-        )
+            spec, tuple(input_shape), n_classes, seed=seed, draw_init=False)
     except KeyError as err:
         raise DataError(f"{path}: checkpoint meta is missing key {err}") from None
     except ConfigError as err:

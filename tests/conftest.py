@@ -1,10 +1,15 @@
 """Shared pytest wiring: BLAS pinned to one thread, this checkout's `src/`
-first on every subprocess's import path, and per-criterion summary lines
-for the acceptance suite."""
+first on every subprocess's import path, assertion rewriting in the shared
+conv suite, and per-criterion summary lines for the acceptance suite."""
 
 import os
 
+import pytest
+
 from condcnn import cli
+
+# pytest rewrites test modules' asserts only; these two assert too
+pytest.register_assert_rewrite("conv_suite", "helpers")
 
 # as `condcnn.cli.main` does, before any test module imports numpy, which
 # reads the thread variables when it loads; a variable already set stays

@@ -37,6 +37,8 @@ TRAIN_BATCH, EVAL_BATCH, WINDOW = 12, 3, 16
 CASES = {
     "wisdm": ("wisdm", 3, {}),
     "wisdm-n1": ("wisdm", 3, {"n_experts": 1, "pin_routing": True}),
+    # one routed expert: the kernel mix's inner dimension is 1
+    "wisdm-routed-n1": ("wisdm", 3, {"n_experts": 1}),
     "pamap2": ("pamap2", 27, {}),
     "unimib": ("unimib", 3, {}),
     "opportunity": ("opportunity", 113, {}),

@@ -1,5 +1,6 @@
 """Synthetic dataset builders shared by trainer, CLI, and acceptance tests,
-and the serial-parts double of `autodiff._split`."""
+and the doubles the invariance tests drive `autodiff` with: a fixed
+thread count, a shrunken chunk budget and serial parts."""
 
 import json
 import struct
@@ -152,6 +153,12 @@ DAMAGED_CHECKPOINTS = {
         {"buffer.b0.bn0.running_var": np.ones(3)}),
     "meta-without-model": lambda arrays, meta: meta.pop("model"),
     "model-without-seed": lambda arrays, meta: meta["model"].pop("seed"),
+    "model-as-a-list": lambda arrays, meta: meta.update(model=list(meta["model"])),
+    "input-shape-as-text": lambda arrays, meta: meta["model"].update(input_shape="ab"),
+    "input-shape-of-one": lambda arrays, meta: meta["model"].update(input_shape=[8]),
+    "text-n-classes": lambda arrays, meta: meta["model"].update(n_classes="3"),
+    "text-seed": lambda arrays, meta: meta["model"].update(seed="x"),
+    "negative-seed": lambda arrays, meta: meta["model"].update(seed=-1),
     "spec-without-shorthand": lambda arrays, meta: meta["model"]["spec"].pop("shorthand"),
     "spec-with-unknown-key": lambda arrays, meta: meta["model"]["spec"].update(n_expert=8),
     "missing-adam-moment": lambda arrays, meta: arrays.pop("adam.m.b0.bn0.beta"),
@@ -203,3 +210,15 @@ def serial_split(workers, task, m):
     """`autodiff._split` with every part run in turn on the calling thread."""
     for part in ad._parts(m, workers):
         task(part)
+
+
+def set_workers(monkeypatch, n):
+    """Every `autodiff._workers` call, gated or not, returns `n`."""
+    monkeypatch.setattr(ad, "_workers", lambda work, least=None: n)
+
+
+def chunk_budget(monkeypatch, examples, kernel_shape):
+    """Shrink the chunk budget so that `examples` examples of a
+    `kernel_shape` (K, C_in, C_out) kernel fill a chunk."""
+    monkeypatch.setattr(ad, "CONDCONV_CHUNK_BYTES", examples * 8 * int(np.prod(kernel_shape)))
+    assert ad.condconv_chunk(kernel_shape) == examples

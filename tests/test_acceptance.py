@@ -332,6 +332,7 @@ class TestCriterion08ScaledWisdmRun:
         assert accs[8] >= accs[1], accs
 
 
+@pytest.mark.invariance
 class TestCriterion09Determinism:
     """Identical config + seed produce byte-identical run artifacts."""
 

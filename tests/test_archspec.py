@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from condcnn import archspec
-from condcnn import autodiff as ad
 from condcnn.errors import ArchitectureError, ConfigError
+from helpers import set_workers
 
 BENCHMARK_STRINGS = [
     "C(64)-C(128)-C(384)-FC-Sm",
@@ -286,23 +286,20 @@ def _serial_digest(monkeypatch, spec, input_shape, classes, seed):
         return _digest(archspec.build_model(spec, input_shape, classes, seed=seed))
 
 
-def _set_workers(monkeypatch, workers):
-    monkeypatch.setattr(ad, "_workers", lambda work, least=None: workers)
-
-
+@pytest.mark.invariance
 class TestInitFill:
     @pytest.mark.parametrize("case", list(INIT_CASES))
     def test_bitwise_serial_draws_at_any_worker_count(self, monkeypatch, case):
         spec, input_shape, classes = _init_case(case)
         serial = _serial_digest(monkeypatch, spec, input_shape, classes, seed=3)
         for workers in (1, 2, 3):
-            _set_workers(monkeypatch, workers)
+            set_workers(monkeypatch, workers)
             model = archspec.build_model(spec, input_shape, classes, seed=3)
             assert _digest(model) == serial, workers
 
     def test_layers_go_largest_first_to_the_least_loaded_bin(self, monkeypatch):
         spec, input_shape, classes = _init_case("wisdm")
-        _set_workers(monkeypatch, 2)
+        set_workers(monkeypatch, 2)
         filled = {}
         fill = archspec._Draws.fill
 
@@ -329,14 +326,14 @@ class TestInitFill:
 
     def test_no_thread_outlives_a_build(self, monkeypatch):
         spec, input_shape, classes = _init_case("wisdm")
-        _set_workers(monkeypatch, 3)
+        set_workers(monkeypatch, 3)
         before = threading.active_count()
         archspec.build_model(spec, input_shape, classes)
         assert threading.active_count() == before
 
     def test_fill_error_reaches_the_caller_after_every_helper_joined(self, monkeypatch):
         spec, input_shape, classes = _init_case("wisdm")
-        _set_workers(monkeypatch, 3)
+        set_workers(monkeypatch, 3)
         started, finished = [], []
         failing = threading.Lock()  # the first helper thread to take it fails
         fill = archspec._Draws.fill

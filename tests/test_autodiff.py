@@ -17,7 +17,8 @@ from condcnn.autodiff import Tensor
 from condcnn.condconv import CondConv
 from condcnn.errors import ConfigError, DataError, NumericError, ShapeError
 from condcnn.layers import BatchNorm, ReLU, TemporalConv
-from helpers import serial_split
+from conv_suite import ConvOpSuite, call_op, op_inputs
+from helpers import serial_split, set_workers
 
 
 def rand(*shape, seed=0, scale=1.0):
@@ -57,7 +58,10 @@ class TestMatmul:
         assert np.abs(a.grad).sum() > 0 and np.abs(b.grad).sum() > 0
 
 
-class TestConvTemporal:
+@pytest.mark.invariance
+class TestConvTemporal(ConvOpSuite):
+    op = "conv"
+
     def test_unit_kernel_is_identity(self):
         x = Tensor(rand(1, 5, 1, seed=5))
         kernel = Tensor(np.ones((1, 1, 1)))
@@ -141,106 +145,9 @@ class TestConvTemporal:
         )
         assert err < 1e-6
 
-    @pytest.mark.parametrize("chunked", [False, True])
-    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
-    def test_bias_in_op_equals_op_then_add(self, monkeypatch, stride, padding, chunked):
-        if chunked:
-            _chunk_budget(monkeypatch, 2, (4, 2, 5))  # chunks of 2 and 1 examples
-
-        def run(fused):
-            x = Tensor(rand(3, 11, 2, seed=66), requires_grad=True)
-            w = Tensor(rand(4, 2, 5, seed=67), requires_grad=True)
-            bias = Tensor(rand(5, seed=68), requires_grad=True)
-            if fused:
-                y = ad.conv_temporal(x, w, stride, padding, bias)
-            else:
-                y = ad.conv_temporal(x, w, stride, padding) + bias
-            (y * Tensor(rand(*y.shape, seed=69))).sum().backward()
-            return [y.data, x.grad, w.grad, bias.grad]
-
-        for got, want in zip(run(True), run(False)):
-            np.testing.assert_array_equal(got, want)
-
     def test_per_example_kernel_rejected(self):
         with pytest.raises(ShapeError, match=r"\(K, C_in, C_out\)"):
             ad.conv_temporal(Tensor(rand(3, 10, 2)), Tensor(rand(3, 4, 2, 5)))
-
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    @pytest.mark.parametrize("wrt", ["x", "kernel"])
-    def test_finite_differences_across_chunks(self, monkeypatch, wrt, padding):
-        args = {"x": Tensor(rand(3, 9, 2, seed=70), requires_grad=True),
-                "kernel": Tensor(rand(3, 2, 4, seed=71), requires_grad=True)}
-        _chunk_budget(monkeypatch, 2, (3, 2, 4))  # chunks of 2 and 1 examples
-        w = rand(3, 5 if padding == "same" else 4, 4, seed=72)
-
-        def f(t):
-            call = dict(args, **{wrt: t})
-            return (ad.conv_temporal(call["x"], call["kernel"], 2, padding) * Tensor(w)).sum()
-
-        assert ad.grad_check(f, args[wrt], eps=1e-5) < 1e-6
-
-    def test_multi_chunk_equals_single_chunk(self, monkeypatch):
-        def run():
-            x = Tensor(rand(7, 11, 2, seed=73), requires_grad=True)
-            w = Tensor(rand(3, 2, 4, seed=74), requires_grad=True)
-            y = ad.conv_temporal(x, w, 2)
-            (y * Tensor(rand(*y.shape, seed=75))).sum().backward()
-            return [y.data, x.grad, w.grad]
-
-        whole = run()
-        _chunk_budget(monkeypatch, 3, (3, 2, 4))  # chunks of 3, 3 and 1
-        split, again = run(), run()
-        for got, want in zip(split, whole):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        for got, want in zip(again, split):
-            np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("constant", [("x",), ("kernel",), ("x", "kernel")])
-    def test_skipped_gradients_leave_the_others_bitwise(self, monkeypatch, constant):
-        """The backward walk's skip paths for the shared kernel, across chunks
-        of 2 and 1 examples: an operand that needs no gradient gets none,
-        and every other gradient is bitwise the full backward's."""
-        _chunk_budget(monkeypatch, 2, (4, 2, 5))
-
-        def run(skip):
-            arrays = {"x": rand(3, 11, 2, seed=78), "kernel": rand(4, 2, 5, seed=79),
-                      "bias": rand(5, seed=80)}
-            args = {name: Tensor(a, requires_grad=name not in skip) for name, a in arrays.items()}
-            y = ad.conv_temporal(args["x"], args["kernel"], 2, "same", args["bias"])
-            (y * Tensor(rand(*y.shape, seed=81))).sum().backward()
-            return {name: t.grad for name, t in args.items()}
-
-        full = run(())
-        for name, grad in run(constant).items():
-            if name in constant:
-                assert grad is None, name
-            else:
-                np.testing.assert_array_equal(grad, full[name])
-
-    def test_backward_keeps_no_whole_batch_windows(self, monkeypatch):
-        """One 384->384, K=5 TemporalConv at T=8, forward and backward: going
-        from 2 to 4 chunks may add what scales with the batch (the output,
-        its gradient and the input gradient), but not K inputs' worth of
-        windows or window gradients per added example. One worker thread,
-        since the peak of two depends on whether their products overlap."""
-        monkeypatch.setattr(ad, "_workers", lambda macs: 1)
-        layer = TemporalConv(384, 384, 5, np.random.default_rng(76))
-        chunk = ad.condconv_chunk(layer.kernel.data.shape)
-        rng = np.random.default_rng(77)
-
-        def peak(batch):
-            x = Tensor(rng.normal(size=(batch, 8, 384)), requires_grad=True)
-            gc.collect()
-            tracemalloc.start()
-            try:
-                layer(x).sum().backward()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        input_bytes = 8 * 8 * 384  # one example's input
-        added = (peak(4 * chunk) - peak(2 * chunk)) / (2 * chunk) / input_bytes
-        assert added < layer.kernel_len, added
 
 
 def _padded_fold(dwin, t_in, stride, padding):
@@ -273,12 +180,6 @@ class TestFoldWindows:
             dx = np.zeros((3, t_in, 2))
             ad._fold_windows(dwin, dx, left, stride)
             assert dx.tobytes() == _padded_fold(dwin, t_in, stride, padding).tobytes(), t_in
-
-
-def _chunk_budget(monkeypatch, examples, kernel_shape):
-    """Shrink the chunk budget so that `examples` examples fill a chunk."""
-    monkeypatch.setattr(ad, "CONDCONV_CHUNK_BYTES", examples * 8 * int(np.prod(kernel_shape)))
-    assert ad.condconv_chunk(kernel_shape) == examples
 
 
 class TestMaxPool:
@@ -666,6 +567,7 @@ def _closure_peak(node, g):
         tracemalloc.stop()
 
 
+@pytest.mark.invariance
 class TestBackwardTransients:
     """A backward closure may overwrite the gradient it is handed and hand
     it on as owned; the conv ops' input pass holds one example's window
@@ -703,16 +605,11 @@ class TestBackwardTransients:
         gets no kernel gradient: its chunk window copy is freed before the
         input pass, but would set the peak."""
         workers, batch, t_in, c_in, c_out, k, n = 3, 12, 128, 32, 32, 5, 4
-        monkeypatch.setattr(ad, "_workers", lambda macs: workers)
-        x = Tensor(rand(batch, t_in, c_in, seed=117), requires_grad=True)
-        bias = Tensor(rand(c_out, seed=118), requires_grad=True)
-        if op == "conv":
-            out = ad.conv_temporal(x, Tensor(rand(k, c_in, c_out, seed=119)), 1, "valid", bias)
-            workspace = 0
-        else:
-            alpha = Tensor(rand(batch, n, seed=120), requires_grad=True)
-            experts = Tensor(rand(n, k, c_in, c_out, seed=121), requires_grad=True)
-            out = ad.condconv_temporal(x, alpha, experts, 1, "valid", bias)
+        set_workers(monkeypatch, workers)
+        args = op_inputs(op, batch, t_in, (k, c_in, c_out), ("kernel",), bias=True, n=n)
+        out, x = call_op(op, args, 1, "valid", args["bias"]), args["x"]
+        workspace = 0
+        if op == "condconv":
             blocks = len(ad._column_blocks(k * c_in * c_out, ad._GRAD_COLUMNS))
             # the chunk's kernels, d_alpha's slots and d_alpha
             workspace = 8 * batch * (k * c_in * c_out + blocks * n + n)
@@ -765,7 +662,7 @@ class TestBackwardTransients:
         threaded = ad._split
 
         def run(workers, split):
-            monkeypatch.setattr(ad, "_workers", lambda work, least=None: workers)
+            set_workers(monkeypatch, workers)
             monkeypatch.setattr(ad, "_split", split)
             x = Tensor(rand(12, 20, 6, seed=129), requires_grad=True)
             gamma = Tensor(rand(8, seed=130) + 1.0, requires_grad=True)

@@ -12,6 +12,10 @@ from condcnn import condconv as cc
 from condcnn.autodiff import Tensor
 from condcnn.errors import ConfigError, ShapeError
 from condcnn.layers import TemporalConv
+from conv_suite import ConvOpSuite, backward_of, call_op, op_inputs
+from helpers import chunk_budget
+
+pytestmark = pytest.mark.invariance
 
 
 def make_layer(c_in=3, c_out=4, k=5, n=4, seed=0, **kw):
@@ -228,108 +232,17 @@ def _mixed_kernel_conv(x, alpha, experts, stride, padding):
     return total
 
 
-def _op_inputs(batch=5, t=11, c_in=2, c_out=3, k=3, n=3, seed=30):
-    rng = np.random.default_rng(seed)
-    return (Tensor(rng.normal(size=(batch, t, c_in)), requires_grad=True),
-            Tensor(rng.random((batch, n)), requires_grad=True),
-            Tensor(rng.normal(size=(n, k, c_in, c_out)), requires_grad=True))
+class TestCondConvTemporal(ConvOpSuite):
+    op = "condconv"
 
-
-def _run_op(op, x, alpha, experts, stride=2, padding="same", seed=31):
-    """Forward plus backward of a fixed random projection of the output;
-    returns the output and the gradients (None where none was asked for)."""
-    for t in (x, alpha, experts):
-        t.grad = None
-    y = op(x, alpha, experts, stride, padding)
-    w = Tensor(np.random.default_rng(seed).normal(size=y.data.shape))
-    (y * w).sum().backward()
-    return y.data, [None if t.grad is None else t.grad.copy() for t in (x, alpha, experts)]
-
-
-def _chunk_budget(monkeypatch, examples, experts):
-    """Shrink the chunk budget so that `examples` examples fill a chunk."""
-    kernel_bytes = 8 * experts.data[0].size
-    monkeypatch.setattr(ad, "CONDCONV_CHUNK_BYTES", examples * kernel_bytes)
-    assert ad.condconv_chunk(experts.data.shape[1:]) == examples
-
-
-class TestCondConvTemporal:
     @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
     def test_matches_mixed_kernel_conv(self, stride, padding):
-        x, alpha, experts = _op_inputs()
-        ours, our_grads = _run_op(ad.condconv_temporal, x, alpha, experts, stride, padding)
-        ref, ref_grads = _run_op(_mixed_kernel_conv, x, alpha, experts, stride, padding)
-        np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-12)
-        for got, want in zip(our_grads, ref_grads):
+        runs = []
+        for conv in (ad.condconv_temporal, _mixed_kernel_conv):
+            args = op_inputs("condconv", 5, 11, (3, 2, 3))
+            runs.append(backward_of(conv(*args.values(), stride, padding), args).values())
+        for got, want in zip(*runs):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    @pytest.mark.parametrize("wrt", ["x", "alpha", "experts"])
-    def test_finite_differences_across_chunks(self, monkeypatch, wrt, padding):
-        x, alpha, experts = _op_inputs(batch=3, t=9)
-        _chunk_budget(monkeypatch, 2, experts)  # chunks of 2 and 1 examples
-        args = {"x": x, "alpha": alpha, "experts": experts}
-        w = np.random.default_rng(32).normal(size=(3, 5 if padding == "same" else 4, 3))
-
-        def f(t):
-            call = dict(args, **{wrt: t})
-            y = ad.condconv_temporal(call["x"], call["alpha"], call["experts"], 2, padding)
-            return (y * Tensor(w)).sum()
-
-        assert ad.grad_check(f, args[wrt], eps=1e-5) < 1e-6
-
-    def test_multi_chunk_equals_single_chunk(self, monkeypatch):
-        x, alpha, experts = _op_inputs(batch=7)
-        whole = _run_op(ad.condconv_temporal, x, alpha, experts)
-        _chunk_budget(monkeypatch, 3, experts)  # chunks of 3, 3 and 1
-        split = _run_op(ad.condconv_temporal, x, alpha, experts)
-        again = _run_op(ad.condconv_temporal, x, alpha, experts)
-        np.testing.assert_allclose(split[0], whole[0], rtol=0, atol=1e-12)
-        for got, want in zip(split[1], whole[1]):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(again[0], split[0])
-        for got, want in zip(again[1], split[1]):
-            np.testing.assert_array_equal(got, want)
-
-    def test_pinned_routing_skips_alpha_gradient(self, monkeypatch):
-        x, alpha, experts = _op_inputs()
-        _chunk_budget(monkeypatch, 2, experts)
-        _, full = _run_op(ad.condconv_temporal, x, alpha, experts)
-        pinned = Tensor(alpha.data)  # constant routing, as pin_routing gives
-        _, grads = _run_op(ad.condconv_temporal, x, pinned, experts)
-        assert grads[1] is None
-        np.testing.assert_array_equal(grads[0], full[0])
-        np.testing.assert_array_equal(grads[2], full[2])
-
-    def test_input_without_grad_skips_input_gradient(self, monkeypatch):
-        x, alpha, experts = _op_inputs()
-        _chunk_budget(monkeypatch, 2, experts)
-        _, full = _run_op(ad.condconv_temporal, x, alpha, experts)
-        _, grads = _run_op(ad.condconv_temporal, Tensor(x.data), alpha, experts)
-        assert grads[0] is None
-        np.testing.assert_array_equal(grads[1], full[1])
-        np.testing.assert_array_equal(grads[2], full[2])
-
-    def test_only_input_gradient(self):
-        x, alpha, experts = _op_inputs()
-        _, full = _run_op(ad.condconv_temporal, x, alpha, experts)
-        _, grads = _run_op(ad.condconv_temporal, x, Tensor(alpha.data), Tensor(experts.data))
-        assert grads[1] is None and grads[2] is None
-        np.testing.assert_array_equal(grads[0], full[0])
-
-    @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid"), (2, "valid")])
-    def test_bias_in_op_equals_op_then_add(self, monkeypatch, stride, padding):
-        x, alpha, experts = _op_inputs()
-        bias = Tensor(np.random.default_rng(38).normal(size=3), requires_grad=True)
-        _chunk_budget(monkeypatch, 2, experts)
-        results = []
-        for op in (lambda *a: ad.condconv_temporal(*a, bias),
-                   lambda *a: ad.condconv_temporal(*a) + bias):
-            bias.grad = None
-            y, grads = _run_op(op, x, alpha, experts, stride, padding)
-            results.append([y, *grads, bias.grad])
-        for got, want in zip(*results):
-            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("kernel_shape", [(1, 5, 5), (3, 3, 3)])
     @pytest.mark.parametrize("n", [1, 2, 8])
@@ -346,19 +259,14 @@ class TestCondConvTemporal:
         block before; 27 leave tails of one to three."""
         whole = ad._GRAD_COLUMNS
         assert whole >= 27 and whole % 4 == 0
-        rng = np.random.default_rng(40)
-        arrays = (rng.normal(size=(7, 11, kernel_shape[1])), rng.random((7, n)),
-                  rng.normal(size=(n, *kernel_shape)))
         blocks = (4, 8, 12) if n == 1 else (2, 3, 4, 8, 12)
         for examples in (1, 2, 3, 7):
-            monkeypatch.setattr(ad, "CONDCONV_CHUNK_BYTES",
-                                examples * 8 * int(np.prod(kernel_shape)))
+            chunk_budget(monkeypatch, examples, kernel_shape)
             runs = []
             for columns in (whole, *blocks):
                 monkeypatch.setattr(ad, "_GRAD_COLUMNS", columns)
-                tensors = [Tensor(a, requires_grad=True) for a in arrays]
-                y, grads = _run_op(ad.condconv_temporal, *tensors)
-                runs.append([y, *grads])
+                args = op_inputs("condconv", 7, 11, kernel_shape, n=n)
+                runs.append(backward_of(call_op("condconv", args, 2, "same"), args).values())
             for columns, (y, dx, d_alpha, d_experts) in zip(blocks, runs[1:]):
                 want_y, want_dx, want_d_alpha, want_d_experts = runs[0]
                 where = (examples, columns)
@@ -373,7 +281,8 @@ class TestCondConvTemporal:
     def test_shape_mismatches_rejected(self, op):
         """Both conv ops check their inputs in one front end: the same
         malformed input raises the same message from either."""
-        x, alpha, experts = _op_inputs()  # batch 5, T 11, C_in 2, n 3, K 3, C_out 3
+        # batch 5, T 11, C_in 2, n 3, K 3, C_out 3
+        x, alpha, experts = op_inputs("condconv", 5, 11, (3, 2, 3)).values()
         if op == "condconv":
             weights, wrong_rank = experts, Tensor(experts.data[0])
             rank_message = "experts must be (n, K, C_in, C_out), got (3, 2, 3)"
@@ -418,30 +327,6 @@ class TestCondConvTemporal:
 
 
 class TestCondConvMemory:
-    def test_doubling_the_batch_does_not_add_mixed_kernels(self):
-        """One 384->384, K=5, n=8 layer, forward and backward: the traced
-        peak must not grow by a batch of per-example kernels when the batch
-        doubles. Mixing the whole batch at once adds at least two per added
-        example (its kernel and the kernel's gradient)."""
-        layer = make_layer(c_in=384, c_out=384, k=5, n=8, seed=36)
-        kernel_bytes = 8 * layer.experts.data[0].size
-        chunk = ad.condconv_chunk(layer.experts.data.shape[1:])
-        rng = np.random.default_rng(37)
-
-        def peak(batch):
-            x = Tensor(rng.normal(size=(batch, 8, 384)), requires_grad=True)
-            gc.collect()
-            tracemalloc.start()
-            try:
-                cc.condconv_forward(x, layer).sum().backward()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        batch = chunk  # one full chunk already holds every kernel alive at once
-        growth = peak(2 * batch) - peak(batch)
-        assert growth < 0.25 * batch * kernel_bytes, (growth, batch * kernel_bytes)
-
     def test_backward_holds_one_chunk_of_kernels_and_no_expert_sized_temporary(
             self, monkeypatch):
         """One 384->384, K=5, n=8 op over two chunks of 2 examples: what
@@ -449,13 +334,11 @@ class TestCondConvMemory:
         per-example kernels, one chunk's window gradients and a quarter of
         the experts. A fresh kernel gradient per chunk beside an
         (n, K*C_in*C_out) product of alpha and it exceeds that."""
-        rng = np.random.default_rng(41)
-        x = Tensor(rng.normal(size=(4, 8, 384)), requires_grad=True)
-        alpha = Tensor(rng.random((4, 8)), requires_grad=True)
-        experts = Tensor(rng.normal(size=(8, 5, 384, 384)), requires_grad=True)
-        _chunk_budget(monkeypatch, 2, experts)
-        loss = (ad.condconv_temporal(x, alpha, experts)
-                * Tensor(rng.normal(size=(4, 8, 384)))).sum()
+        args = op_inputs("condconv", 4, 8, (5, 384, 384), n=8)
+        experts = args["experts"]
+        chunk_budget(monkeypatch, 2, (5, 384, 384))
+        loss = (call_op("condconv", args, 1, "same")
+                * Tensor(np.random.default_rng(41).normal(size=(4, 8, 384)))).sum()
         gc.collect()
         tracemalloc.start()
         try:

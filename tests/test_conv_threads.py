@@ -1,58 +1,56 @@
 """Both conv ops split each batch chunk over `autodiff._workers` threads:
 outputs and gradients are bitwise the same for any thread count, an
-exception on any thread reaches the caller, and no thread outlives an
-op. The ops here are small, so the tests set the thread count
-themselves; at the recipes' conv layer shapes, the parts of both ops'
-passes run serially instead, up to 64 of them, so that each BLAS call is
-checked to be the same call on any core count."""
+exception on any thread reaches the caller, no thread outlives an op,
+and no code in `src/condcnn` but `autodiff._split` starts one. The ops
+here are small, so the tests set the thread count themselves; at the
+recipes' conv layer shapes, the parts of both ops' passes run serially
+instead, up to 64 of them, so that each BLAS call is checked to be the
+same call on any core count."""
 
+import ast
 import json
 import os
+import re
 import threading
 import time
 from importlib import resources
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from condcnn import archspec
 from condcnn import autodiff as ad
-from condcnn.autodiff import Tensor
 from condcnn.condconv import CondConv
-from helpers import serial_split
+from conv_suite import INPUTS, backward_of, call_op, op_inputs
+from helpers import chunk_budget, serial_split, set_workers
 
 BATCH, T_IN, C_IN, C_OUT, K = 23, 13, 4, 6, 5
 # (x, alpha or kernel, experts) gradients wanted; experts only for condconv
 GRADS = [(True, True, True), (False, True, True), (True, False, False)]
 
-
-def _set_workers(monkeypatch, workers):
-    monkeypatch.setattr(ad, "_workers", lambda macs: workers)
+pytestmark = pytest.mark.invariance
 
 
 def _run(op, workers, monkeypatch, stride, padding, grads, n=3, t_in=T_IN, batch=BATCH,
          kernel_shape=(K, C_IN, C_OUT)):
     """The op's output and gradients at `workers` threads, on fixed inputs."""
-    _set_workers(monkeypatch, workers)
-    rng = np.random.default_rng(7)
-    x = Tensor(rng.normal(size=(batch, t_in, kernel_shape[1])), requires_grad=grads[0])
-    bias = Tensor(rng.normal(size=kernel_shape[2]), requires_grad=True)
-    if op == "condconv":
-        alpha = Tensor(rng.uniform(size=(batch, n)), requires_grad=grads[1])
-        experts = Tensor(rng.normal(size=(n, *kernel_shape)), requires_grad=grads[2])
-        inputs = (x, alpha, experts, bias)
-        out = ad.condconv_temporal(x, alpha, experts, stride, padding, bias=bias)
-    else:
-        kernel = Tensor(rng.normal(size=kernel_shape), requires_grad=grads[1])
-        inputs = (x, kernel, bias)
-        out = ad.conv_temporal(x, kernel, stride, padding, bias=bias)
-    weights = Tensor(rng.normal(size=out.shape))
-    (out * weights).sum().backward()
-    return [out.data] + [t.grad for t in inputs if t.requires_grad]
+    set_workers(monkeypatch, workers)
+    constant = [name for name, wanted in zip(INPUTS[op], grads) if not wanted]
+    args = op_inputs(op, batch, t_in, kernel_shape, constant, bias=True, n=n)
+    out = backward_of(call_op(op, args, stride, padding, args["bias"]), args)
+    return [out["y"]] + [out[name] for name, t in args.items() if t.requires_grad]
 
 
-def _chunk_budget(monkeypatch, examples):
-    monkeypatch.setattr(ad, "CONDCONV_CHUNK_BYTES", examples * 8 * K * C_IN * C_OUT)
+def _same_bits_at_2_and_3_threads(monkeypatch, op, chunk, *args, **kwargs):
+    """`_run(op, workers, monkeypatch, *args, **kwargs)` in chunks of `chunk`
+    examples gives the same bits at 2 and 3 threads as at 1."""
+    chunk_budget(monkeypatch, chunk, (K, C_IN, C_OUT))
+    serial = _run(op, 1, monkeypatch, *args, **kwargs)
+    for workers in (2, 3):  # 3 is more threads than a 2-core machine has cores
+        threaded = _run(op, workers, monkeypatch, *args, **kwargs)
+        assert len(threaded) == len(serial)
+        for a, b in zip(serial, threaded):
+            assert a.tobytes() == b.tobytes(), workers
 
 
 @pytest.mark.parametrize("op", ["condconv", "conv"])
@@ -61,38 +59,22 @@ def _chunk_budget(monkeypatch, examples):
 @pytest.mark.parametrize("chunk", [1, 2, 3, 11])
 @pytest.mark.parametrize("grads", GRADS)
 def test_bitwise_equal_for_any_thread_count(monkeypatch, op, stride, padding, chunk, grads):
-    _chunk_budget(monkeypatch, chunk)
     # 8-column and 8-row blocks, so both kernel gradients have blocks to deal out
     monkeypatch.setattr(ad, "_GRAD_COLUMNS", 8)
     monkeypatch.setattr(ad, "_GRAD_ROWS", 8)
-    serial = _run(op, 1, monkeypatch, stride, padding, grads)
-    for workers in (2, 3):  # 3 is more threads than a 2-core machine has cores
-        threaded = _run(op, workers, monkeypatch, stride, padding, grads)
-        assert len(threaded) == len(serial)
-        for a, b in zip(serial, threaded):
-            assert a.tobytes() == b.tobytes()
+    _same_bits_at_2_and_3_threads(monkeypatch, op, chunk, stride, padding, grads)
 
 
 @pytest.mark.parametrize("op", ["condconv", "conv"])
 @pytest.mark.parametrize("chunk", [2, 3, 11])
 def test_one_window_per_example_bitwise_equal(monkeypatch, op, chunk):
     # each example's matmuls have one row, so they are vector-matrix products
-    _chunk_budget(monkeypatch, chunk)
-    serial = _run(op, 1, monkeypatch, 1, "valid", GRADS[0], t_in=K)
-    for workers in (2, 3):
-        threaded = _run(op, workers, monkeypatch, 1, "valid", GRADS[0], t_in=K)
-        for a, b in zip(serial, threaded):
-            assert a.tobytes() == b.tobytes()
+    _same_bits_at_2_and_3_threads(monkeypatch, op, chunk, 1, "valid", GRADS[0], t_in=K)
 
 
 @pytest.mark.parametrize("chunk", [1, 4, 11])
 def test_one_expert_bitwise_equal_for_any_thread_count(monkeypatch, chunk):
-    _chunk_budget(monkeypatch, chunk)
-    serial = _run("condconv", 1, monkeypatch, 1, "same", GRADS[0], n=1)
-    for workers in (2, 3):
-        threaded = _run("condconv", workers, monkeypatch, 1, "same", GRADS[0], n=1)
-        for a, b in zip(serial, threaded):
-            assert a.tobytes() == b.tobytes()
+    _same_bits_at_2_and_3_threads(monkeypatch, "condconv", chunk, 1, "same", GRADS[0], n=1)
 
 
 def _recipe_conv_shapes(**overrides):
@@ -159,19 +141,12 @@ def test_condconv_bitwise_equal_for_any_part_count(monkeypatch, op, shape, strid
 
 @pytest.mark.parametrize("op", ["condconv", "conv"])
 def test_forward_without_graph_bitwise_equal(monkeypatch, op):
-    rng = np.random.default_rng(3)
-    x = Tensor(rng.normal(size=(BATCH, T_IN, C_IN)))
-    alpha = Tensor(rng.uniform(size=(BATCH, 3)))
-    experts = Tensor(rng.normal(size=(3, K, C_IN, C_OUT)))
-    kernel = Tensor(rng.normal(size=(K, C_IN, C_OUT)))
+    args = op_inputs(op, BATCH, T_IN, (K, C_IN, C_OUT), INPUTS[op])
     outs = []
     for workers in (1, 2, 3):
-        _set_workers(monkeypatch, workers)
+        set_workers(monkeypatch, workers)
         with ad.no_grad():
-            if op == "condconv":
-                outs.append(ad.condconv_temporal(x, alpha, experts).data)
-            else:
-                outs.append(ad.conv_temporal(x, kernel).data)
+            outs.append(call_op(op, args, 1, "same").data)
     assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
 
@@ -239,3 +214,22 @@ def test_parts_cover_in_order_in_sizes_differing_by_at_most_one():
             assert len(parts) == min(m, count)
             sizes = [p.stop - p.start for p in parts]
             assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+
+
+def test_only_split_starts_a_thread():
+    """Every parallel pass in `src/condcnn` lies behind `autodiff._split`,
+    the one function the invariance tests double: no other code names a
+    thread, a process or a pool. autodiff's import of the pool `_split`
+    uses is the one line outside it."""
+    pattern = re.compile(r"ThreadPoolExecutor|threading|multiprocessing|concurrent\.futures")
+    allowed = {("autodiff.py", "from concurrent.futures import ThreadPoolExecutor")}
+    found = []
+    for path in sorted(Path(ad.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        split = [node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_split"]
+        inside = {i for node in split for i in range(node.lineno, node.end_lineno + 1)}
+        found += [(path.name, i, line.strip()) for i, line in enumerate(source.splitlines(), 1)
+                  if pattern.search(line) and i not in inside
+                  and (path.name, line.strip()) not in allowed]
+    assert not found

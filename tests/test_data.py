@@ -582,6 +582,11 @@ class TestSegmentation:
         "label_names as a number": ("label_names", lambda a, m: 5),
         "null label_names": ("label_names", lambda a, m: None),
         "label_names with a number": ("label_names", lambda a, m: m["label_names"][:1] + [1]),
+        "no stats rows": ("normalization_stats", lambda a, m: []),
+        "one stats row": ("normalization_stats", lambda a, m: [[0.0, 1.0]]),
+        "stats as a number": ("normalization_stats", lambda a, m: 5),
+        "stats as a string": ("normalization_stats", lambda a, m: "ab"),
+        "stats of one channel": ("normalization_stats", lambda a, m: [[0.0], [1.0]]),
     }
 
     @pytest.mark.parametrize("case", MALFORMED_ARTIFACTS)

@@ -8,6 +8,8 @@ import pytest
 
 import fingerprint
 
+pytestmark = pytest.mark.invariance
+
 
 @pytest.fixture(scope="module")
 def record():

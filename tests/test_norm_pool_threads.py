@@ -17,6 +17,8 @@ from condcnn.autodiff import Tensor
 
 T, C = 9, 5
 
+pytestmark = pytest.mark.invariance
+
 
 def _batch_norm(monkeypatch, workers, batch, training, relu, x_grad, calls=None):
     """batch_norm's output, statistics and gradients at `workers` threads,

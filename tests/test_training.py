@@ -35,6 +35,7 @@ def config(**kw):
     return training.TrainConfig(**base)
 
 
+@pytest.mark.invariance
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
